@@ -127,18 +127,21 @@ def _load(cfg: RunConfig):
 
 def _resolve_y_indices(spec: str, alphabet, max_n: int) -> tuple[int, ...]:
     """Expand a y argument (repeat:<word>, file:<path>, or literal)."""
-    if spec.startswith("repeat:"):
-        word = SideInfoString.from_labels(alphabet, spec[len("repeat:"):])
-        reps = -(-max_n // len(word.indices))
-        return (word.indices * reps)[:max_n]
-    if spec.startswith("file:"):
-        path = Path(spec[len("file:"):])
-        if not path.exists():
-            raise UsageError(f"y file not found: {path}")
-        s = SideInfoString.from_labels(alphabet, path.read_text().strip())
-        indices = s.indices
-    else:
-        indices = SideInfoString.from_labels(alphabet, spec).indices
+    try:
+        if spec.startswith("repeat:"):
+            word = SideInfoString.from_labels(alphabet, spec[len("repeat:"):])
+            reps = -(-max_n // len(word.indices))
+            return (word.indices * reps)[:max_n]
+        if spec.startswith("file:"):
+            path = Path(spec[len("file:"):])
+            if not path.exists():
+                raise UsageError(f"y file not found: {path}")
+            s = SideInfoString.from_labels(alphabet, path.read_text().strip())
+            indices = s.indices
+        else:
+            indices = SideInfoString.from_labels(alphabet, spec).indices
+    except KeyError as exc:
+        raise UsageError(f"--y: {exc.args[0]}") from None
     if len(indices) < max_n:
         raise UsageError(f"y string has {len(indices)} symbols, need {max_n}")
     return indices[:max_n]

@@ -8,6 +8,13 @@ about its performance is a functional of the *length law*: the ranked
 list of per-string probabilities, grouped into classes of equal
 probability with exact string counts.
 
+Every law is held in product form (:class:`LengthLaw`): for
+conditionally i.i.d. models one factor per y-symbol, whose cells are
+the type classes of the positions seeing that symbol; the brute-force
+builders enumerate strings one by one into a single flat factor and
+exist as independent oracles (they are also the only exact route for
+Markov models).
+
 Two evaluation tracks coexist:
 
 * float: per-string probabilities as ``log2`` values (never as raw
@@ -15,22 +22,18 @@ Two evaluation tracks coexist:
   class counts kept as exact Python integers;
 * exact: rational per-string probabilities, for small blocklengths,
   used as the ground truth the float track is tested against.
-
-For conditionally i.i.d. models the law is assembled from type
-classes: per y-symbol, strings with the same symbol histogram share a
-probability, and counts are products of multinomials.  The brute-force
-builders enumerate strings one by one and exist as independent
-oracles; they are also the only exact route for Markov models.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache, reduce
+from itertools import accumulate, product
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +42,8 @@ from .models import CondIidModel, MarkovPairModel, Model, SideInfoString
 MERGE_TOL = 1e-12
 BRUTEFORCE_GUARD = 1 << 20
 DEFAULT_CLASS_CAP = 10**8
-MATERIALIZE_CAP = 1_000_000
+# ranked classes whose exact counts are produced together
+COUNT_CHUNK = 1 << 12
 
 
 class GuardExceededError(ValueError):
@@ -74,67 +78,189 @@ def _floor_exp2(t: float) -> int:
     return scaled >> (52 - e)
 
 
-def _log2_int(value: int) -> float:
-    return math.log2(value)
+@dataclass(frozen=True)
+class _Factor:
+    """One factor of a product-form law.
+
+    Cell ``i`` holds ``counts[i]`` strings of log2 probability ``lp[i]``;
+    on the exact track each has probability ``nums[i] / den``.
+    """
+
+    lp: np.ndarray
+    counts: np.ndarray          # object array of Python ints
+    nums: np.ndarray | None     # object array of Python ints
+    den: int = 1
+
+
+def _flat_factor(lp: np.ndarray, nums: list[int] | None = None, den: int = 1) -> _Factor:
+    """One cell per string, as the brute-force builders enumerate them."""
+    ones = np.ones(len(lp), dtype=object)
+    return _Factor(lp, ones, None if nums is None else np.array(nums, dtype=object), den)
+
+
+class _Chunk(NamedTuple):
+    """Exact data of ``COUNT_CHUNK`` consecutive ranked classes."""
+
+    base: int                   # cumulative count before the chunk
+    cum: list[int]              # cumulative count through each class
+    base_mass: int              # exact track: count-weighted numerators before
+    mass: list[int] | None      # ... and through each class
+    nums: list[int] | None      # class numerators over the law's denominator
 
 
 class LengthLaw:
     """Ranked per-string probability classes with exact counts.
 
-    Classes are sorted by decreasing probability; ``log2p`` may end
-    with ``-inf`` for the zero-probability strings, which still occupy
-    ranks.  ``counts`` sums to the total number of source strings.
+    The cells of the outer product of the factors are ranked once by
+    decreasing probability (``log2p`` on the float track, integer
+    numerators over a common denominator on the exact track) and
+    grouped into classes of equal probability.  Exact class counts are
+    produced ``COUNT_CHUNK`` classes at a time, only when a query needs
+    them; the law keeps the cumulative count at each chunk boundary and
+    the last chunk it produced.  ``log2p`` may end with ``-inf`` for
+    the zero-probability strings, which still occupy ranks.
+    ``counts`` sums to the total number of source strings.
     """
 
-    def __init__(
-        self,
-        n: int,
-        num_strings: int,
-        log2p: np.ndarray,
-        counts: list[int],
-        probs: list[Fraction] | None = None,
-    ) -> None:
-        if len(log2p) != len(counts):
-            raise ValueError("log2p and counts length mismatch")
-        if probs is not None and len(probs) != len(counts):
-            raise ValueError("probs and counts length mismatch")
-        total = sum(counts)
-        if total != num_strings:
-            raise ValueError(f"class counts sum to {total}, expected {num_strings}")
+    def __init__(self, n: int, num_strings: int, factors: list[_Factor], exact: bool) -> None:
         self.n = n
         self.num_strings = num_strings
-        self.log2p = log2p
-        self.counts = counts
-        self.probs = probs
-        self.cum_counts = list(accumulate(counts))
-        with np.errstate(invalid="ignore"):
-            log_counts = np.array([_log2_int(c) for c in counts])
-            mass = np.exp2(self.log2p + log_counts)
-        mass[np.isnan(mass)] = 0.0
-        suffix = np.zeros(len(counts) + 1)
+        self.exact = exact
+        self._factors = factors
+        self._shape = tuple(len(f.lp) for f in factors)
+        lp = factors[0].lp
+        lc = _log2_counts(factors[0].counts)
+        for f in factors[1:]:
+            lp = np.add.outer(lp, f.lp).ravel()
+            lc = np.add.outer(lc, _log2_counts(f.counts)).ravel()
+        self._den, self._total_num = 1, 0
+        if exact:
+            nums = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [f.nums for f in factors])
+            keys = nums.tolist()
+            order = np.array(sorted(range(len(keys)), key=keys.__getitem__, reverse=True),
+                             dtype=np.intp)
+            ranked = nums[order]
+            new_class = (ranked[1:] != ranked[:-1]).astype(bool)
+            self._den = math.prod(f.den for f in factors)
+            self._total_num = math.prod(
+                sum(map(operator.mul, f.nums.tolist(), f.counts.tolist())) for f in factors
+            )
+            lp = lp[order]
+        else:
+            order = np.argsort(-lp, kind="stable")
+            lp = lp[order]
+            with np.errstate(invalid="ignore"):
+                new_class = np.abs(np.diff(lp)) > MERGE_TOL
+        self._order = order
+        self._starts = np.flatnonzero(np.concatenate(([True], new_class)))
+        mass = np.add.reduceat(np.exp2(lp + lc[order]), self._starts)
+        self._support = math.prod(sum(f.counts.tolist()) for f in factors)
+        self.log2p = lp[self._starts]
+        if num_strings > self._support:
+            self.log2p = np.append(self.log2p, -math.inf)
+            mass = np.append(mass, 0.0)
+        suffix = np.zeros(len(mass) + 1)
         suffix[:-1] = mass[::-1].cumsum()[::-1]
         self.suffix_mass = suffix
-        if probs is not None:
-            acc = Fraction(0)
-            tail = [Fraction(0)] * (len(counts) + 1)
-            for j in range(len(counts) - 1, -1, -1):
-                acc += probs[j] * counts[j]
-                tail[j] = acc
-            self.suffix_mass_exact = tail
-        else:
-            self.suffix_mass_exact = None
+        # (cumulative count, count-weighted numerators) at each chunk end
+        self._bounds: list[tuple[int, int]] = []
+        self._last: tuple[int, _Chunk] | None = None
+
+    # -- exact counts, chunk by chunk --------------------------------------
+
+    def _chunk(self, c: int) -> _Chunk:
+        """Exact data of chunk ``c``, producing the chunks before it first."""
+        if self._last is not None and self._last[0] == c:
+            return self._last[1]
+        for i in range(len(self._bounds), c):
+            self._chunk(i)
+        starts = self._starts[c * COUNT_CHUNK:(c + 1) * COUNT_CHUNK + 1]
+        end = int(starts[-1]) if len(starts) > COUNT_CHUNK else len(self._order)
+        first = int(starts[0])
+        heads = starts[:COUNT_CHUNK] - first
+        cells = np.unravel_index(self._order[first:end], self._shape)
+        counts = reduce(operator.mul, [f.counts[i] for f, i in zip(self._factors, cells)])
+        class_counts = np.add.reduceat(counts, heads).tolist()
+        base, base_mass = self._bounds[c - 1] if c else (0, 0)
+        cum = list(accumulate(class_counts, initial=base))[1:]
+        mass = nums = None
+        if self.exact:
+            nums = reduce(operator.mul, [f.nums[i[heads]] for f, i in zip(self._factors, cells)])
+            nums = nums.tolist()
+            mass = list(accumulate(map(operator.mul, nums, class_counts), initial=base_mass))[1:]
+        chunk = _Chunk(base, cum, base_mass, mass, nums)
+        if len(self._bounds) == c:
+            self._bounds.append((cum[-1], mass[-1] if mass else 0))
+        self._last = (c, chunk)
+        return chunk
+
+    def _class_of_rank(self, b: int) -> int:
+        """Index of the class holding rank ``b``, 1 <= b <= num_strings."""
+        if b > self._support:
+            return len(self._starts)
+        while not self._bounds or self._bounds[-1][0] < b:
+            self._chunk(len(self._bounds))
+        c = bisect_left(self._bounds, b, key=operator.itemgetter(0))
+        return c * COUNT_CHUNK + bisect_left(self._chunk(c).cum, b)
+
+    def _class_data(self, j: int) -> tuple[int, int, int, int]:
+        """Cumulative count before and through class ``j``; on the exact
+        track also the count-weighted numerators before it and its numerator."""
+        if j == len(self._starts):
+            return self._support, self.num_strings, self._total_num, 0
+        c, i = divmod(j, COUNT_CHUNK)
+        ch = self._chunk(c)
+        prev = ch.cum[i - 1] if i else ch.base
+        if not self.exact:
+            return prev, ch.cum[i], 0, 0
+        return prev, ch.cum[i], ch.mass[i - 1] if i else ch.base_mass, ch.nums[i]
+
+    # -- vectorized views --------------------------------------------------
 
     @property
     def num_classes(self) -> int:
-        return len(self.counts)
+        return len(self.log2p)
+
+    @property
+    def cum_counts(self) -> list[int]:
+        out: list[int] = []
+        for c in range(-(-len(self._starts) // COUNT_CHUNK)):
+            out += self._chunk(c).cum
+        if self.num_strings > self._support:
+            out.append(self.num_strings)
+        return out
+
+    @property
+    def counts(self) -> list[int]:
+        cum = self.cum_counts
+        return [b - a for a, b in zip([0] + cum, cum)]
+
+    @property
+    def probs(self) -> list[Fraction] | None:
+        if not self.exact:
+            return None
+        out = [Fraction(self._class_data(j)[3], self._den) for j in range(len(self._starts))]
+        return out + [Fraction(0)] * (self.num_classes - len(out))
+
+    @property
+    def suffix_mass_exact(self) -> list[Fraction] | None:
+        if not self.exact:
+            return None
+        before = [self._class_data(j)[2] for j in range(self.num_classes)]
+        return [Fraction(self._total_num - m, self._den) for m in before] + [Fraction(0)]
+
+    # -- queries -----------------------------------------------------------
+
+    def _require_exact(self) -> None:
+        if not self.exact:
+            raise ValueError("law was built on the float track")
 
     def total_mass(self) -> float:
         return float(self.suffix_mass[0])
 
     def total_mass_exact(self) -> Fraction:
-        if self.suffix_mass_exact is None:
-            raise ValueError("law was built on the float track")
-        return self.suffix_mass_exact[0]
+        self._require_exact()
+        return Fraction(self._total_num, self._den)
 
     def excess_at_rank(self, b: int) -> float:
         """P[rank >= b], the mass of strings ranked b and beyond."""
@@ -142,24 +268,22 @@ class LengthLaw:
             return self.total_mass()
         if b > self.num_strings:
             return 0.0
-        j = bisect_left(self.cum_counts, b)
+        j = self._class_of_rank(b)
         tail = float(self.suffix_mass[j + 1])
-        d = self.cum_counts[j] - b + 1
+        d = self._class_data(j)[1] - b + 1
         lp = self.log2p[j]
         if d > 0 and lp > -math.inf:
-            tail += 2.0 ** (_log2_int(d) + lp)
+            tail += 2.0 ** (math.log2(d) + lp)
         return tail
 
     def excess_at_rank_exact(self, b: int) -> Fraction:
-        if self.suffix_mass_exact is None or self.probs is None:
-            raise ValueError("law was built on the float track")
+        self._require_exact()
         if b <= 1:
-            return self.suffix_mass_exact[0]
+            return self.total_mass_exact()
         if b > self.num_strings:
             return Fraction(0)
-        j = bisect_left(self.cum_counts, b)
-        d = self.cum_counts[j] - b + 1
-        return self.probs[j] * d + self.suffix_mass_exact[j + 1]
+        prev, _, mass_before, num = self._class_data(self._class_of_rank(b))
+        return Fraction(self._total_num - mass_before - num * (b - 1 - prev), self._den)
 
     def epsilon_star(self, k: int) -> float:
         """Overflow probability of the optimal code at k bits."""
@@ -179,8 +303,7 @@ class LengthLaw:
 
     def info_tail_exact(self, threshold: Fraction) -> Fraction:
         """Exact P[-log2 P >= threshold] for rational threshold."""
-        if self.probs is None:
-            raise ValueError("law was built on the float track")
+        self._require_exact()
         total = Fraction(0)
         for p, c in zip(self.probs, self.counts):
             if p > 0 and _log2_at_least(p, threshold):
@@ -208,16 +331,19 @@ class LengthLaw:
         if idx == 0:
             return 1
         j = idx - 1
-        prev_cum = self.cum_counts[j] - self.counts[j]
+        prev_cum, cum, _, _ = self._class_data(j)
         lp = self.log2p[j]
         if lp == -math.inf:
             return prev_cum + 1
         room = epsilon - float(suffix[j + 1])
         if room <= 0:
-            return self.cum_counts[j] + 1
+            return cum + 1
         offset = _floor_exp2(math.log2(room) - lp)
-        b = self.cum_counts[j] + 1 - offset
-        return max(b, prev_cum + 1)
+        return max(cum + 1 - offset, prev_cum + 1)
+
+
+def _log2_counts(counts: np.ndarray) -> np.ndarray:
+    return np.array([math.log2(c) for c in counts.tolist()])
 
 
 def _log2_at_least(p: Fraction, threshold: Fraction) -> bool:
@@ -230,58 +356,8 @@ def _log2_at_least(p: Fraction, threshold: Fraction) -> bool:
     return lhs <= (1 << -num)
 
 
-def _merge_classes(
-    order_lp: np.ndarray,
-    counts: list[int],
-    probs: list[Fraction] | None,
-    tol: float,
-) -> tuple[np.ndarray, list[int], list[Fraction] | None]:
-    """Merge adjacent sorted classes whose log-probabilities agree.
-
-    On the exact track only identical probabilities merge; on the
-    float track agreement within ``tol`` counts as identity.
-    """
-    if len(counts) <= 1:
-        return order_lp, counts, probs
-    out_lp: list[float] = []
-    out_counts: list[int] = []
-    out_probs: list[Fraction] | None = [] if probs is not None else None
-    for i in range(len(counts)):
-        same = False
-        if out_lp:
-            if probs is not None:
-                same = probs[i] == out_probs[-1]  # type: ignore[index]
-            else:
-                a, b = out_lp[-1], order_lp[i]
-                same = (a == b) or (abs(a - b) <= tol)
-        if same:
-            out_counts[-1] += counts[i]
-        else:
-            out_lp.append(float(order_lp[i]))
-            out_counts.append(counts[i])
-            if out_probs is not None:
-                out_probs.append(probs[i])  # type: ignore[index]
-    return np.array(out_lp), out_counts, out_probs
-
-
 # ---------------------------------------------------------------------------
 # Type-class construction for conditionally i.i.d. models
-
-
-@dataclass
-class _SymbolBlocks:
-    """Classes contributed by all positions sharing one y-symbol."""
-
-    lp: np.ndarray              # log2 probability contribution per class
-    counts: list[int]           # exact string multiplicities
-    probs: list[Fraction] | None
-
-
-def _log2_factorials(n: int) -> np.ndarray:
-    out = np.zeros(n + 1)
-    if n >= 1:
-        out[1:] = np.cumsum(np.log2(np.arange(1, n + 1, dtype=np.float64)))
-    return out
 
 
 def _binomial_row(n: int) -> list[int]:
@@ -312,106 +388,30 @@ def _multinomial(total: int, ks: Sequence[int]) -> int:
     return out
 
 
-def _blocks_for_symbol(
-    row: Sequence[Fraction], count: int, exact: bool
-) -> _SymbolBlocks:
-    """Type classes of ``count`` positions that all see y-symbol ``a``.
+def _symbol_factor(row: Sequence[Fraction], count: int, exact: bool) -> _Factor:
+    """Type classes of ``count`` positions that all see one y-symbol.
 
     Only the support of the conditional row enters; strings using a
-    zero-probability x-symbol are accounted for by the caller as one
-    terminal zero class.
+    zero-probability x-symbol make up the law's terminal zero class.
     """
     support = [p for p in row if p > 0]
     logs = [math.log2(float(p)) for p in support]
-    s = len(support)
-    if s == 1:
-        lp = np.array([count * logs[0]])
-        return _SymbolBlocks(
-            lp=lp,
-            counts=[1],
-            probs=[support[0] ** count] if exact else None,
-        )
-    if s == 2:
+    den = math.lcm(*(p.denominator for p in support))
+    scaled = [int(p * den) for p in support]
+    if len(support) == 2:
         ks = np.arange(count + 1, dtype=np.float64)
         lp = ks * logs[1] + (count - ks) * logs[0]
         counts = _binomial_row(count)
-        probs = None
-        if exact:
-            probs = [
-                support[0] ** (count - k) * support[1] ** k for k in range(count + 1)
-            ]
-        return _SymbolBlocks(lp=lp, counts=counts, probs=probs)
-    lps: list[float] = []
-    counts_out: list[int] = []
-    probs_out: list[Fraction] | None = [] if exact else None
-    for ks in _compositions(count, s):
-        lps.append(math.fsum(k * l for k, l in zip(ks, logs)))
-        counts_out.append(_multinomial(count, ks))
-        if probs_out is not None:
-            p = Fraction(1)
-            for k, q in zip(ks, support):
-                p *= q**k
-            probs_out.append(p)
-    return _SymbolBlocks(lp=np.array(lps), counts=counts_out, probs=probs_out)
-
-
-def _typeclass_factors(
-    model: CondIidModel, composition: Sequence[int], exact: bool, class_cap: int
-) -> tuple[list[_SymbolBlocks], int, int]:
-    """Per-symbol blocks, total class estimate, and support string count."""
-    n = sum(composition)
-    if n < 1:
-        raise ValueError("blocklength must be >= 1")
-    factors = []
-    est = 1
-    support_total = 1
-    for a, c in enumerate(composition):
-        if c == 0:
-            continue
-        blocks = _blocks_for_symbol(model.p_x_given_y[a], c, exact)
-        est *= len(blocks.counts)
-        support = sum(1 for p in model.p_x_given_y[a] if p > 0)
-        support_total *= support**c
-        if est > class_cap:
-            raise GuardExceededError(
-                f"type-class count exceeds cap {class_cap} at composition {tuple(composition)}"
-            )
-        factors.append(blocks)
-    return factors, est, support_total
-
-
-def _law_from_factors(
-    n: int,
-    num_strings: int,
-    factors: list[_SymbolBlocks],
-    support_total: int,
-    exact: bool,
-) -> LengthLaw:
-    lp = factors[0].lp
-    counts = factors[0].counts
-    probs = factors[0].probs
-    for blk in factors[1:]:
-        lp = np.add.outer(lp, blk.lp).ravel()
-        counts = [a * b for a in counts for b in blk.counts]
-        if exact:
-            probs = [a * b for a in probs for b in blk.probs]  # type: ignore[union-attr]
-    if exact:
-        order = sorted(range(len(counts)), key=lambda i: probs[i], reverse=True)  # type: ignore[index]
-        lp = lp[np.array(order)]
-        counts = [counts[i] for i in order]
-        probs = [probs[i] for i in order]  # type: ignore[index]
+        types: Sequence[tuple[int, ...]] = [(count - k, k) for k in range(count + 1)]
     else:
-        order = np.argsort(-lp, kind="stable")
-        lp = lp[order]
-        counts = [counts[i] for i in order.tolist()]
-    lp, counts, probs = _merge_classes(lp, counts, probs, MERGE_TOL)
-    zero_count = num_strings - support_total
-    if zero_count > 0:
-        lp = np.append(lp, -math.inf)
-        counts = counts + [zero_count]
-        if probs is not None:
-            probs = probs + [Fraction(0)]
-    return LengthLaw(n, num_strings, lp, counts, probs)
+        types = list(_compositions(count, len(support)))
+        lp = np.array([math.fsum(k * l for k, l in zip(ks, logs)) for ks in types])
+        counts = [_multinomial(count, ks) for ks in types]
+    nums = None
+    if exact:
+        nums = np.array([math.prod(a**k for a, k in zip(scaled, ks)) for ks in types],
+                        dtype=object)
+    return _Factor(lp, np.array(counts, dtype=object), nums, den**count)
 
 
 def length_law_typeclass(
@@ -430,9 +430,19 @@ def length_law_typeclass(
     if len(composition) != len(model.y_alphabet):
         raise ValueError("composition needs one count per y-symbol")
     n = sum(composition)
-    num_strings = len(model.x_alphabet) ** n
-    factors, _, support_total = _typeclass_factors(model, composition, exact, class_cap)
-    return _law_from_factors(n, num_strings, factors, support_total, exact)
+    if n < 1:
+        raise ValueError("blocklength must be >= 1")
+    rows = [(model.p_x_given_y[a], c) for a, c in enumerate(composition) if c]
+    cells = 1  # type classes of c positions over a support of s symbols
+    for row, c in rows:
+        s = sum(p > 0 for p in row)
+        cells *= math.comb(c + s - 1, s - 1)
+    if cells > class_cap:
+        raise GuardExceededError(
+            f"type-class count exceeds cap {class_cap} at composition {tuple(composition)}"
+        )
+    factors = [_symbol_factor(row, c, exact) for row, c in rows]
+    return LengthLaw(n, len(model.x_alphabet) ** n, factors, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +464,11 @@ def _bruteforce_cond_iid_exact(
     return nums, den
 
 
+def _exact_flat_factor(nums: list[int], den: int) -> _Factor:
+    lp = np.array([math.log2(v) - math.log2(den) if v > 0 else -math.inf for v in nums])
+    return _flat_factor(lp, nums, den)
+
+
 def length_law_bruteforce(
     model: Model,
     y: SideInfoString,
@@ -472,46 +487,15 @@ def length_law_bruteforce(
         raise GuardExceededError(f"brute force needs |X|^n <= {guard}, got {num_strings}")
     if isinstance(model, CondIidModel):
         if exact:
-            nums, den = _bruteforce_cond_iid_exact(model, y)
-            return _law_from_string_probs_exact(n, num_strings, nums, den)
-        logp = np.zeros(1)
-        for yi in y.indices:
-            logp = (logp[:, None] + model.cond_log2[yi][None, :]).ravel()
-        return _law_from_string_log2(n, num_strings, logp)
-    return _markov_law_bruteforce(model, y, exact)
-
-
-def _law_from_string_probs_exact(
-    n: int, num_strings: int, nums: list[int], den: int
-) -> LengthLaw:
-    nums_sorted = sorted(nums, reverse=True)
-    lp: list[float] = []
-    counts: list[int] = []
-    probs: list[Fraction] = []
-    i = 0
-    while i < len(nums_sorted):
-        j = i
-        while j < len(nums_sorted) and nums_sorted[j] == nums_sorted[i]:
-            j += 1
-        v = nums_sorted[i]
-        counts.append(j - i)
-        probs.append(Fraction(v, den))
-        lp.append(math.log2(v) - math.log2(den) if v > 0 else -math.inf)
-        i = j
-    return LengthLaw(n, num_strings, np.array(lp), counts, probs)
-
-
-def _law_from_string_log2(n: int, num_strings: int, logp: np.ndarray) -> LengthLaw:
-    logp = np.sort(logp)[::-1]
-    boundaries = [0]
-    for i in range(1, len(logp)):
-        a, b = logp[boundaries[-1]], logp[i]
-        if not (a == b or abs(a - b) <= MERGE_TOL or (np.isneginf(a) and np.isneginf(b))):
-            boundaries.append(i)
-    boundaries.append(len(logp))
-    lp = np.array([logp[b] for b in boundaries[:-1]])
-    counts = [boundaries[i + 1] - boundaries[i] for i in range(len(boundaries) - 1)]
-    return LengthLaw(n, num_strings, lp, counts, None)
+            factor = _exact_flat_factor(*_bruteforce_cond_iid_exact(model, y))
+        else:
+            logp = np.zeros(1)
+            for yi in y.indices:
+                logp = (logp[:, None] + model.cond_log2[yi][None, :]).ravel()
+            factor = _flat_factor(logp)
+    else:
+        factor = _markov_flat_factor(model, y, exact)
+    return LengthLaw(n, num_strings, [factor], exact)
 
 
 def _markov_string_probs(
@@ -530,7 +514,7 @@ def _markov_string_probs(
             )
         init = model.initial
         states: list[tuple[Fraction, int]] = []
-        for xs in _all_tuples(nx, d):
+        for xs in product(range(nx), repeat=d):
             ctx = model.context_index(
                 [model.pair_index(xs[t], y.indices[t]) for t in range(d)]
             )
@@ -546,7 +530,7 @@ def _markov_string_probs(
     initf = model.initial_f
     trans = model.transition_f
     statesf: list[tuple[float, int]] = []
-    for xs in _all_tuples(nx, d):
+    for xs in product(range(nx), repeat=d):
         ctx = model.context_index(
             [model.pair_index(xs[t], y.indices[t]) for t in range(d)]
         )
@@ -561,204 +545,20 @@ def _markov_string_probs(
     return np.array([p for p, _ in statesf])
 
 
-def _all_tuples(base: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for head in range(base):
-        for rest in _all_tuples(base, length - 1):
-            yield (head,) + rest
-
-
-def _law_from_string_fractions(
-    n: int, num_strings: int, fracs: list[Fraction]
-) -> LengthLaw:
-    ordered = sorted(fracs, reverse=True)
-    lp: list[float] = []
-    counts: list[int] = []
-    probs: list[Fraction] = []
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j] == ordered[i]:
-            j += 1
-        v = ordered[i]
-        counts.append(j - i)
-        probs.append(v)
-        lp.append(
-            math.log2(v.numerator) - math.log2(v.denominator) if v > 0 else -math.inf
-        )
-        i = j
-    return LengthLaw(n, num_strings, np.array(lp), counts, probs)
-
-
-def _markov_law_bruteforce(
-    model: MarkovPairModel, y: SideInfoString, exact: bool
-) -> LengthLaw:
-    n = len(y)
-    num_strings = len(model.x_alphabet) ** n
+def _markov_flat_factor(model: MarkovPairModel, y: SideInfoString, exact: bool) -> _Factor:
+    """P(x|y) of every x-string: joint probabilities normalized by P(y)."""
+    joints = _markov_string_probs(model, y, exact)
     if exact:
-        joints = _markov_string_probs(model, y, exact=True)
-        total = sum(joints)
-        if total == 0:
+        lcm = math.lcm(*(p.denominator for p in joints))
+        nums = [p.numerator * (lcm // p.denominator) for p in joints]
+        if sum(nums) == 0:
             raise ValueError("side-information string has zero probability")
-        return _law_from_string_fractions(n, num_strings, [p / total for p in joints])
-    joints = _markov_string_probs(model, y, exact=False)
+        return _exact_flat_factor(nums, sum(nums))
     total = joints.sum()
     if total <= 0:
         raise ValueError("side-information string has zero probability")
     with np.errstate(divide="ignore"):
-        logp = np.log2(joints) - math.log2(total)
-    return _law_from_string_log2(n, num_strings, logp)
-
-
-# ---------------------------------------------------------------------------
-# Streaming evaluation for very large type-class laws
-
-
-class _StreamLaw:
-    """Product-form law evaluated without materializing class counts.
-
-    Holds the sorted order and float suffix masses; exact class counts
-    are produced on demand by walking the sorted order and multiplying
-    factor multiplicities, so memory stays linear in the factor sizes.
-    """
-
-    def __init__(self, model: CondIidModel, composition: Sequence[int], class_cap: int):
-        factors, est, support_total = _typeclass_factors(
-            model, composition, exact=False, class_cap=class_cap
-        )
-        self.n = sum(composition)
-        self.num_strings = len(model.x_alphabet) ** self.n
-        self.zero_count = self.num_strings - support_total
-        lp = factors[0].lp
-        lc = np.array([_log2_int(c) for c in factors[0].counts])
-        for blk in factors[1:]:
-            lp = np.add.outer(lp, blk.lp).ravel()
-            lc = np.add.outer(lc, np.array([_log2_int(c) for c in blk.counts])).ravel()
-        self.order = np.argsort(-lp, kind="stable")
-        self.lp_sorted = lp[self.order]
-        mass = np.exp2(self.lp_sorted + lc[self.order])
-        suffix = np.zeros(len(mass) + 1)
-        suffix[:-1] = mass[::-1].cumsum()[::-1]
-        self.suffix = suffix
-        self.factor_counts = [blk.counts for blk in factors]
-        self.shape = tuple(len(blk.counts) for blk in factors)
-        self._order_list = self.order.tolist()
-        # (class index consumed through, cumulative exact count) pairs,
-        # recorded during walks so later queries resume nearby
-        self._checkpoints: list[tuple[int, int]] = [(-1, 0)]
-        self._checkpoint_every = 1 << 15
-
-    def _count_at(self, flat_index: int) -> int:
-        out = 1
-        rem = flat_index
-        for dim, counts in zip(reversed(self.shape), reversed(self.factor_counts)):
-            rem, k = divmod(rem, dim)
-            out *= counts[k]
-        return out
-
-    def _walk(
-        self, stop_class: int, rank_targets: list[int]
-    ) -> tuple[int, dict[int, tuple[int, int]]]:
-        """Accumulate exact counts class by class in ranked order.
-
-        Stops once the class index passes ``stop_class`` and every
-        rank target has been located.  Returns the cumulative count at
-        ``stop_class`` and, per target rank b, the pair (class index
-        holding rank b, cumulative count through that class).
-        """
-        targets = sorted(set(rank_targets))
-        found: dict[int, tuple[int, int]] = {}
-        start_j, cum = 0, 0
-        for cj, cc in self._checkpoints:
-            fits_stop = stop_class < 0 or cj <= stop_class
-            fits_targets = not targets or cc < targets[0]
-            if fits_stop and fits_targets and cj + 1 > start_j:
-                start_j, cum = cj + 1, cc
-        order_list = self._order_list
-        frontier = self._checkpoints[-1][0]
-        cum_at_stop = -1
-        ti = 0
-        exhausted = True
-        for j in range(start_j, len(order_list)):
-            cum += self._count_at(order_list[j])
-            if j > frontier and (j + 1) % self._checkpoint_every == 0:
-                self._checkpoints.append((j, cum))
-                frontier = j
-            while ti < len(targets) and targets[ti] <= cum:
-                found[targets[ti]] = (j, cum)
-                ti += 1
-            if j == stop_class:
-                cum_at_stop = cum
-            if j >= stop_class and ti >= len(targets):
-                exhausted = j == len(order_list) - 1
-                break
-        if cum_at_stop < 0:
-            cum_at_stop = cum
-        if exhausted:
-            for b in targets[ti:]:
-                if b <= cum + self.zero_count:
-                    found[b] = (len(order_list), cum + self.zero_count)
-        return cum_at_stop, found
-
-    def _excess_from_hit(self, b: int, hit: tuple[int, int]) -> float:
-        j, cum = hit
-        if j >= len(self.lp_sorted):
-            return 0.0
-        tail = float(self.suffix[j + 1])
-        d = cum - b + 1
-        if d > 0:
-            tail += 2.0 ** (_log2_int(d) + self.lp_sorted[j])
-        return tail
-
-    def epsilon_star(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        b = 1 << k
-        if b <= 1:
-            return float(self.suffix[0])
-        if b > self.num_strings:
-            return 0.0
-        _, found = self._walk(stop_class=-1, rank_targets=[b])
-        return self._excess_from_hit(b, found[b])
-
-    def rate_point(self, epsilon: float) -> RatePoint:
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        idx = int(np.searchsorted(-self.suffix, -epsilon, side="left"))
-        if idx == 0:
-            b_min = 1
-        else:
-            j_star = idx - 1
-            cum_at_stop, _ = self._walk(stop_class=j_star, rank_targets=[])
-            room = epsilon - float(self.suffix[j_star + 1])
-            if room <= 0:
-                b_min = cum_at_stop + 1
-            else:
-                offset = _floor_exp2(math.log2(room) - self.lp_sorted[j_star])
-                prev_cum = cum_at_stop - self._count_at(int(self.order[j_star]))
-                b_min = max(cum_at_stop + 1 - offset, prev_cum + 1)
-        k = max(0, (b_min - 1).bit_length() - 1)
-        b1, b2 = 1 << k, 1 << (k + 1)
-        targets = [b for b in (b1, b2) if 1 < b <= self.num_strings]
-        found: dict[int, tuple[int, int]] = {}
-        if targets:
-            _, found = self._walk(stop_class=-1, rank_targets=targets)
-        def _eps_at(b: int) -> float:
-            if b <= 1:
-                return float(self.suffix[0])
-            if b > self.num_strings:
-                return 0.0
-            return self._excess_from_hit(b, found[b])
-        return RatePoint(
-            n=self.n,
-            epsilon=epsilon,
-            k=k,
-            rate=k / self.n,
-            eps_at_k=_eps_at(b1),
-            eps_at_k_plus_1=_eps_at(b2),
-        )
+        return _flat_factor(np.log2(joints) - math.log2(total))
 
 
 # ---------------------------------------------------------------------------
@@ -784,16 +584,9 @@ def _ref_law(
     method: str,
     exact: bool,
     class_cap: int = DEFAULT_CLASS_CAP,
-) -> LengthLaw | _StreamLaw:
-    method = _resolve_method(model, len(y), method)
-    if method == "bruteforce":
+) -> LengthLaw:
+    if _resolve_method(model, len(y), method) == "bruteforce":
         return length_law_bruteforce(model, y, exact=exact)
-    assert isinstance(model, CondIidModel)
-    composition = y.counts()
-    factors, est, _ = _typeclass_factors(model, composition, exact=False, class_cap=class_cap)
-    del factors
-    if not exact and est > MATERIALIZE_CAP:
-        return _StreamLaw(model, composition, class_cap)
     return length_law_typeclass(model, y, exact=exact, class_cap=class_cap)
 
 
@@ -806,10 +599,7 @@ def epsilon_star_ref(
 ) -> float | Fraction:
     """Best overflow probability at k bits given the y-string."""
     law = _ref_law(model, y, method, exact)
-    if exact:
-        assert isinstance(law, LengthLaw)
-        return law.epsilon_star_exact(k)
-    return law.epsilon_star(k)
+    return law.epsilon_star_exact(k) if exact else law.epsilon_star(k)
 
 
 def rate_star_ref(
@@ -824,10 +614,6 @@ def rate_star_ref(
 # Pair-averaged queries
 
 
-def _y_compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    return _compositions(n, parts)
-
-
 def _composition_weight(
     p_y: Sequence[Fraction], comp: Sequence[int], exact: bool
 ) -> float | Fraction:
@@ -837,47 +623,10 @@ def _composition_weight(
         for p, c in zip(p_y, comp):
             w *= p**c
         return w
-    logw = _log2_int(mult) + math.fsum(
+    logw = math.log2(mult) + math.fsum(
         c * math.log2(float(p)) for p, c in zip(p_y, comp) if c
     ) if all(p > 0 or c == 0 for p, c in zip(p_y, comp)) else -math.inf
     return 0.0 if logw == -math.inf else 2.0**logw
-
-
-def _pair_curve_typeclass(
-    model: CondIidModel, n: int, exact: bool, class_cap: int
-) -> list[float] | list[Fraction]:
-    """Pair overflow curve over k = 0..kmax via the composition sweep."""
-    p_y = model.require_p_y()
-    kmax = (len(model.x_alphabet) ** n).bit_length()
-    total: list = [Fraction(0) if exact else 0.0] * (kmax + 1)
-    for comp in _y_compositions(n, len(model.y_alphabet)):
-        w = _composition_weight(p_y, comp, exact)
-        if w == 0:
-            continue
-        law = length_law_typeclass(model, comp, exact=exact, class_cap=class_cap)
-        for k in range(kmax + 1):
-            total[k] += w * (law.epsilon_star_exact(k) if exact else law.epsilon_star(k))
-    return total
-
-
-def _pair_curve_bruteforce(model: Model, n: int, exact: bool) -> list:
-    """Pair overflow curve by enumerating every y-string."""
-    nx, ny = len(model.x_alphabet), len(model.y_alphabet)
-    if (nx * ny) ** n > BRUTEFORCE_GUARD:
-        raise GuardExceededError(
-            f"pair brute force needs (|X||Y|)^n <= {BRUTEFORCE_GUARD}"
-        )
-    kmax = (nx**n).bit_length()
-    total: list = [Fraction(0) if exact else 0.0] * (kmax + 1)
-    for ys in _all_tuples(ny, n):
-        y = SideInfoString(model.y_alphabet, ys)
-        w = _y_string_prob(model, y, exact)
-        if w == 0:
-            continue
-        law = length_law_bruteforce(model, y, exact=exact)
-        for k in range(kmax + 1):
-            total[k] += w * (law.epsilon_star_exact(k) if exact else law.epsilon_star(k))
-    return total
 
 
 def _y_string_prob(model: Model, y: SideInfoString, exact: bool) -> float | Fraction:
@@ -918,12 +667,52 @@ def _pair_method(model: Model, n: int, method: str) -> str:
     return method
 
 
+def _pair_laws(
+    model: Model, n: int, route: str, exact: bool, class_cap: int = DEFAULT_CLASS_CAP
+) -> Iterator[tuple[float | Fraction, LengthLaw]]:
+    """(weight, law) over y-compositions (type class) or y-strings (brute
+    force); the overflow given y depends on y only through its composition."""
+    ny = len(model.y_alphabet)
+    if route == "typeclass":
+        assert isinstance(model, CondIidModel)
+        p_y = model.require_p_y()
+        for comp in _compositions(n, ny):
+            w = _composition_weight(p_y, comp, exact)
+            if w != 0:
+                yield w, length_law_typeclass(model, comp, exact=exact, class_cap=class_cap)
+        return
+    if (len(model.x_alphabet) * ny) ** n > BRUTEFORCE_GUARD:
+        raise GuardExceededError(
+            f"pair brute force needs (|X||Y|)^n <= {BRUTEFORCE_GUARD}"
+        )
+    for ys in product(range(ny), repeat=n):
+        y = SideInfoString(model.y_alphabet, ys)
+        w = _y_string_prob(model, y, exact)
+        if w != 0:
+            yield w, length_law_bruteforce(model, y, exact=exact)
+
+
+@lru_cache(maxsize=128)
+def _pair_curve_of_route(
+    model: Model, n: int, route: str, exact: bool, class_cap: int
+) -> tuple:
+    kmax = (len(model.x_alphabet) ** n).bit_length()
+    total: list = [Fraction(0) if exact else 0.0] * (kmax + 1)
+    for w, law in _pair_laws(model, n, route, exact, class_cap):
+        for k in range(kmax + 1):
+            total[k] += w * (law.epsilon_star_exact(k) if exact else law.epsilon_star(k))
+    return tuple(total)
+
+
 def _pair_curve(
     model: Model, n: int, method: str, exact: bool, class_cap: int = DEFAULT_CLASS_CAP
-) -> list:
-    if _pair_method(model, n, method) == "bruteforce":
-        return _pair_curve_bruteforce(model, n, exact)
-    return _pair_curve_typeclass(model, n, exact, class_cap)
+) -> tuple:
+    """Pair overflow curve over k = 0..kmax, the last entry 0.
+
+    Memoized per (model, n, route, track): models are frozen, so a
+    sweep of per-k point queries costs one sweep.
+    """
+    return _pair_curve_of_route(model, n, _pair_method(model, n, method), exact, class_cap)
 
 
 def epsilon_star_pair(
@@ -931,26 +720,13 @@ def epsilon_star_pair(
 ) -> float | Fraction:
     """Best overflow probability at k bits, averaged over y-strings.
 
-    The type-class route sweeps y-compositions (the overflow given y
-    depends on y only through its composition); the brute-force route
+    The type-class route sweeps y-compositions; the brute-force route
     enumerates y-strings one by one and is the independent oracle.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if _pair_method(model, n, method) == "typeclass":
-        assert isinstance(model, CondIidModel)
-        p_y = model.require_p_y()
-        total: float | Fraction = Fraction(0) if exact else 0.0
-        for comp in _y_compositions(n, len(model.y_alphabet)):
-            w = _composition_weight(p_y, comp, exact)
-            if w == 0:
-                continue
-            law = length_law_typeclass(model, comp, exact=exact)
-            total += w * (law.epsilon_star_exact(k) if exact else law.epsilon_star(k))
-        return total
-    curve = _pair_curve(model, n, "bruteforce", exact)
-    kmax = len(curve) - 1
-    return curve[min(k, kmax)]
+    curve = _pair_curve(model, n, method, exact)
+    return curve[min(k, len(curve) - 1)]
 
 
 def rate_star_pair(
@@ -1052,16 +828,7 @@ def check_general_converse(
     else:
         if n is None:
             raise ValueError("pair scope needs n")
-        nx, ny = len(model.x_alphabet), len(model.y_alphabet)
-        if (nx * ny) ** n > BRUTEFORCE_GUARD:
-            raise GuardExceededError("pair converse check exceeds enumeration guard")
-        laws = []
-        for ys in _all_tuples(ny, n):
-            ystr = SideInfoString(model.y_alphabet, ys)
-            w = _y_string_prob(model, ystr, exact)
-            if w == 0:
-                continue
-            laws.append((w, length_law_bruteforce(model, ystr, exact=exact)))
+        laws = list(_pair_laws(model, n, "bruteforce", exact))
         scope = "pair"
     if exact:
         lhs_val: Fraction = sum((w * law.epsilon_star_exact(k) for w, law in laws), Fraction(0))

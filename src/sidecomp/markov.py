@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import cdf_rows
 from .models import (
     DerivedYChain,
     MarkovPairModel,
@@ -264,7 +265,7 @@ def _simulate_paths(
     sym = np.empty((trials, n), dtype=np.int64)
     head = np.array([model.context_symbols(c) for c in range(model.num_contexts)])
     sym[:, :min(d, n)] = head[ctx][:, :min(d, n)]
-    cum = np.cumsum(model.transition_f, axis=1)
+    cum = cdf_rows(model.transition_f)
     for i in range(d, n):
         u = rng.random(trials)
         s = (u[:, None] > cum[ctx]).sum(axis=1)
@@ -319,7 +320,7 @@ def sample_path_statistics(
     info = lg_ymass[yctx_of[ctx]] - lg_init[ctx]
     window = np.zeros(trials)
     yctx = yctx_of[ctx]
-    cum = np.cumsum(model.transition_f, axis=1)
+    cum = cdf_rows(model.transition_f)
     for i in range(d, n + d):
         u = rng.random(trials)
         s = (u[:, None] > cum[ctx]).sum(axis=1)

@@ -259,6 +259,19 @@ def _y_marginal_log2(model: MarkovPairModel, y: Sequence[int]) -> float:
     return total_log
 
 
+def cdf_rows(probs: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums for inverse-CDF draws of ``u`` in [0, 1).
+
+    Entries from each row's last positive probability on are exactly
+    1.0, so rounding in the sums never sends a draw past the row's
+    support, nor past its end.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    cum[np.arange(probs.shape[-1]) >= np.expand_dims(last, -1)] = 1.0
+    return cum
+
+
 def sample_cond_iid(
     model: CondIidModel, n: int, trials: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -267,10 +280,9 @@ def sample_cond_iid(
     Returns index arrays of shape ``(trials, n)`` for x and y.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    cum_y = np.cumsum(model.p_y_f)
+    cum_y = cdf_rows(model.p_y_f)
     y = np.searchsorted(cum_y, rng.random((trials, n)), side="right")
-    y = np.minimum(y, len(model.y_alphabet) - 1)
-    cum_rows = np.cumsum(model.cond_f, axis=1)
+    cum_rows = cdf_rows(model.cond_f)
     u = rng.random((trials, n))
     x = (u[..., None] > cum_rows[y]).sum(axis=-1)
     return x.astype(np.int64), y.astype(np.int64)

@@ -133,6 +133,18 @@ class TestLimits:
         assert code == 1
         assert "usage error" in err
 
+    def test_unknown_y_label_is_usage_error(self, capsys):
+        skewed = str(MODELS_DIR / "skewed34.json")
+        code, out, err = run(
+            capsys,
+            ["limits", "--model", skewed, "--n", "5", "--eps", "0.2", "--y", "repeat:0123"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "usage error: --y: label '0' not in alphabet ('w', 'x', 'y', 'z')"
+        ]
+
     def test_eps_out_of_range(self, capsys):
         code, _, err = run(
             capsys, ["limits", "--model", FIG1, "--n", "2", "--eps", "1.5"]

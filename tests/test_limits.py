@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sidecomp.limits import (
     GuardExceededError,
-    _StreamLaw,
+    _pair_curve_of_route,
     check_general_converse,
     epsilon_star_pair,
     epsilon_star_prefix,
@@ -189,19 +189,37 @@ class TestGeneralConverse:
             check_general_converse(fig1, 1, [0.0], y=y)
 
 
-class TestStreamEvaluation:
-    @pytest.mark.parametrize("n", [30, 60])
-    def test_matches_materialized(self, fig1, n):
+class TestProductFormLaw:
+    @pytest.mark.parametrize("n", [30, 60, 400])
+    def test_float_matches_exact(self, fig1, n):
+        # at n = 400 the law spans 268 x 134 cells, more than one count chunk
         y = y_repeat(fig1, "001", n)
-        stream = _StreamLaw(fig1, y.counts(), class_cap=10**8)
         law = length_law_typeclass(fig1, y)
+        exact = length_law_typeclass(fig1, y, exact=True)
         for k in range(0, n + 1, max(1, n // 7)):
-            assert abs(stream.epsilon_star(k) - law.epsilon_star(k)) <= 1e-11
+            assert abs(law.epsilon_star(k) - float(exact.epsilon_star_exact(k))) <= 1e-11
         for eps in (0.1, 0.4):
-            a, b = stream.rate_point(eps), law.rate_point(eps)
-            assert a.k == b.k
-            assert abs(a.eps_at_k - b.eps_at_k) <= 1e-11
-            assert abs(a.eps_at_k_plus_1 - b.eps_at_k_plus_1) <= 1e-11
+            rp = law.rate_point(eps)
+            hi, lo = exact.epsilon_star_exact(rp.k), exact.epsilon_star_exact(rp.k + 1)
+            assert lo <= Fraction(eps) < hi
+            assert abs(rp.eps_at_k - float(hi)) <= 1e-11
+            assert abs(rp.eps_at_k_plus_1 - float(lo)) <= 1e-11
+
+    def test_pair_queries_build_each_law_once(self, fig1, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return length_law_typeclass(*args, **kwargs)
+
+        monkeypatch.setattr("sidecomp.limits.length_law_typeclass", counting)
+        _pair_curve_of_route.cache_clear()
+        n = 6
+        curve = [epsilon_star_pair(fig1, n, k, method="typeclass", exact=True)
+                 for k in range(n + 2)]
+        # one law per y-composition, however many k are asked
+        assert len(calls) == len(set(calls)) == n + 1
+        assert curve[0] == 1 and curve[-1] == 0
 
 
 class TestGuards:
@@ -212,3 +230,8 @@ class TestGuards:
     def test_pair_converse_guard(self, fig1):
         with pytest.raises(GuardExceededError):
             check_general_converse(fig1, 1, [1.0], n=11)
+
+    def test_class_cap(self, fig1):
+        with pytest.raises(GuardExceededError):
+            length_law_typeclass(fig1, (2000, 1000), class_cap=2001 * 1001 - 1)
+        assert length_law_typeclass(fig1, (20, 10), class_cap=21 * 11).num_classes == 21 * 11

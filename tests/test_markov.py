@@ -5,6 +5,7 @@ import pytest
 
 from sidecomp.markov import (
     ZChain,
+    _simulate_paths,
     berry_esseen_probe,
     block_function,
     build_z_chain,
@@ -13,7 +14,7 @@ from sidecomp.markov import (
     simulate_pair,
 )
 from sidecomp.measures import measures
-from sidecomp.models import embed_cond_iid
+from sidecomp.models import embed_cond_iid, model_from_dict
 
 
 class TestRates:
@@ -145,3 +146,40 @@ class TestProbe:
     def test_probe_rejects_degenerate(self, corpus_models):
         with pytest.raises(ValueError):
             berry_esseen_probe(corpus_models["copy_chain"], [16], trials=100, seed=0)
+
+
+class TestSamplerRange:
+    # each row sums to 0.9999999999999998 in floats, below the largest
+    # uniform draw a generator can return
+    ROW = ["2/7"] + ["1/7"] * 5
+
+    class TopDraws:
+        """A generator whose uniform draws are all the largest double below 1."""
+
+        def __init__(self, rng):
+            self._rng = rng
+
+        def choice(self, *args, **kwargs):
+            return self._rng.choice(*args, **kwargs)
+
+        def random(self, size):
+            return np.full(size, np.nextafter(1.0, 0.0))
+
+    def _model(self):
+        return model_from_dict({
+            "kind": "markov_pair", "order": 1,
+            "x_alphabet": ["0", "1", "2"], "y_alphabet": ["0", "1"],
+            "transition": [self.ROW] * 6, "initial": ["1/6"] * 6,
+        })
+
+    def test_simulated_paths(self):
+        rng = self.TopDraws(np.random.default_rng(0))
+        xs, ys = _simulate_paths(self._model(), 5, 3, rng)
+        assert (xs[:, 1:] == 2).all() and (ys[:, 1:] == 1).all()
+
+    def test_path_statistics(self, monkeypatch):
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: self.TopDraws(default_rng(seed)))
+        stats = sample_path_statistics(self._model(), 5, 3, seed=0)
+        assert np.isfinite(stats.info).all() and np.isfinite(stats.window_sum).all()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from sidecomp.measures import (
+    cdf_rows,
     cond_info_density,
     dispersion_gap,
     h_n_sigma_n,
@@ -14,6 +15,7 @@ from sidecomp.measures import (
     per_y_profile,
     sample_cond_iid,
 )
+from sidecomp.models import model_from_dict
 
 from conftest import small_models, y_repeat
 
@@ -153,3 +155,30 @@ class TestSampling:
         assert float((y == 0).mean()) == pytest.approx(2 / 3, abs=0.01)
         mask = y == 0
         assert float((x[mask] == 0).mean()) == pytest.approx(0.9, abs=0.01)
+
+    def test_draws_stay_in_range_at_the_top_of_the_unit_interval(self, monkeypatch):
+        # these rows sum to 0.9999999999999998 in floats, below the
+        # largest uniform draw a generator can return
+        row = ["2/7"] + ["1/7"] * 5
+        model = model_from_dict({
+            "kind": "cond_iid",
+            "x_alphabet": list("abcdef"), "y_alphabet": list("012345"),
+            "p_x_given_y": [row] * 6, "p_y": row,
+        })
+        top = np.nextafter(1.0, 0.0)
+
+        class TopDraws:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, size):
+                return np.full(size, top)
+
+        monkeypatch.setattr(np.random, "Generator", TopDraws)
+        x, y = sample_cond_iid(model, 3, 4, seed=0)
+        assert (x == 5).all() and (y == 5).all()
+
+    def test_cdf_rows_end_at_one_on_the_support(self):
+        assert cdf_rows(np.array([0.3, 0.6, 0.0])).tolist() == [0.3, 1.0, 1.0]
+        rows = cdf_rows(np.array([[2 / 7] + [1 / 7] * 5, [1.0] + [0.0] * 5]))
+        assert rows[0, -1] == 1.0 and rows[1].tolist() == [1.0] * 6

@@ -549,7 +549,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ModelFormatError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (xl.GuardExceededError, nb.DegenerateModelError, ValueError) as exc:
+    except (xl.GuardExceededError, nb.DegenerateModelError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -82,12 +82,14 @@ def _floor_exp2(t: float) -> int:
 class _Factor:
     """One factor of a product-form law.
 
-    Cell ``i`` holds ``counts[i]`` strings of log2 probability ``lp[i]``;
-    on the exact track each has probability ``nums[i] / den``.
+    Cell ``i`` holds ``counts[i]`` strings (``log2`` of that is ``lc[i]``)
+    of log2 probability ``lp[i]``; on the exact track each has
+    probability ``nums[i] / den``.
     """
 
     lp: np.ndarray
     counts: np.ndarray          # object array of Python ints
+    lc: np.ndarray
     nums: np.ndarray | None     # object array of Python ints
     den: int = 1
 
@@ -95,7 +97,13 @@ class _Factor:
 def _flat_factor(lp: np.ndarray, nums: list[int] | None = None, den: int = 1) -> _Factor:
     """One cell per string, as the brute-force builders enumerate them."""
     ones = np.ones(len(lp), dtype=object)
-    return _Factor(lp, ones, None if nums is None else np.array(nums, dtype=object), den)
+    nums_arr = None if nums is None else np.array(nums, dtype=object)
+    return _Factor(lp, ones, np.zeros(len(lp)), nums_arr, den)
+
+
+def _outer(arrays: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
+    """Flattened outer product of ``arrays`` under ``ufunc``, left to right."""
+    return reduce(lambda a, b: ufunc.outer(a, b).ravel(), arrays)
 
 
 class _Chunk(NamedTuple):
@@ -108,6 +116,22 @@ class _Chunk(NamedTuple):
     nums: list[int] | None      # class numerators over the law's denominator
 
 
+class _Split(NamedTuple):
+    """The law's cells as pairs ``(a, i)``: ``a`` runs over the outer
+    product of all factors but the last, ``i`` over the last factor in
+    rank order, so the cells of one ``a`` ranked above any class form a
+    prefix of ``i``."""
+
+    lp: np.ndarray              # log2 probability of each a
+    counts: list[int]           # string count of each a
+    nums: list[int] | None      # exact track: numerator of each a
+    mass: list[int] | None      # exact track: count times numerator of each a
+    last_lp: np.ndarray         # last factor's log2p, best first
+    last_neg: list[int] | None  # exact track: its numerators negated, ascending
+    last_cum: list[int]         # its cumulative counts, from 0
+    last_cum_mass: list[int] | None
+
+
 class LengthLaw:
     """Ranked per-string probability classes with exact counts.
 
@@ -116,10 +140,12 @@ class LengthLaw:
     numerators over a common denominator on the exact track) and
     grouped into classes of equal probability.  Exact class counts are
     produced ``COUNT_CHUNK`` classes at a time, only when a query needs
-    them; the law keeps the cumulative count at each chunk boundary and
-    the last chunk it produced.  ``log2p`` may end with ``-inf`` for
-    the zero-probability strings, which still occupy ranks.
-    ``counts`` sums to the total number of source strings.
+    them; the law keeps the cumulative count at the end of every chunk
+    it produced or located, and the last chunk it produced.  A chunk's
+    base is an exact dominance count over the last factor, so reaching
+    a chunk never produces the chunks before it.  ``log2p`` may end
+    with ``-inf`` for the zero-probability strings, which still occupy
+    ranks.  ``counts`` sums to the total number of source strings.
     """
 
     def __init__(self, n: int, num_strings: int, factors: list[_Factor], exact: bool) -> None:
@@ -128,14 +154,11 @@ class LengthLaw:
         self.exact = exact
         self._factors = factors
         self._shape = tuple(len(f.lp) for f in factors)
-        lp = factors[0].lp
-        lc = _log2_counts(factors[0].counts)
-        for f in factors[1:]:
-            lp = np.add.outer(lp, f.lp).ravel()
-            lc = np.add.outer(lc, _log2_counts(f.counts)).ravel()
+        lp = _outer([f.lp for f in factors], np.add)
+        lc = _outer([f.lc for f in factors], np.add)
         self._den, self._total_num = 1, 0
         if exact:
-            nums = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), [f.nums for f in factors])
+            nums = _outer([f.nums for f in factors], np.multiply)
             keys = nums.tolist()
             order = np.array(sorted(range(len(keys)), key=keys.__getitem__, reverse=True),
                              dtype=np.intp)
@@ -162,18 +185,17 @@ class LengthLaw:
         suffix = np.zeros(len(mass) + 1)
         suffix[:-1] = mass[::-1].cumsum()[::-1]
         self.suffix_mass = suffix
-        # (cumulative count, count-weighted numerators) at each chunk end
-        self._bounds: list[tuple[int, int]] = []
+        # chunk -> (cumulative count, count-weighted numerators) at its end
+        self._ends: dict[int, tuple[int, int]] = {}
         self._last: tuple[int, _Chunk] | None = None
+        self._split: _Split | None = None
 
     # -- exact counts, chunk by chunk --------------------------------------
 
     def _chunk(self, c: int) -> _Chunk:
-        """Exact data of chunk ``c``, producing the chunks before it first."""
+        """Exact data of chunk ``c``."""
         if self._last is not None and self._last[0] == c:
             return self._last[1]
-        for i in range(len(self._bounds), c):
-            self._chunk(i)
         starts = self._starts[c * COUNT_CHUNK:(c + 1) * COUNT_CHUNK + 1]
         end = int(starts[-1]) if len(starts) > COUNT_CHUNK else len(self._order)
         first = int(starts[0])
@@ -181,7 +203,7 @@ class LengthLaw:
         cells = np.unravel_index(self._order[first:end], self._shape)
         counts = reduce(operator.mul, [f.counts[i] for f, i in zip(self._factors, cells)])
         class_counts = np.add.reduceat(counts, heads).tolist()
-        base, base_mass = self._bounds[c - 1] if c else (0, 0)
+        base, base_mass = self._end(c - 1) if c else (0, 0)
         cum = list(accumulate(class_counts, initial=base))[1:]
         mass = nums = None
         if self.exact:
@@ -189,18 +211,78 @@ class LengthLaw:
             nums = nums.tolist()
             mass = list(accumulate(map(operator.mul, nums, class_counts), initial=base_mass))[1:]
         chunk = _Chunk(base, cum, base_mass, mass, nums)
-        if len(self._bounds) == c:
-            self._bounds.append((cum[-1], mass[-1] if mass else 0))
+        self._ends[c] = (cum[-1], mass[-1] if mass else 0)
         self._last = (c, chunk)
         return chunk
+
+    def _end(self, c: int) -> tuple[int, int]:
+        """Cumulative count (and count-weighted numerators) through chunk ``c``."""
+        if c not in self._ends:
+            self._ends[c] = self._before(min((c + 1) * COUNT_CHUNK, len(self._starts)))
+        return self._ends[c]
+
+    def _before(self, j: int) -> tuple[int, int]:
+        """Exact count (and count-weighted numerators) of the strings in
+        the classes before class ``j``, without producing any chunk.
+
+        Per cell ``a`` of the outer product of all factors but the last,
+        the cells ranked before class ``j`` are a prefix of the last
+        factor; its length is found with the very predicate the ranking
+        merged classes by, so the count matches the chunks' bit for bit.
+        """
+        if j == 0:
+            return 0, 0
+        if j == len(self._starts):
+            return self._support, self._total_num
+        s = self._split_tables()
+        if self.exact:
+            last = self._factors[-1]
+            a, i = divmod(int(self._order[self._starts[j]]), len(last.lp))
+            t = s.nums[a] * last.nums[i]
+            # nA * nF > t  <=>  nF > t // nA  for integers, nA > 0
+            lengths = [bisect_left(s.last_neg, -(t // v)) if v else 0 for v in s.nums]
+            mass = sum(map(operator.mul, s.mass, map(s.last_cum_mass.__getitem__, lengths)))
+        else:
+            lengths = _prefix_lengths(s.lp, s.last_lp, self.log2p[j]).tolist()
+            mass = 0
+        return sum(map(operator.mul, s.counts, map(s.last_cum.__getitem__, lengths))), mass
+
+    def _split_tables(self) -> _Split:
+        """The (a, i) tables of :meth:`_before`, built on first use."""
+        if self._split is None:
+            *rest, last = self._factors
+            lp, counts, nums = np.zeros(1), [1], [1]
+            if rest:
+                lp = _outer([f.lp for f in rest], np.add)
+                counts = _outer([f.counts for f in rest], np.multiply).tolist()
+                if self.exact:
+                    nums = _outer([f.nums for f in rest], np.multiply).tolist()
+            if self.exact:
+                keys = last.nums.tolist()
+                order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+            else:
+                order = np.argsort(-last.lp, kind="stable")
+            last_counts = last.counts[order].tolist()
+            cum = list(accumulate(last_counts, initial=0))
+            if not self.exact:
+                self._split = _Split(lp, counts, None, None, last.lp[order], None, cum, None)
+                return self._split
+            last_nums = last.nums[order].tolist()
+            self._split = _Split(
+                lp, counts, nums, list(map(operator.mul, counts, nums)), last.lp[order],
+                [-v for v in last_nums], cum,
+                list(accumulate(map(operator.mul, last_counts, last_nums), initial=0)))
+        return self._split
 
     def _class_of_rank(self, b: int) -> int:
         """Index of the class holding rank ``b``, 1 <= b <= num_strings."""
         if b > self._support:
             return len(self._starts)
-        while not self._bounds or self._bounds[-1][0] < b:
-            self._chunk(len(self._bounds))
-        c = bisect_left(self._bounds, b, key=operator.itemgetter(0))
+        if self._last is not None and self._last[1].base < b <= self._last[1].cum[-1]:
+            c = self._last[0]
+        else:
+            chunks = range(-(-len(self._starts) // COUNT_CHUNK))
+            c = bisect_left(chunks, b, key=lambda c: self._end(c)[0])
         return c * COUNT_CHUNK + bisect_left(self._chunk(c).cum, b)
 
     def _class_data(self, j: int) -> tuple[int, int, int, int]:
@@ -342,8 +424,23 @@ class LengthLaw:
         return max(cum + 1 - offset, prev_cum + 1)
 
 
-def _log2_counts(counts: np.ndarray) -> np.ndarray:
-    return np.array([math.log2(c) for c in counts.tolist()])
+def _prefix_lengths(lp: np.ndarray, last_lp: np.ndarray, level: float) -> np.ndarray:
+    """Per entry ``x`` of ``lp``, how many leading entries ``f`` of the
+    descending ``last_lp`` satisfy ``(x + f) - level > MERGE_TOL``: the
+    cells of a law ranked in classes before the class at ``level``."""
+    size = len(last_lp)
+    with np.errstate(invalid="ignore"):
+        lengths = np.searchsorted(-last_lp, lp - level - MERGE_TOL)
+        # the guess can be off by rounding; settle it on the predicate itself
+        while True:
+            up = lengths < size
+            up[up] = (lp[up] + last_lp[lengths[up]]) - level > MERGE_TOL
+            down = lengths > 0
+            down[down] = ~((lp[down] + last_lp[lengths[down] - 1]) - level > MERGE_TOL)
+            if not (up.any() or down.any()):
+                return lengths
+            lengths += up
+            lengths -= down
 
 
 def _log2_at_least(p: Fraction, threshold: Fraction) -> bool:
@@ -411,7 +508,8 @@ def _symbol_factor(row: Sequence[Fraction], count: int, exact: bool) -> _Factor:
     if exact:
         nums = np.array([math.prod(a**k for a, k in zip(scaled, ks)) for ks in types],
                         dtype=object)
-    return _Factor(lp, np.array(counts, dtype=object), nums, den**count)
+    lc = np.array([math.log2(c) for c in counts])
+    return _Factor(lp, np.array(counts, dtype=object), lc, nums, den**count)
 
 
 def length_law_typeclass(
@@ -494,7 +592,9 @@ def length_law_bruteforce(
                 logp = (logp[:, None] + model.cond_log2[yi][None, :]).ravel()
             factor = _flat_factor(logp)
     else:
-        factor = _markov_flat_factor(model, y, exact)
+        factor = _markov_flat_factor(_markov_string_probs(model, y, exact), exact)[1]
+        if factor is None:
+            raise ValueError("side-information string has zero probability")
     return LengthLaw(n, num_strings, [factor], exact)
 
 
@@ -545,20 +645,23 @@ def _markov_string_probs(
     return np.array([p for p, _ in statesf])
 
 
-def _markov_flat_factor(model: MarkovPairModel, y: SideInfoString, exact: bool) -> _Factor:
-    """P(x|y) of every x-string: joint probabilities normalized by P(y)."""
-    joints = _markov_string_probs(model, y, exact)
+def _markov_flat_factor(
+    joints: list[Fraction] | np.ndarray, exact: bool
+) -> tuple[float | Fraction, _Factor | None]:
+    """P(y), and the factor of P(x|y) over every x-string (None when
+    P(y) = 0), from the joint probabilities P(x, y) with y fixed."""
     if exact:
+        prob_y = sum(joints)
+        if prob_y == 0:
+            return prob_y, None
         lcm = math.lcm(*(p.denominator for p in joints))
         nums = [p.numerator * (lcm // p.denominator) for p in joints]
-        if sum(nums) == 0:
-            raise ValueError("side-information string has zero probability")
-        return _exact_flat_factor(nums, sum(nums))
+        return prob_y, _exact_flat_factor(nums, sum(nums))
     total = joints.sum()
     if total <= 0:
-        raise ValueError("side-information string has zero probability")
+        return float(total), None
     with np.errstate(divide="ignore"):
-        return _flat_factor(np.log2(joints) - math.log2(total))
+        return float(total), _flat_factor(np.log2(joints) - math.log2(total))
 
 
 # ---------------------------------------------------------------------------
@@ -629,24 +732,17 @@ def _composition_weight(
     return 0.0 if logw == -math.inf else 2.0**logw
 
 
-def _y_string_prob(model: Model, y: SideInfoString, exact: bool) -> float | Fraction:
-    if isinstance(model, CondIidModel):
-        p_y = model.require_p_y()
-        if exact:
-            w = Fraction(1)
-            for yi in y.indices:
-                w *= p_y[yi]
-            return w
-        w = 1.0
-        for yi in y.indices:
-            w *= float(p_y[yi])
-        return w
+def _y_string_prob(model: CondIidModel, y: SideInfoString, exact: bool) -> float | Fraction:
+    p_y = model.require_p_y()
     if exact:
-        if model.initial is None:
-            raise ValueError("exact Markov weights need a rational initial law")
-        joints = _markov_string_probs(model, y, exact=True)
-        return sum(joints)
-    return float(_markov_string_probs(model, y, exact=False).sum())
+        w = Fraction(1)
+        for yi in y.indices:
+            w *= p_y[yi]
+        return w
+    w = 1.0
+    for yi in y.indices:
+        w *= float(p_y[yi])
+    return w
 
 
 def _pair_method(model: Model, n: int, method: str) -> str:
@@ -687,9 +783,15 @@ def _pair_laws(
         )
     for ys in product(range(ny), repeat=n):
         y = SideInfoString(model.y_alphabet, ys)
-        w = _y_string_prob(model, y, exact)
-        if w != 0:
-            yield w, length_law_bruteforce(model, y, exact=exact)
+        if isinstance(model, CondIidModel):
+            w = _y_string_prob(model, y, exact)
+            if w != 0:
+                yield w, length_law_bruteforce(model, y, exact=exact)
+            continue
+        # one forward enumeration gives both P(y) and the law given y
+        w, factor = _markov_flat_factor(_markov_string_probs(model, y, exact), exact)
+        if factor is not None:
+            yield w, LengthLaw(n, len(model.x_alphabet) ** n, [factor], exact)
 
 
 @lru_cache(maxsize=128)

@@ -300,6 +300,23 @@ class TestVerify:
         assert "usage error" in err
 
 
+class TestSolveFailure:
+    @pytest.mark.parametrize("argv", [
+        ["measures", "--model", MARKOV],
+        ["bounds", "--model", MARKOV, "--n", "100", "--eps", "0.1", "--A", "1"],
+        ["markov", "--model", MARKOV, "--n", "16", "--trials", "10"],
+    ])
+    def test_runtime_error_is_one_stderr_line(self, capsys, monkeypatch, argv):
+        def failing(model):
+            raise RuntimeError("Poisson iteration did not converge")
+
+        monkeypatch.setattr("sidecomp.markov.markov_rates", failing)
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: Poisson iteration did not converge\n"
+
+
 class TestParsing:
     def test_no_command(self, capsys):
         code, _, err = run(capsys, [])

@@ -1,0 +1,79 @@
+"""CLI stdout pinned byte for byte against recorded golden files.
+
+Each case runs ``sidecomp.cli.main`` in-process and compares its stdout
+with ``tests/golden/<name>.txt``.  A library change that keeps every
+printed number passes; one that moves a single digit fails.
+
+To re-record after a deliberate output change, run
+``PYTHONPATH=src python tests/test_cli_golden.py`` from the repo root.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from sidecomp.cli import main
+
+from conftest import MODELS_DIR
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def _model(name: str) -> str:
+    return str(MODELS_DIR / f"{name}.json")
+
+
+CASES = {
+    "limits_fig1_ref_n3000_eps": [
+        "limits", "--model", _model("fig1"), "--n", "3000", "--eps", "0.1", "0.4",
+        "--y", "repeat:001", "--scope", "ref",
+    ],
+    "limits_fig1_ref_n400_k": [
+        "limits", "--model", _model("fig1"), "--n", "400", "--k", "100", "200", "300",
+        "--y", "repeat:001", "--scope", "ref",
+    ],
+    "limits_skewed34_pair_n5": [
+        "limits", "--model", _model("skewed34"), "--n", "5", "--eps", "0.2",
+    ],
+    "limits_uniform2_pair_typeclass": [
+        "limits", "--model", _model("uniform2"), "--n", "24", "--k", "0", "1", "12",
+        "23", "24", "--method", "typeclass",
+    ],
+    "limits_uniform2_ref_typeclass": [
+        "limits", "--model", _model("uniform2"), "--n", "30", "--eps", "0.1", "0.5",
+        "--y", "repeat:01", "--method", "typeclass",
+    ],
+    "limits_markov2x2_pair_n7": [
+        "limits", "--model", _model("markov2x2"), "--n", "7", "--eps", "0.1",
+    ],
+    "figure1_n40_480": [
+        "figure1", "--n", *(str(n) for n in range(40, 481, 40)),
+    ],
+    "bounds_fig1": [
+        "bounds", "--model", _model("fig1"), "--n", "50", "500", "--eps", "0.1",
+    ],
+}
+
+
+def _stdout(capsys, argv: list[str]) -> str:
+    code = main(argv)
+    assert code == 0, capsys.readouterr().err
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(capsys, name):
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text()
+    assert _stdout(capsys, CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0, name
+        (GOLDEN_DIR / f"{name}.txt").write_text(buf.getvalue())

@@ -2,12 +2,16 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidecomp import limits
 from sidecomp.limits import (
+    COUNT_CHUNK,
     GuardExceededError,
+    LengthLaw,
     _pair_curve_of_route,
     check_general_converse,
     epsilon_star_pair,
@@ -91,6 +95,28 @@ class TestOracleEquivalence:
             ex = epsilon_star_ref(m, y, k, exact=True)
             fl = epsilon_star_ref(m, y, k)
             assert abs(float(ex) - fl) <= 1e-12
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_markov_pair_enumerates_each_y_once(self, monkeypatch, exact):
+        m = _markov_small(with_initial=True)
+        calls = []
+        enumerate_joints = limits._markov_string_probs
+
+        def counting(model, y, exact):
+            calls.append(y.indices)
+            return enumerate_joints(model, y, exact)
+
+        monkeypatch.setattr(limits, "_markov_string_probs", counting)
+        _pair_curve_of_route.cache_clear()
+        n = 3
+        got = epsilon_star_pair(m, n, 1, exact=exact)
+        # one forward enumeration per y-string gives its weight and its law
+        assert sorted(calls) == list(product(range(2), repeat=n))
+        want = 0.0
+        for ys in product(range(2), repeat=n):
+            y = SideInfoString(m.y_alphabet, ys)
+            want += enumerate_joints(m, y, False).sum() * epsilon_star_ref(m, y, 1)
+        assert abs(float(got) - want) <= 1e-12
 
     def test_markov_exact_needs_initial(self):
         m = _markov_small(with_initial=False)
@@ -220,6 +246,128 @@ class TestProductFormLaw:
         # one law per y-composition, however many k are asked
         assert len(calls) == len(set(calls)) == n + 1
         assert curve[0] == 1 and curve[-1] == 0
+
+
+def _walked(make):
+    """A law whose count chunks were all produced in order."""
+    law = make()
+    law.cum_counts
+    return law
+
+
+def _assert_jumps_match_walk(make, exact):
+    """Every count a fresh law jumps to, and every query a fresh law
+    answers, equals what the law that walked all its chunks gives."""
+    walked = _walked(make)
+    fresh = make()
+    nclass = len(walked._starts)
+    for j in range(nclass + 1):
+        prev, _, mass_before, _ = walked._class_data(j)
+        assert fresh._before(j) == (prev, mass_before)
+    kmax = walked.num_strings.bit_length()
+    for k in range(kmax + 1):
+        if exact:
+            assert make().epsilon_star_exact(k) == walked.epsilon_star_exact(k)
+        else:
+            assert make().epsilon_star(k) == walked.epsilon_star(k)
+    for b in range(1, walked.num_strings + 2):
+        if exact:
+            assert make().excess_at_rank_exact(b) == walked.excess_at_rank_exact(b)
+        else:
+            assert make().excess_at_rank(b) == walked.excess_at_rank(b)
+    if not exact:
+        for eps in (0.05, 0.3, 0.7):
+            assert make().rate_point(eps) == walked.rate_point(eps)
+
+
+DYADIC = model_from_dict({
+    "kind": "cond_iid",
+    "x_alphabet": ["a", "b", "c"],
+    "y_alphabet": ["0", "1"],
+    "p_x_given_y": [["1/2", "1/4", "1/4"], ["1/2", "1/2", "0"]],
+    "p_y": ["1/2", "1/2"],
+})
+
+
+class TestChunkJump:
+    def test_deep_rank_produces_one_chunk(self, fig1, monkeypatch):
+        produced = []
+        chunk = LengthLaw._chunk
+
+        def counting(law, c):
+            if law._last is None or law._last[0] != c:
+                produced.append(c)
+            return chunk(law, c)
+
+        monkeypatch.setattr(LengthLaw, "_chunk", counting)
+        # 268 x 134 cells in as many classes: nine count chunks
+        y = y_repeat(fig1, "001", 400)
+        n_strings = 1 << 400
+        for exact in (False, True):
+            for b in (1 << 399, n_strings - 1):
+                law = length_law_typeclass(fig1, y, exact=exact)
+                assert law.num_classes > 8 * COUNT_CHUNK
+                produced.clear()
+                got = law.excess_at_rank_exact(b) if exact else law.excess_at_rank(b)
+                assert len(produced) == 1 and produced[0] >= 4
+                walked = _walked(lambda: length_law_typeclass(fig1, y, exact=exact))
+                assert got == (walked.excess_at_rank_exact(b) if exact
+                               else walked.excess_at_rank(b))
+
+    def test_prefix_lengths_follow_merge_predicate(self):
+        # levels a few ulps from a cell value minus MERGE_TOL, where the
+        # searchsorted guess and the rounded predicate can disagree
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            lp = -rng.uniform(0, 3000, size=40)
+            last = np.sort(-rng.uniform(0, 3000, size=40))[::-1]
+            x = lp[rng.integers(40)] + last[rng.integers(40)]
+            level = x - limits.MERGE_TOL + rng.integers(-8, 9) * np.spacing(x)
+            want = [int((((a + last) - level) > limits.MERGE_TOL).sum()) for a in lp]
+            assert limits._prefix_lengths(lp, last, level).tolist() == want
+        # a gap of exactly MERGE_TOL merges, so it does not rank above
+        tol = limits.MERGE_TOL
+        assert limits._prefix_lengths(np.zeros(2), np.array([0.0, -tol]), -tol).tolist() == [0, 0]
+
+    @given(small_models(), st.data())
+    @settings(max_examples=40)
+    def test_small_models_both_routes(self, model, data):
+        ny = len(model.y_alphabet)
+        n = data.draw(st.integers(1, 4))
+        y = SideInfoString(
+            model.y_alphabet, tuple(data.draw(st.integers(0, ny - 1)) for _ in range(n)))
+        size = data.draw(st.sampled_from([1, 2, 3]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "COUNT_CHUNK", size)
+            for exact in (False, True):
+                _assert_jumps_match_walk(
+                    lambda: length_law_typeclass(model, y, exact=exact), exact)
+                _assert_jumps_match_walk(
+                    lambda: length_law_bruteforce(model, y, exact=exact), exact)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_dyadic_boundaries(self, corpus_models, monkeypatch, size, exact):
+        # every class count is a power of two times a binomial, so
+        # cumulative counts land on the queried ranks 2^k exactly
+        monkeypatch.setattr(limits, "COUNT_CHUNK", size)
+        for model, word, n in ((corpus_models["uniform2"], "01", 9), (DYADIC, "001", 7)):
+            y = y_repeat(model, word, n)
+            _assert_jumps_match_walk(
+                lambda: length_law_typeclass(model, y, exact=exact), exact)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_zero_probability_cells(self, corpus_models, monkeypatch, size, exact):
+        # brute force keeps the 2^n - 1 impossible strings as -inf cells
+        monkeypatch.setattr(limits, "COUNT_CHUNK", size)
+        model = corpus_models["deterministic"]
+        for word, n in (("01", 6), ("0", 5)):
+            y = y_repeat(model, word, n)
+            law = length_law_bruteforce(model, y, exact=exact)
+            assert law.log2p[-1] == -math.inf
+            _assert_jumps_match_walk(
+                lambda: length_law_bruteforce(model, y, exact=exact), exact)
 
 
 class TestGuards:

@@ -82,9 +82,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         for e in self.eps_values:
             if not 0.0 <= e < 1.0:
-                raise UsageError(f"epsilon {e} outside [0, 1)")
+                raise UsageError(f"--eps {e} outside [0, 1)")
+            if e == 0.0:
+                raise UsageError("--eps must be > 0")
         if self.n_values and min(self.n_values) < 1:
             raise UsageError("n must be >= 1")
+        if self.trials < 1:
+            raise UsageError(f"--trials must be >= 1, got {self.trials}")
 
 
 def _fmt(value: object) -> str:

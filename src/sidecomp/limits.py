@@ -600,53 +600,28 @@ def length_law_bruteforce(
 
 def _markov_string_probs(
     model: MarkovPairModel, y: SideInfoString, exact: bool
-) -> list[Fraction] | np.ndarray:
-    """Joint probabilities P(x, y) over all x-strings, y fixed."""
-    n = len(y)
+) -> np.ndarray:
+    """Joint probabilities P(x, y) over all x-strings, y fixed, in product
+    order of x; an object array of ``Fraction`` on the exact track."""
     d = model.order
-    if n < d:
+    if len(y) < d:
         raise ValueError(f"need blocklength >= markov order {d}")
-    nx = len(model.x_alphabet)
-    if exact:
-        if model.initial is None:
-            raise ValueError(
-                "exact Markov enumeration needs an explicit rational initial law"
-            )
-        init = model.initial
-        states: list[tuple[Fraction, int]] = []
-        for xs in product(range(nx), repeat=d):
-            ctx = model.context_index(
-                [model.pair_index(xs[t], y.indices[t]) for t in range(d)]
-            )
-            states.append((init[ctx], ctx))
-        for t in range(d, n):
-            nxt: list[tuple[Fraction, int]] = []
-            for p, ctx in states:
-                for xv in range(nx):
-                    s = model.pair_index(xv, y.indices[t])
-                    nxt.append((p * model.transition[ctx][s], model.shift_context(ctx, s)))
-            states = nxt
-        return [p for p, _ in states]
-    initf = model.initial_f
-    trans = model.transition_f
-    statesf: list[tuple[float, int]] = []
-    for xs in product(range(nx), repeat=d):
-        ctx = model.context_index(
-            [model.pair_index(xs[t], y.indices[t]) for t in range(d)]
-        )
-        statesf.append((float(initf[ctx]), ctx))
-    for t in range(d, n):
-        nxtf: list[tuple[float, int]] = []
-        for p, ctx in statesf:
-            for xv in range(nx):
-                s = model.pair_index(xv, y.indices[t])
-                nxtf.append((p * trans[ctx, s], model.shift_context(ctx, s)))
-        statesf = nxtf
-    return np.array([p for p, _ in statesf])
+    if not exact:
+        init, trans = model.initial_f, model.transition_f
+    elif model.initial is None:
+        raise ValueError("exact Markov enumeration needs an explicit rational initial law")
+    else:
+        init, trans = (np.array(t, dtype=object) for t in (model.initial, model.transition))
+    ctx = model._head_contexts(y.indices)
+    probs = init[ctx]
+    for yt in y.indices[d:]:
+        s, nxt = model._step(ctx, yt)
+        probs, ctx = (probs[:, None] * trans[ctx][:, s]).ravel(), nxt.ravel()
+    return probs
 
 
 def _markov_flat_factor(
-    joints: list[Fraction] | np.ndarray, exact: bool
+    joints: np.ndarray, exact: bool
 ) -> tuple[float | Fraction, _Factor | None]:
     """P(y), and the factor of P(x|y) over every x-string (None when
     P(y) = 0), from the joint probabilities P(x, y) with y fixed."""
@@ -732,19 +707,6 @@ def _composition_weight(
     return 0.0 if logw == -math.inf else 2.0**logw
 
 
-def _y_string_prob(model: CondIidModel, y: SideInfoString, exact: bool) -> float | Fraction:
-    p_y = model.require_p_y()
-    if exact:
-        w = Fraction(1)
-        for yi in y.indices:
-            w *= p_y[yi]
-        return w
-    w = 1.0
-    for yi in y.indices:
-        w *= float(p_y[yi])
-    return w
-
-
 def _pair_method(model: Model, n: int, method: str) -> str:
     """Resolve the evaluation route for pair-averaged queries.
 
@@ -781,10 +743,12 @@ def _pair_laws(
         raise GuardExceededError(
             f"pair brute force needs (|X||Y|)^n <= {BRUTEFORCE_GUARD}"
         )
+    if isinstance(model, CondIidModel):
+        p_y = [p if exact else float(p) for p in model.require_p_y()]
     for ys in product(range(ny), repeat=n):
         y = SideInfoString(model.y_alphabet, ys)
         if isinstance(model, CondIidModel):
-            w = _y_string_prob(model, y, exact)
+            w = math.prod(p_y[yi] for yi in ys)
             if w != 0:
                 yield w, length_law_bruteforce(model, y, exact=exact)
             continue

@@ -96,7 +96,7 @@ def block_function(
     table: dict[tuple[int, ...], float] = {}
     for ctx in range(model.num_contexts):
         symbols = model.context_symbols(ctx)
-        yctx = y_chain.y_context_index([s % ny for s in symbols])
+        yctx = model._y_context[ctx]
         for s in range(model.num_pair_symbols):
             p = model.transition_f[ctx, s]
             if p <= 0.0:
@@ -174,18 +174,11 @@ def _boundary_delta(
     the last d windows; maximizing each part separately over
     positive-probability blocks bounds the gap for every n.
     """
-    ny = len(model.y_alphabet)
     init = model.initial_f
-    y_mass: dict[tuple[int, ...], float] = {}
-    for ctx in np.flatnonzero(init > 0.0):
-        ctx = int(ctx)
-        ypart = tuple(s % ny for s in model.context_symbols(ctx))
-        y_mass[ypart] = y_mass.get(ypart, 0.0) + float(init[ctx])
+    y_mass = np.bincount(model._y_context, weights=init)
     t1_max = 0.0
     for ctx in np.flatnonzero(init > 0.0):
-        ctx = int(ctx)
-        ypart = tuple(s % ny for s in model.context_symbols(ctx))
-        t1 = math.log2(y_mass[ypart]) - math.log2(float(init[ctx]))
+        t1 = math.log2(y_mass[model._y_context[ctx]]) - math.log2(float(init[ctx]))
         t1_max = max(t1_max, t1)
 
     # extreme window sums over d consecutive f values from any
@@ -255,22 +248,34 @@ def simulate_pair(
     return xs[0], ys[0]
 
 
+def _walk(model: MarkovPairModel, trials: int, steps: int, rng: np.random.Generator):
+    """Inverse-CDF walk of the pair chain, vectorized over trials.
+
+    Yields the initial contexts, then the context after each of ``steps``
+    draws; the pair symbol drawn is the new context's last symbol,
+    ``ctx % |XY|``.  Every sampler reads this one random stream.
+    """
+    ctx = rng.choice(model.num_contexts, size=trials, p=_initial_context_pmf(model))
+    yield ctx
+    cum = cdf_rows(model.transition_f)
+    for _ in range(steps):
+        u = rng.random(trials)
+        ctx = model.shift_context(ctx, (u[:, None] > cum[ctx]).sum(axis=1))
+        yield ctx
+
+
 def _simulate_paths(
     model: MarkovPairModel, n: int, trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample pair paths, vectorized over trials; shape (trials, n)."""
     d, S = model.order, model.num_pair_symbols
     ny = len(model.y_alphabet)
-    ctx = rng.choice(model.num_contexts, size=trials, p=_initial_context_pmf(model))
+    walk = _walk(model, trials, max(n - d, 0), rng)
     sym = np.empty((trials, n), dtype=np.int64)
     head = np.array([model.context_symbols(c) for c in range(model.num_contexts)])
-    sym[:, :min(d, n)] = head[ctx][:, :min(d, n)]
-    cum = cdf_rows(model.transition_f)
-    for i in range(d, n):
-        u = rng.random(trials)
-        s = (u[:, None] > cum[ctx]).sum(axis=1)
-        sym[:, i] = s
-        ctx = (ctx * S + s) % model.num_contexts
+    sym[:, :min(d, n)] = head[next(walk)][:, :min(d, n)]
+    for i, ctx in enumerate(walk, d):
+        sym[:, i] = ctx % S
     return sym // ny, sym % ny
 
 
@@ -295,41 +300,29 @@ def sample_path_statistics(
     """
     if analysis is None:
         analysis = markov_rates(model)
-    y_chain = analysis.y_chain
     d, S = model.order, model.num_pair_symbols
     ny = len(model.y_alphabet)
     if n < d:
         raise ValueError("need n >= order")
-    rng = np.random.default_rng(seed)
-
     init = _initial_context_pmf(model)
-    y_mass = np.zeros(ny**d)
-    yctx_of = np.empty(model.num_contexts, dtype=np.int64)
-    for c in range(model.num_contexts):
-        ypart = [s % ny for s in model.context_symbols(c)]
-        yctx_of[c] = y_chain.y_context_index(ypart)
-        y_mass[yctx_of[c]] += init[c]
-
+    y_context = model._y_context
     with np.errstate(divide="ignore"):
         lg_t = np.log2(model.transition_f)
-        lg_py = np.log2(y_chain.transition)
+        lg_py = np.log2(analysis.y_chain.transition)
         lg_init = np.log2(init)
-        lg_ymass = np.log2(y_mass)
+        lg_ymass = np.log2(np.bincount(y_context, weights=init))
 
-    ctx = rng.choice(model.num_contexts, size=trials, p=init)
-    info = lg_ymass[yctx_of[ctx]] - lg_init[ctx]
+    walk = _walk(model, trials, n, np.random.default_rng(seed))
+    ctx = next(walk)
+    info = lg_ymass[y_context[ctx]] - lg_init[ctx]
     window = np.zeros(trials)
-    yctx = yctx_of[ctx]
-    cum = cdf_rows(model.transition_f)
-    for i in range(d, n + d):
-        u = rng.random(trials)
-        s = (u[:, None] > cum[ctx]).sum(axis=1)
-        step = lg_py[yctx, s % ny] - lg_t[ctx, s]
+    for i, nxt in enumerate(walk, d):
+        s = nxt % S
+        step = lg_py[y_context[ctx], s % ny] - lg_t[ctx, s]
         window += step
         if i < n:
             info += step
-        ctx = (ctx * S + s) % model.num_contexts
-        yctx = (yctx * ny + s % ny) % ny**d
+        ctx = nxt
     return PathStatistics(info=info, window_sum=window)
 
 

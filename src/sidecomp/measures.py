@@ -223,39 +223,27 @@ def _markov_info_density(model: MarkovPairModel, x: tuple[int, ...], y: SideInfo
 
 
 def _y_marginal_log2(model: MarkovPairModel, y: Sequence[int]) -> float:
-    """log2 P(y_1^n) via a forward pass over pair contexts."""
+    """log2 P(y_1^n): the x-string enumeration's forward pass with the
+    states of equal context merged after each step, then scaled to sum 1
+    (a scaled HMM forward pass)."""
     d = model.order
-    ny = len(model.y_alphabet)
-    nx = len(model.x_alphabet)
     if len(y) < d:
         raise ValueError(f"need length >= model order {d}")
-    init = model.initial_f
-    trans = model.transition_f
-    alpha = np.zeros(model.num_contexts)
-    for c in range(model.num_contexts):
-        if init[c] > 0:
-            syms = model.context_symbols(c)
-            if all(s % ny == y[t] for t, s in enumerate(syms)):
-                alpha[c] = init[c]
+    nctx = model.num_contexts
+    ctx = model._head_contexts(y)
+    alpha = np.bincount(ctx, weights=model.initial_f[ctx], minlength=nctx)
+    every = np.arange(nctx)
     total_log = 0.0
-    scale = alpha.sum()
-    if scale <= 0:
-        return -math.inf
-    total_log += math.log2(scale)
-    alpha /= scale
-    for t in range(d, len(y)):
-        nxt = np.zeros_like(alpha)
-        for c in np.nonzero(alpha)[0]:
-            for xs in range(nx):
-                s = model.pair_index(xs, y[t])
-                p = trans[c, s]
-                if p > 0:
-                    nxt[model.shift_context(c, s)] += alpha[c] * p
-        scale = nxt.sum()
+    for t in range(d, len(y) + 1):
+        if t > d:
+            s, nxt = model._step(every, y[t - 1])
+            weights = alpha[:, None] * model.transition_f[:, s]
+            alpha = np.bincount(nxt.ravel(), weights=weights.ravel(), minlength=nctx)
+        scale = alpha.sum()
         if scale <= 0:
             return -math.inf
         total_log += math.log2(scale)
-        alpha = nxt / scale
+        alpha = alpha / scale
     return total_log
 
 

@@ -295,6 +295,34 @@ class MarkovPairModel:
         """Context after observing pair symbol ``s`` in context ``ctx``."""
         return (ctx * self.num_pair_symbols + s) % self.num_contexts
 
+    def _step(self, ctx: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
+        """The forward step shared by every pair-context recursion.
+
+        For y-symbol ``y`` returns the pair symbols ``s = x·|Y| + y`` over
+        all x and the next context of each context in ``ctx`` under each
+        of them, shape ``(len(ctx), |X|)``; a step's weights are
+        ``table[ctx][:, s]`` of a float or ``Fraction`` transition table.
+        """
+        s = np.arange(len(self.x_alphabet)) * len(self.y_alphabet) + y
+        return s, self.shift_context(ctx[:, None], s)
+
+    def _head_contexts(self, y: Sequence[int]) -> np.ndarray:
+        """Contexts of every x-string paired with the first ``d`` symbols
+        of ``y``, in product order of the x-strings (x_1 slowest)."""
+        ctx = np.zeros(1, dtype=np.int64)
+        for yt in y[: self.order]:
+            ctx = self._step(ctx, yt)[1].ravel()
+        return ctx
+
+    @cached_property
+    def _y_context(self) -> np.ndarray:
+        """Index of the y-part of every pair context, in y-context digits."""
+        ny = len(self.y_alphabet)
+        out = np.zeros(1, dtype=np.int64)
+        for _ in range(self.order):
+            out = (out[:, None] * ny + np.arange(self.num_pair_symbols) % ny).ravel()
+        return out
+
     @cached_property
     def transition_f(self) -> np.ndarray:
         return np.array([[float(p) for p in row] for row in self.transition])
@@ -495,14 +523,6 @@ class DerivedYChain:
         return idx
 
 
-def _y_part_of_context(model: MarkovPairModel, ctx: int) -> int:
-    ny = len(model.y_alphabet)
-    idx = 0
-    for s in model.context_symbols(ctx):
-        idx = idx * ny + (s % ny)
-    return idx
-
-
 def derive_y_chain(model: MarkovPairModel) -> DerivedYChain:
     """Marginalize the stationary pair chain onto the side information."""
     d = model.order
@@ -510,12 +530,13 @@ def derive_y_chain(model: MarkovPairModel) -> DerivedYChain:
     nctx_y = ny**d
     pi = stationary_context_law(model)
 
+    y_context = model._y_context
     pi_y = np.zeros(nctx_y)
     joint_next = np.zeros((nctx_y, ny))
     for c in range(model.num_contexts):
         if pi[c] == 0:
             continue
-        yc = _y_part_of_context(model, c)
+        yc = y_context[c]
         pi_y[yc] += pi[c]
         for s in range(model.num_pair_symbols):
             p = model.transition[c][s]
@@ -531,7 +552,7 @@ def derive_y_chain(model: MarkovPairModel) -> DerivedYChain:
     for c in range(model.num_contexts):
         if pi[c] == 0:
             continue
-        yc = _y_part_of_context(model, c)
+        yc = y_context[c]
         for s1 in range(model.num_pair_symbols):
             p1 = model.transition[c][s1]
             if p1 == 0:
@@ -555,16 +576,11 @@ def derive_y_chain(model: MarkovPairModel) -> DerivedYChain:
         short_ctx = (yc * ny + y1) % nctx_y
         defect = max(defect, abs(mass / h - trans[short_ctx, y2]))
 
-    initial_y = np.zeros(nctx_y)
-    init = model.initial_f
-    for c in range(model.num_contexts):
-        if init[c] > 0:
-            initial_y[_y_part_of_context(model, c)] += init[c]
     return DerivedYChain(
         y_alphabet=model.y_alphabet,
         order=d,
         transition=trans,
-        initial=initial_y,
+        initial=np.bincount(y_context, weights=model.initial_f),
         markovianity_defect=float(defect),
     )
 

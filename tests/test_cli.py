@@ -346,3 +346,17 @@ class TestParsing:
         )
         assert code == 1
         assert "need 5" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["limits", "--model", FIG1, "--n", "5", "--eps", "0"], "--eps"),
+        (["bounds", "--model", FIG1, "--n", "5", "--eps", "0"], "--eps"),
+        (["figure1", "--n", "5", "--eps", "0.1", "-0.0"], "--eps"),
+        (["markov", "--model", MARKOV, "--n", "8", "--trials", "0"], "--trials"),
+        (["markov", "--model", MARKOV, "--n", "8", "--trials", "-3"], "--trials"),
+    ])
+    def test_bad_value_is_usage_error_naming_option(self, capsys, argv, option):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and option in err
+        assert err.count("\n") == 1

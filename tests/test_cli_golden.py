@@ -46,6 +46,13 @@ CASES = {
     "limits_markov2x2_pair_n7": [
         "limits", "--model", _model("markov2x2"), "--n", "7", "--eps", "0.1",
     ],
+    "markov_markov2x2_probe": [
+        "markov", "--model", _model("markov2x2"), "--n", "64", "256", "--trials", "2000",
+        "--seed", "0",
+    ],
+    "measures_markov2x2": [
+        "measures", "--model", _model("markov2x2"),
+    ],
     "figure1_n40_480": [
         "figure1", "--n", *(str(n) for n in range(40, 481, 40)),
     ],

@@ -22,7 +22,8 @@ from sidecomp.limits import (
     rate_star_pair,
     rate_star_ref,
 )
-from sidecomp.models import SideInfoString, model_from_dict
+from sidecomp.measures import _y_marginal_log2
+from sidecomp.models import Alphabet, MarkovPairModel, SideInfoString, model_from_dict
 
 from conftest import small_models, y_repeat
 
@@ -122,6 +123,52 @@ class TestOracleEquivalence:
         m = _markov_small(with_initial=False)
         with pytest.raises(ValueError):
             epsilon_star_ref(m, y_repeat(m, "01", 2), 1, exact=True)
+
+
+@st.composite
+def small_markov_models(draw):
+    """Random Markov pair model: order 1-2, |X|, |Y| <= 3, rational rows
+    with zeros and an explicit rational initial law."""
+    nx, ny, order = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def pmf(size):
+        w = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)
+                 .filter(lambda v: sum(v) > 0))
+        return tuple(Fraction(a, sum(w)) for a in w)
+
+    s = nx * ny
+    return MarkovPairModel(
+        x_alphabet=Alphabet(tuple(str(i) for i in range(nx))),
+        y_alphabet=Alphabet(tuple(str(i) for i in range(ny))),
+        order=order,
+        transition=tuple(pmf(s) for _ in range(s**order)),
+        initial=pmf(s**order),
+    )
+
+
+class TestMarkovForwardKernel:
+    @given(small_markov_models(), st.data())
+    @settings(max_examples=60)
+    def test_enumeration_marginal_and_tracks_agree(self, model, data):
+        ny = len(model.y_alphabet)
+        n = data.draw(st.integers(model.order, model.order + 3))
+        y = SideInfoString(
+            model.y_alphabet, tuple(data.draw(st.integers(0, ny - 1)) for _ in range(n))
+        )
+        exact = limits._markov_string_probs(model, y, True)
+        flt = limits._markov_string_probs(model, y, False)
+        assert len(exact) == len(flt) == len(model.x_alphabet) ** n
+        assert max(abs(float(e) - f) for e, f in zip(exact, flt)) <= 1e-12
+        # summing out x is the y-marginal's forward pass
+        assert abs(float(sum(exact)) - 2.0 ** _y_marginal_log2(model, y.indices)) <= 1e-12
+        if sum(exact) == 0:
+            for track in (True, False):
+                with pytest.raises(ValueError):
+                    epsilon_star_ref(model, y, 0, exact=track)
+            return
+        for k in range((len(model.x_alphabet) ** n).bit_length() + 1):
+            ex = epsilon_star_ref(model, y, k, exact=True)
+            assert abs(float(ex) - epsilon_star_ref(model, y, k)) <= 1e-12
 
 
 class TestCurveShape:

@@ -305,6 +305,8 @@ def cmd_figure1(cfg: RunConfig) -> int:
 
 
 def cmd_markov(cfg: RunConfig) -> int:
+    if cfg.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
     model = _load(cfg)
     if isinstance(model, CondIidModel):
         model = embed_cond_iid(model)

@@ -11,9 +11,12 @@ Explicit codebooks enumerate every source string and are guarded at
 ``|X|^n <= 2^30``; distributional questions at larger blocklengths
 belong to the length-law machinery instead.
 
-All ranking and probability checks here run in exact rational
-arithmetic: this module doubles as the ground-truth oracle that the
-large-scale evaluators are tested against.
+All ranking and probability checks here are exact: the codebook holds
+integer numerators of P(x|y) over one common denominator, taken from
+the brute-force enumeration of the length-law module, and sorts and
+checks them by integer comparisons.  The sort is this module's own,
+so it doubles as the ground-truth oracle that the large-scale
+evaluators are tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from .limits import _bruteforce_cond_iid_exact
 from .models import CondIidModel, SideInfoString
 
 CODEBOOK_GUARD_BITS = 30
@@ -63,14 +67,15 @@ class Codeword:
 class RankedCodebook:
     """The optimal code for one y-string, fully enumerated.
 
-    ``order[m-1]`` is the x-index tuple of rank ``m``; ``probs`` holds
-    the exact conditional probabilities in the same order.
+    ``order[m-1]`` is the x-index tuple of rank ``m`` and
+    ``nums[m-1] / den`` its exact conditional probability.
     """
 
     model: CondIidModel
     y: SideInfoString
     order: list[tuple[int, ...]]
-    probs: list[Fraction]
+    nums: list[int]
+    den: int
 
     def __post_init__(self) -> None:
         self.rank_of = {x: m + 1 for m, x in enumerate(self.order)}
@@ -82,6 +87,10 @@ class RankedCodebook:
     @property
     def num_strings(self) -> int:
         return len(self.order)
+
+    @property
+    def probs(self) -> list[Fraction]:
+        return [Fraction(v, self.den) for v in self.nums]
 
     def _as_indices(self, x: Sequence[int] | str) -> tuple[int, ...]:
         if isinstance(x, str):
@@ -104,7 +113,7 @@ class RankedCodebook:
         return self.order[m - 1]
 
     def prob_of_rank(self, m: int) -> Fraction:
-        return self.probs[m - 1]
+        return Fraction(self.nums[m - 1], self.den)
 
 
 def build_code(model: CondIidModel, y: SideInfoString) -> RankedCodebook:
@@ -115,26 +124,16 @@ def build_code(model: CondIidModel, y: SideInfoString) -> RankedCodebook:
         raise ValueError(
             f"explicit codebook needs n*log2|X| <= {CODEBOOK_GUARD_BITS}"
         )
-    # Integer numerators over a common denominator keep the sort exact.
-    row_nums: list[list[int]] = []
-    den = 1
-    for yi in y.indices:
-        row = model.p_x_given_y[yi]
-        lcm = math.lcm(*(p.denominator for p in row))
-        row_nums.append([int(p.numerator * (lcm // p.denominator)) for p in row])
-        den *= lcm
-    entries = []
-    for xs in product(range(nx), repeat=n):
-        num = 1
-        for t, xv in enumerate(xs):
-            num *= row_nums[t][xv]
-        entries.append((num, xs))
-    entries.sort(key=lambda e: (-e[0], e[1]))
+    nums, den = _bruteforce_cond_iid_exact(model, y)
+    # A stable sort over product order breaks ties lexicographically.
+    ranked = sorted(range(len(nums)), key=lambda i: -nums[i])
+    strings = list(product(range(nx), repeat=n))
     return RankedCodebook(
         model=model,
         y=y,
-        order=[xs for _, xs in entries],
-        probs=[Fraction(num, den) for num, _ in entries],
+        order=[strings[i] for i in ranked],
+        nums=[nums[i] for i in ranked],
+        den=den,
     )
 
 
@@ -167,14 +166,14 @@ def check_pointwise_achievability(model: CondIidModel, y: SideInfoString) -> Poi
     ok = True
     max_slack = -math.inf
     worst = 1
-    for m, p in enumerate(book.probs, start=1):
-        if p == 0:
+    for m, num in enumerate(book.nums, start=1):
+        if num == 0:
             continue
         length = m.bit_length() - 1
-        # length <= -log2 p  <=>  p * 2^length <= 1, checked exactly
-        if p * (1 << length) > 1:
+        # length <= -log2 p  <=>  num * 2^length <= den, checked exactly
+        if num << length > book.den:
             ok = False
-        slack = length + math.log2(float(p))
+        slack = length + math.log2(num / book.den)
         if slack > max_slack:
             max_slack = slack
             worst = m
@@ -203,14 +202,15 @@ def check_counting_sandwich(model: CondIidModel, y: SideInfoString) -> SandwichC
     # the exact head count of the strictly-more-likely classes.
     ok = True
     checked = 0
+    nums = book.nums
     m = 1
     total = book.num_strings
     while m <= total:
-        p = book.probs[m - 1]
+        num = nums[m - 1]
         end = m
-        while end + 1 <= total and book.probs[end] == p:
+        while end + 1 <= total and nums[end] == num:
             end += 1
-        if p > 0:
+        if num > 0:
             count_gt = m - 1
             count_ge = end
             for rank in range(m, end + 1):
@@ -249,14 +249,13 @@ class PrefixCodebook:
         return [len(w) for w in self.codewords]
 
     def kraft_sum(self) -> Fraction:
-        return sum((Fraction(1, 2 ** len(w)) for w in self.codewords), Fraction(0))
+        top = max(self.lengths(), default=0)
+        return Fraction(sum(1 << (top - len(w)) for w in self.codewords), 1 << top)
 
     def excess_prob(self, threshold: int) -> Fraction:
         """Exact probability that the codeword has >= threshold bits."""
-        return sum(
-            (p for p, w in zip(self.book.probs, self.codewords) if len(w) >= threshold),
-            Fraction(0),
-        )
+        num = sum(v for v, w in zip(self.book.nums, self.codewords) if len(w) >= threshold)
+        return Fraction(num, self.book.den)
 
     def is_prefix_free(self) -> bool:
         words = sorted(self.codewords)

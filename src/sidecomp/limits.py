@@ -324,13 +324,6 @@ class LengthLaw:
         out = [Fraction(self._class_data(j)[3], self._den) for j in range(len(self._starts))]
         return out + [Fraction(0)] * (self.num_classes - len(out))
 
-    @property
-    def suffix_mass_exact(self) -> list[Fraction] | None:
-        if not self.exact:
-            return None
-        before = [self._class_data(j)[2] for j in range(self.num_classes)]
-        return [Fraction(self._total_num - m, self._den) for m in before] + [Fraction(0)]
-
     # -- queries -----------------------------------------------------------
 
     def _require_exact(self) -> None:

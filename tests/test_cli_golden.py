@@ -59,6 +59,9 @@ CASES = {
     "bounds_fig1": [
         "bounds", "--model", _model("fig1"), "--n", "50", "500", "--eps", "0.1",
     ],
+    "verify_corpus": [
+        "verify", "--corpus", str(MODELS_DIR), "--seed", "0",
+    ],
 }
 
 

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,7 @@ from sidecomp.codec import (
     rank_for_codeword,
 )
 from sidecomp.limits import epsilon_star_prefix, epsilon_star_ref
-from sidecomp.models import CondIidModel
+from sidecomp.models import CondIidModel, SideInfoString
 
 from conftest import y_repeat
 
@@ -76,6 +78,55 @@ class TestRankedCodebook:
     def test_guard_rejects_huge_n(self, fig1):
         with pytest.raises(ValueError):
             build_code(fig1, y_repeat(fig1, "0", 31))
+
+
+def _all_y(model, n):
+    for ys in product(range(len(model.y_alphabet)), repeat=n):
+        yield SideInfoString(model.y_alphabet, ys)
+
+
+def _mixed_codes_match_direct_sort(model, y) -> int:
+    """Check one codebook and its prefix codes against a direct sort of
+    ``Fraction`` products; return how many mixed-length codes were seen."""
+    nx, n = len(model.x_alphabet), len(y)
+
+    def prob(xs):
+        return math.prod(model.p_x_given_y[yi][xv] for yi, xv in zip(y.indices, xs))
+
+    order = sorted(product(range(nx), repeat=n), key=lambda xs: (-prob(xs), xs))
+    probs = [prob(xs) for xs in order]
+    book = build_code(model, y)
+    assert book.order == order
+    assert book.probs == probs
+    assert [book.prob_of_rank(m) for m in range(1, len(order) + 1)] == probs
+    mixed = 0
+    for k in range(1, (len(order) - 1).bit_length() + 1):
+        code = build_prefix_code(model, y, k)
+        if len(set(code.lengths())) == 1:
+            continue
+        mixed += 1
+        assert code.kraft_sum() == sum(Fraction(1, 2 ** len(w)) for w in code.codewords)
+        for t in (k, k + 1, max(code.lengths())):
+            assert code.excess_prob(t) == sum(
+                p for p, w in zip(probs, code.codewords) if len(w) >= t
+            )
+    return mixed
+
+
+class TestAgainstDirectSort:
+    def test_corpus_every_y_up_to_3(self, corpus_models):
+        mixed = 0
+        for name, model in sorted(corpus_models.items()):
+            if not isinstance(model, CondIidModel):
+                continue
+            for n in (1, 2, 3):
+                for y in _all_y(model, n):
+                    mixed += _mixed_codes_match_direct_sort(model, y)
+        assert mixed > 0
+
+    def test_fig1_every_y_at_6(self, fig1):
+        mixed = sum(_mixed_codes_match_direct_sort(fig1, y) for y in _all_y(fig1, 6))
+        assert mixed == 64 * 5
 
 
 class TestSingleShotBounds:

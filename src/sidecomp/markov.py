@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .measures import cdf_rows
+from .measures import inverse_cdf_table
 from .models import (
     DerivedYChain,
     MarkovPairModel,
@@ -29,6 +30,8 @@ from .models import (
 
 _STATIONARY_TOL = 1e-10
 _ROW_SUM_TOL = 1e-12
+# steps of uniforms drawn per generator call in the path walk
+_DRAW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -248,34 +251,49 @@ def simulate_pair(
     return xs[0], ys[0]
 
 
-def _walk(model: MarkovPairModel, trials: int, steps: int, rng: np.random.Generator):
+def _walk(
+    model: MarkovPairModel, position: Callable[[np.ndarray], np.ndarray],
+    sym: np.ndarray, trials: int, steps: int, rng: np.random.Generator,
+):
     """Inverse-CDF walk of the pair chain, vectorized over trials.
 
-    Yields the initial contexts, then the context after each of ``steps``
-    draws; the pair symbol drawn is the new context's last symbol,
-    ``ctx % |XY|``.  Every sampler reads this one random stream.
+    ``position, sym = inverse_cdf_table(model.transition_f)``.  Yields the
+    initial contexts, then for each of ``steps`` draws the cell
+    ``ctx * sym.shape[1] + position(u)`` of the flattened ``sym`` that the
+    draw lands in; the cell fixes the pair symbol drawn and the next
+    context.  Its symbol is that of the per-step comparison
+    ``(u > cdf_rows(transition_f)[ctx]).sum()``, ties included, so seeded
+    walks are the same as with that comparison.  Uniforms come
+    ``_DRAW_BLOCK`` steps at a time from one ``rng.random((b, trials))``
+    call, which fills row by row, so the stream and the generator's final
+    state do not depend on the block.  Every sampler reads this one walk.
     """
+    width = sym.shape[1]
+    contexts = np.arange(model.num_contexts)[:, None]
+    next_base = (model.shift_context(contexts, sym) * width).ravel()
     ctx = rng.choice(model.num_contexts, size=trials, p=_initial_context_pmf(model))
     yield ctx
-    cum = cdf_rows(model.transition_f)
-    for _ in range(steps):
-        u = rng.random(trials)
-        ctx = model.shift_context(ctx, (u[:, None] > cum[ctx]).sum(axis=1))
-        yield ctx
+    base = ctx * width
+    for start in range(0, steps, _DRAW_BLOCK):
+        for u in rng.random((min(_DRAW_BLOCK, steps - start), trials)):
+            cell = base + position(u)
+            yield cell
+            base = next_base[cell]
 
 
 def _simulate_paths(
     model: MarkovPairModel, n: int, trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample pair paths, vectorized over trials; shape (trials, n)."""
-    d, S = model.order, model.num_pair_symbols
+    d = model.order
     ny = len(model.y_alphabet)
-    walk = _walk(model, trials, max(n - d, 0), rng)
+    position, table = inverse_cdf_table(model.transition_f)
+    walk = _walk(model, position, table, trials, max(n - d, 0), rng)
     sym = np.empty((trials, n), dtype=np.int64)
     head = np.array([model.context_symbols(c) for c in range(model.num_contexts)])
     sym[:, :min(d, n)] = head[next(walk)][:, :min(d, n)]
-    for i, ctx in enumerate(walk, d):
-        sym[:, i] = ctx % S
+    for i, cell in enumerate(walk, d):
+        sym[:, i] = table.flat[cell]
     return sym // ny, sym % ny
 
 
@@ -300,29 +318,30 @@ def sample_path_statistics(
     """
     if analysis is None:
         analysis = markov_rates(model)
-    d, S = model.order, model.num_pair_symbols
+    d = model.order
     ny = len(model.y_alphabet)
     if n < d:
         raise ValueError("need n >= order")
     init = _initial_context_pmf(model)
     y_context = model._y_context
-    with np.errstate(divide="ignore"):
-        lg_t = np.log2(model.transition_f)
+    position, sym = inverse_cdf_table(model.transition_f)
+    rows = np.arange(model.num_contexts)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
         lg_py = np.log2(analysis.y_chain.transition)
         lg_init = np.log2(init)
         lg_ymass = np.log2(np.bincount(y_context, weights=init))
+        step_of = (lg_py[y_context[rows], sym % ny]
+                   - np.log2(model.transition_f)[rows, sym]).ravel()
 
-    walk = _walk(model, trials, n, np.random.default_rng(seed))
+    walk = _walk(model, position, sym, trials, n, np.random.default_rng(seed))
     ctx = next(walk)
     info = lg_ymass[y_context[ctx]] - lg_init[ctx]
     window = np.zeros(trials)
-    for i, nxt in enumerate(walk, d):
-        s = nxt % S
-        step = lg_py[y_context[ctx], s % ny] - lg_t[ctx, s]
+    for i, cell in enumerate(walk, d):
+        step = step_of[cell]
         window += step
         if i < n:
             info += step
-        ctx = nxt
     return PathStatistics(info=info, window_sum=window)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -247,6 +247,10 @@ def _y_marginal_log2(model: MarkovPairModel, y: Sequence[int]) -> float:
     return total_log
 
 
+# a power of two, so that a uniform's grid cell floor(u * cells) is exact
+_GUIDE_CELLS = 1024
+
+
 def cdf_rows(probs: np.ndarray) -> np.ndarray:
     """Row-wise cumulative sums for inverse-CDF draws of ``u`` in [0, 1).
 
@@ -260,6 +264,42 @@ def cdf_rows(probs: np.ndarray) -> np.ndarray:
     return cum
 
 
+def inverse_cdf_table(
+    probs: np.ndarray,
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """The inverse-CDF draw over the rows of ``probs`` as a lookup table.
+
+    Let ``levels`` be the sorted distinct values of ``cdf_rows(probs)``.
+    The symbol a uniform ``u`` draws from row ``r``, ``(u > cum[r]).sum()``,
+    depends on ``u`` only through ``p = searchsorted(levels, u,
+    side="left")``: an entry of ``cum[r]`` lies below ``u`` exactly when it
+    lies below ``levels[p]``.  ``sym[r, p]`` counts those entries, so a
+    draw on a tie picks what the strict comparison picks.  Every row ends
+    in 1.0, so ``u`` in [0, 1) has ``p < len(levels)``.
+
+    ``position(u)`` gives ``p`` for an array of uniforms from a guide
+    table (Chen and Asau, 1974): it starts at the number of levels below
+    the grid cell ``floor(u * _GUIDE_CELLS)`` and steps over the levels
+    of that cell below ``u``, one exact comparison per level of the
+    fullest cell.  This avoids the branch misses of a binary search.
+    """
+    cum = cdf_rows(probs)
+    levels = np.unique(cum)
+    below = np.zeros((cum.shape[0], levels.size + 1), dtype=np.int64)
+    np.add.at(below, (np.arange(cum.shape[0])[:, None],
+                      np.searchsorted(levels, cum) + 1), 1)
+    guide = np.searchsorted(levels, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS)
+    passes = int(np.diff(guide).max())
+
+    def position(u: np.ndarray) -> np.ndarray:
+        p = guide[(u * _GUIDE_CELLS).astype(np.intp)]
+        for _ in range(passes):
+            p += levels[p] < u
+        return p
+
+    return position, np.cumsum(below[:, :-1], axis=1)
+
+
 def sample_cond_iid(
     model: CondIidModel, n: int, trials: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +310,6 @@ def sample_cond_iid(
     rng = np.random.Generator(np.random.PCG64(seed))
     cum_y = cdf_rows(model.p_y_f)
     y = np.searchsorted(cum_y, rng.random((trials, n)), side="right")
-    cum_rows = cdf_rows(model.cond_f)
-    u = rng.random((trials, n))
-    x = (u[..., None] > cum_rows[y]).sum(axis=-1)
-    return x.astype(np.int64), y.astype(np.int64)
+    position, x_of = inverse_cdf_table(model.cond_f)
+    x = x_of[y, position(rng.random((trials, n)))]
+    return x, y.astype(np.int64)

@@ -50,6 +50,10 @@ CASES = {
         "markov", "--model", _model("markov2x2"), "--n", "64", "256", "--trials", "2000",
         "--seed", "0",
     ],
+    "markov_ymarg_nonmarkov_probe": [
+        "markov", "--model", _model("ymarg_nonmarkov"), "--n", "64", "256", "--trials",
+        "2000", "--seed", "3",
+    ],
     "measures_markov2x2": [
         "measures", "--model", _model("markov2x2"),
     ],

@@ -1,10 +1,16 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sidecomp import markov
 from sidecomp.markov import (
     ZChain,
+    _initial_context_pmf,
     _simulate_paths,
     berry_esseen_probe,
     block_function,
@@ -13,8 +19,82 @@ from sidecomp.markov import (
     sample_path_statistics,
     simulate_pair,
 )
-from sidecomp.measures import measures
+from sidecomp.measures import cdf_rows, inverse_cdf_table, measures
 from sidecomp.models import embed_cond_iid, model_from_dict
+
+
+def _reference_walk(model, trials, steps, rng):
+    """Contexts of the walk that compares each uniform with a whole CDF row."""
+    ctx = rng.choice(model.num_contexts, size=trials, p=_initial_context_pmf(model))
+    contexts = [ctx]
+    cum = cdf_rows(model.transition_f)
+    for _ in range(steps):
+        u = rng.random(trials)
+        ctx = model.shift_context(ctx, (u[:, None] > cum[ctx]).sum(axis=1))
+        contexts.append(ctx)
+    return contexts
+
+
+def _reference_paths(model, n, trials, rng):
+    d, S = model.order, model.num_pair_symbols
+    ny = len(model.y_alphabet)
+    contexts = _reference_walk(model, trials, max(n - d, 0), rng)
+    sym = np.empty((trials, n), dtype=np.int64)
+    head = np.array([model.context_symbols(c) for c in range(model.num_contexts)])
+    sym[:, :min(d, n)] = head[contexts[0]][:, :min(d, n)]
+    for i, ctx in enumerate(contexts[1:], d):
+        sym[:, i] = ctx % S
+    return sym // ny, sym % ny
+
+
+def _reference_statistics(model, n, trials, rng, analysis):
+    """(info, window_sum) with the information step gathered per step."""
+    d, S = model.order, model.num_pair_symbols
+    ny = len(model.y_alphabet)
+    init = _initial_context_pmf(model)
+    y_context = model._y_context
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg_t = np.log2(model.transition_f)
+        lg_py = np.log2(analysis.y_chain.transition)
+        lg_init = np.log2(init)
+        lg_ymass = np.log2(np.bincount(y_context, weights=init))
+        contexts = _reference_walk(model, trials, n, rng)
+        info = lg_ymass[y_context[contexts[0]]] - lg_init[contexts[0]]
+        window = np.zeros(trials)
+        for i, (ctx, nxt) in enumerate(zip(contexts, contexts[1:]), d):
+            s = nxt % S
+            step = lg_py[y_context[ctx], s % ny] - lg_t[ctx, s]
+            window += step
+            if i < n:
+                info += step
+    return info, window
+
+
+def _quiet_rates(model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return markov_rates(model)
+
+
+@st.composite
+def pair_chains(draw):
+    """Order-1 or -2 pair chains with rational rows that have zero entries.
+
+    Contexts take their rows from a pool of at most three, so rows repeat
+    and the distinct CDF levels are shared between rows.  Every row puts
+    mass on pair symbol 0, which keeps the chain ergodic and aperiodic.
+    """
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    order = draw(st.integers(1, 2))
+    S = nx * ny
+    weights = st.tuples(st.integers(1, 3), *[st.integers(0, 2)] * (S - 1))
+    pool = draw(st.lists(weights, min_size=1, max_size=3))
+    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(S**order)]
+    return model_from_dict({
+        "kind": "markov_pair", "order": order,
+        "x_alphabet": list("abc")[:nx], "y_alphabet": list("012")[:ny],
+        "transition": [[str(Fraction(w, sum(row))) for w in row] for row in rows],
+    })
 
 
 class TestRates:
@@ -129,6 +209,115 @@ class TestPathSampling:
         b = sample_path_statistics(model, 40, 500, seed=9)
         assert np.array_equal(a.info, b.info)
         assert np.array_equal(a.window_sum, b.window_sum)
+
+
+class TestTableWalk:
+    """The table walk draws what the per-step comparison walk draws."""
+
+    # dyadic rows with zero entries: every CDF value below 1 is exact and
+    # shared with another row
+    ROWS = [
+        ["1/4", "0", "1/2", "1/4"],
+        ["1/2", "1/4", "0", "1/4"],
+        ["1/4", "1/4", "1/4", "1/4"],
+        ["1/2", "0", "0", "1/2"],
+    ]
+
+    class LevelDraws:
+        """A generator whose uniforms cycle through fixed values, in one
+        stream whatever the shape of each draw."""
+
+        def __init__(self, rng, values):
+            self._rng = rng
+            self._values = values
+            self._drawn = 0
+
+        def choice(self, *args, **kwargs):
+            return self._rng.choice(*args, **kwargs)
+
+        def random(self, size):
+            count = int(np.prod(size))
+            idx = (self._drawn + np.arange(count)) % len(self._values)
+            self._drawn += count
+            return self._values[idx].reshape(size)
+
+    def _tie_model(self):
+        return model_from_dict({
+            "kind": "markov_pair", "order": 1,
+            "x_alphabet": ["0", "1"], "y_alphabet": ["0", "1"],
+            "transition": self.ROWS, "initial": ["1/4"] * 4,
+        })
+
+    @settings(max_examples=60)
+    @given(model=pair_chains(), n=st.integers(2, 12), trials=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_chains_match_reference_walk(self, model, n, trials, seed):
+        analysis = _quiet_rates(model)
+        stats = sample_path_statistics(model, n, trials, seed, analysis)
+        info, window = _reference_statistics(
+            model, n, trials, np.random.default_rng(seed), analysis)
+        np.testing.assert_array_equal(stats.info, info)
+        np.testing.assert_array_equal(stats.window_sum, window)
+
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        xs, ys = _simulate_paths(model, n, trials, rng)
+        ref_xs, ref_ys = _reference_paths(model, n, trials, ref_rng)
+        np.testing.assert_array_equal(xs, ref_xs)
+        np.testing.assert_array_equal(ys, ref_ys)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_uniforms_on_cdf_values_break_ties_like_strict_comparison(
+        self, monkeypatch
+    ):
+        model = self._tie_model()
+        cum = cdf_rows(model.transition_f)
+        values = np.unique(cum[cum < 1.0])
+        position, sym = inverse_cdf_table(model.transition_f)
+        for r in range(len(self.ROWS)):
+            assert (sym[r, position(values)] == (values[:, None] > cum[r]).sum(1)).all()
+        # u = 1/2 on the row (1/2, 0, 0, 1/2) draws symbol 0, not a
+        # zero-mass symbol
+        assert sym[3, position(np.array([0.5]))] == [0]
+
+        n, trials = 13, 7
+        rng = self.LevelDraws(np.random.default_rng(1), values)
+        ref_rng = self.LevelDraws(np.random.default_rng(1), values)
+        for got, ref in zip(_simulate_paths(model, n, trials, rng),
+                            _reference_paths(model, n, trials, ref_rng)):
+            np.testing.assert_array_equal(got, ref)
+
+        analysis = _quiet_rates(model)
+        info, window = _reference_statistics(
+            model, n, trials, self.LevelDraws(np.random.default_rng(2), values),
+            analysis)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: self.LevelDraws(default_rng(seed), values))
+        stats = sample_path_statistics(model, n, trials, 2, analysis)
+        np.testing.assert_array_equal(stats.info, info)
+        np.testing.assert_array_equal(stats.window_sum, window)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_changes_neither_draws_nor_generator_state(
+        self, corpus_models, monkeypatch, block
+    ):
+        # 11 and 10 steps: a multiple of neither block size
+        model, n, trials = corpus_models["markov2x2"], 11, 50
+        analysis = markov_rates(model)
+
+        def run():
+            rng = np.random.default_rng(4)
+            paths = _simulate_paths(model, n, trials, rng)
+            stats = sample_path_statistics(model, n, trials, 4, analysis)
+            return paths, stats, rng.bit_generator.state
+
+        (xs, ys), stats, state = run()
+        monkeypatch.setattr(markov, "_DRAW_BLOCK", block)
+        (bxs, bys), bstats, bstate = run()
+        assert np.array_equal(xs, bxs) and np.array_equal(ys, bys)
+        assert np.array_equal(stats.info, bstats.info)
+        assert np.array_equal(stats.window_sum, bstats.window_sum)
+        assert state == bstate
 
 
 class TestProbe:

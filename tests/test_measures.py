@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from sidecomp.measures import (
     cdf_rows,
+    inverse_cdf_table,
     cond_info_density,
     dispersion_gap,
     h_n_sigma_n,
@@ -177,6 +178,27 @@ class TestSampling:
         monkeypatch.setattr(np.random, "Generator", TopDraws)
         x, y = sample_cond_iid(model, 3, 4, seed=0)
         assert (x == 5).all() and (y == 5).all()
+
+    def test_table_position_is_searchsorted_with_crowded_grid_cells(self):
+        # three CDF values inside the first 1/1024 of [0, 1), and values
+        # just below 1, so the guide lookup needs several passes
+        probs = np.array([[1 / 4096, 1 / 4096, 1 / 4096, 1 - 3 / 4096],
+                          [0.5, 0.5 - 2**-52, 0.0, 2**-52],
+                          [0.1, 0.2, 0.3, 0.4]])
+        levels = np.unique(cdf_rows(probs))
+        u = np.concatenate([
+            levels[levels < 1.0],
+            np.nextafter(levels[levels < 1.0], 0.0),
+            np.nextafter(levels[levels < 1.0], 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.random.default_rng(0).random(1000),
+        ])
+        u = u[u < 1.0]
+        position, sym = inverse_cdf_table(probs)
+        assert position(u).tolist() == np.searchsorted(levels, u, side="left").tolist()
+        cum = cdf_rows(probs)
+        for r in range(len(probs)):
+            assert sym[r, position(u)].tolist() == (u[:, None] > cum[r]).sum(1).tolist()
 
     def test_cdf_rows_end_at_one_on_the_support(self):
         assert cdf_rows(np.array([0.3, 0.6, 0.0])).tolist() == [0.3, 1.0, 1.0]

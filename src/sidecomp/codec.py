@@ -7,9 +7,9 @@ order: the empty word, then 0, 1, 00, 01, and so on.  The codeword of
 rank ``m`` is the binary expansion of ``m`` with the leading 1
 removed, so its length is ``floor(log2 m)``.
 
-Explicit codebooks enumerate every source string and are guarded at
-``|X|^n <= 2^30``; distributional questions at larger blocklengths
-belong to the length-law machinery instead.
+Explicit codebooks enumerate every source string and share the
+brute-force guard ``|X|^n <= limits.BRUTEFORCE_GUARD``; distributional
+questions at larger blocklengths belong to the length-law machinery.
 
 All ranking and probability checks here are exact: the codebook holds
 integer numerators of P(x|y) over one common denominator, taken from
@@ -27,10 +27,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .limits import _bruteforce_cond_iid_exact
+from .limits import BRUTEFORCE_GUARD, GuardExceededError, _bruteforce_cond_iid_exact
 from .models import CondIidModel, SideInfoString
-
-CODEBOOK_GUARD_BITS = 30
 
 
 def codeword_for_rank(m: int) -> str:
@@ -120,9 +118,9 @@ def build_code(model: CondIidModel, y: SideInfoString) -> RankedCodebook:
     """Rank all source strings for this y-string, exactly."""
     n = len(y)
     nx = len(model.x_alphabet)
-    if n * math.log2(nx) > CODEBOOK_GUARD_BITS:
-        raise ValueError(
-            f"explicit codebook needs n*log2|X| <= {CODEBOOK_GUARD_BITS}"
+    if nx**n > BRUTEFORCE_GUARD:
+        raise GuardExceededError(
+            f"explicit codebook needs |X|^n <= {BRUTEFORCE_GUARD}, got {nx**n}"
         )
     nums, den = _bruteforce_cond_iid_exact(model, y)
     # A stable sort over product order breaks ties lexicographically.

@@ -25,7 +25,6 @@ from .models import (
     class_period,
     closed_classes,
     derive_y_chain,
-    stationary_context_law,
 )
 
 _STATIONARY_TOL = 1e-10
@@ -75,14 +74,42 @@ class MarkovAnalysis:
     y_chain: DerivedYChain
 
 
-def _check_ergodic(model: MarkovPairModel) -> list[int]:
+def _check_ergodic(model: MarkovPairModel) -> None:
     succ = model.context_digraph()
     closed = closed_classes(succ)
     if len(closed) != 1:
         raise ValueError("pair chain has several closed context classes")
     if class_period(succ, closed[0]) != 1:
         raise ValueError("pair context chain is periodic")
-    return closed[0]
+
+
+def _log2(a: np.ndarray) -> np.ndarray:
+    """``math.log2`` of each entry, nan where not positive, one call per
+    distinct value (``np.log2`` can round differently in the last place)."""
+    vals = np.array(sorted(set(a.ravel().tolist())))
+    logs = np.array([math.log2(v) if v > 0.0 else math.nan for v in vals.tolist()])
+    return logs[np.searchsorted(vals, a)]
+
+
+def _f_table(model: MarkovPairModel, y_chain: DerivedYChain) -> np.ndarray:
+    """f of every edge (context, pair symbol) as in :func:`block_function`;
+    nan where the pair transition or the derived y-transition is zero."""
+    ny = len(model.y_alphabet)
+    T = model.transition_f
+    py = y_chain.transition[model._y_context[:, None], np.arange(T.shape[1]) % ny]
+    return _log2(py) - _log2(T)
+
+
+def _blocks(model: MarkovPairModel, ctx: np.ndarray, s: np.ndarray) -> list[tuple[int, ...]]:
+    """The (d+1)-block of each edge: its context's symbols, then ``s``."""
+    S = model.num_pair_symbols
+    head = ctx[:, None] // S ** np.arange(model.order - 1, -1, -1) % S
+    return list(map(tuple, np.column_stack([head, s]).tolist()))
+
+
+def _block_dict(model: MarkovPairModel, f: np.ndarray) -> dict[tuple[int, ...], float]:
+    ctx, s = np.nonzero(~np.isnan(f))
+    return dict(zip(_blocks(model, ctx, s), f[ctx, s].tolist()))
 
 
 def block_function(
@@ -93,60 +120,27 @@ def block_function(
     ``f(block) = log2 P_y(y_last | y-context) - log2 T(pair context,
     last pair)``; blocks whose pair transition is zero are omitted.
     """
-    if y_chain is None:
-        y_chain = derive_y_chain(model)
-    ny = len(model.y_alphabet)
-    table: dict[tuple[int, ...], float] = {}
-    for ctx in range(model.num_contexts):
-        symbols = model.context_symbols(ctx)
-        yctx = model._y_context[ctx]
-        for s in range(model.num_pair_symbols):
-            p = model.transition_f[ctx, s]
-            if p <= 0.0:
-                continue
-            py = y_chain.transition[yctx, s % ny]
-            if py <= 0.0:
-                # y-context never seen in stationarity; no f value
-                continue
-            table[symbols + (s,)] = math.log2(py) - math.log2(p)
-    return table
+    return _block_dict(model, _f_table(model, y_chain or derive_y_chain(model)))
+
+
+def _z_chain(model: MarkovPairModel, f: np.ndarray) -> ZChain:
+    _check_ergodic(model)
+    pi_ctx = model.stationary_f
+    T = model.transition_f
+    ctx, s = np.nonzero((pi_ctx[:, None] > 0.0) & (T > 0.0))
+    # state j = (ctx_j, s_j) follows state i when ctx_j is i's next context
+    P = np.where(ctx == model._next_context[ctx, s][:, None], T[ctx, s], 0.0)
+    pi = pi_ctx[ctx] * T[ctx, s]
+    pi /= pi.sum()
+    return ZChain(order=model.order, states=tuple(_blocks(model, ctx, s)),
+                  transition=P, stationary=pi, f=f[ctx, s])
 
 
 def build_z_chain(
     model: MarkovPairModel, y_chain: DerivedYChain | None = None
 ) -> ZChain:
     """Overlapping-block chain restricted to positive stationary states."""
-    _check_ergodic(model)
-    if y_chain is None:
-        y_chain = derive_y_chain(model)
-    pi_ctx = stationary_context_law(model)
-    f_table = block_function(model, y_chain)
-    states: list[tuple[int, ...]] = []
-    weights: list[float] = []
-    pos: dict[tuple[int, int], int] = {}
-    for ctx in np.flatnonzero(pi_ctx > 0.0):
-        ctx = int(ctx)
-        symbols = model.context_symbols(ctx)
-        for s in range(model.num_pair_symbols):
-            p = model.transition_f[ctx, s]
-            if p <= 0.0:
-                continue
-            pos[(ctx, s)] = len(states)
-            states.append(symbols + (s,))
-            weights.append(float(pi_ctx[ctx]) * float(p))
-    m = len(states)
-    P = np.zeros((m, m))
-    for (ctx, s), i in pos.items():
-        nxt = model.shift_context(ctx, s)
-        for s2 in range(model.num_pair_symbols):
-            p = model.transition_f[nxt, s2]
-            if p > 0.0:
-                P[i, pos[(nxt, s2)]] = p
-    pi = np.array(weights)
-    pi /= pi.sum()
-    f = np.array([f_table[states[i]] for i in range(m)])
-    return ZChain(order=model.order, states=tuple(states), transition=P,
-                  stationary=pi, f=f)
+    return _z_chain(model, _f_table(model, y_chain or derive_y_chain(model)))
 
 
 def _poisson_solve(P: np.ndarray, pi: np.ndarray, fbar: np.ndarray) -> np.ndarray:
@@ -166,10 +160,7 @@ def _poisson_solve(P: np.ndarray, pi: np.ndarray, fbar: np.ndarray) -> np.ndarra
     raise RuntimeError("Poisson iteration did not converge")
 
 
-def _boundary_delta(
-    model: MarkovPairModel,
-    f_table: dict[tuple[int, ...], float],
-) -> float:
+def _boundary_delta(model: MarkovPairModel, f: np.ndarray) -> float:
     """Bound on the boundary gap, first-block plus trailing-window parts.
 
     The gap depends only on the first d pair symbols (an initial
@@ -178,37 +169,20 @@ def _boundary_delta(
     positive-probability blocks bounds the gap for every n.
     """
     init = model.initial_f
-    y_mass = np.bincount(model._y_context, weights=init)
-    t1_max = 0.0
-    for ctx in np.flatnonzero(init > 0.0):
-        t1 = math.log2(y_mass[model._y_context[ctx]]) - math.log2(float(init[ctx]))
-        t1_max = max(t1_max, t1)
+    y_mass = np.bincount(model._y_context, weights=init)[model._y_context]
+    t1_max = float(np.fmax.reduce(_log2(y_mass) - _log2(init), initial=0.0))
 
-    # extreme window sums over d consecutive f values from any
-    # positive-stationary context
-    d = model.order
-    pi_ctx = stationary_context_law(model)
-    best = 0.0
-    worst = 0.0
-
-    def walk(ctx: int, depth: int, acc: float) -> None:
-        nonlocal best, worst
-        if depth == d:
-            best = max(best, acc)
-            worst = min(worst, acc)
-            return
-        symbols = model.context_symbols(ctx)
-        for s in range(model.num_pair_symbols):
-            if model.transition_f[ctx, s] <= 0.0:
-                continue
-            fv = f_table.get(symbols + (s,))
-            if fv is None:
-                continue
-            walk(model.shift_context(ctx, s), depth + 1, acc + fv)
-
-    for ctx in np.flatnonzero(pi_ctx > 0.0):
-        walk(int(ctx), 0, 0.0)
-    return t1_max + max(best, -worst)
+    # extreme sums of d consecutive f values from any positive-stationary
+    # context: d passes over the edges add f in path order, and rounding
+    # is monotone, so the extremes equal those of the paths bit for bit
+    hi = np.where(model.stationary_f > 0.0, 0.0, -np.inf)
+    lo = np.where(model.stationary_f > 0.0, 0.0, np.inf)
+    for _ in range(model.order):
+        new_hi, new_lo = np.full_like(hi, -np.inf), np.full_like(lo, np.inf)
+        np.fmax.at(new_hi, model._next_context, hi[:, None] + f)
+        np.fmin.at(new_lo, model._next_context, lo[:, None] + f)
+        hi, lo = new_hi, new_lo
+    return t1_max + max(max(0.0, float(hi.max())), -min(0.0, float(lo.min())))
 
 
 def markov_rates(model: MarkovPairModel) -> MarkovAnalysis:
@@ -222,20 +196,20 @@ def markov_rates(model: MarkovPairModel) -> MarkovAnalysis:
             RuntimeWarning,
             stacklevel=2,
         )
-    zc = build_z_chain(model, y_chain)
-    pi, P, f = zc.stationary, zc.transition, zc.f
-    h = float(pi @ f)
-    fbar = f - h
+    f = _f_table(model, y_chain)
+    zc = _z_chain(model, f)
+    pi, P = zc.stationary, zc.transition
+    h = float(pi @ zc.f)
+    fbar = zc.f - h
     g = _poisson_solve(P, pi, fbar)
     sigma2 = float(pi @ (fbar * fbar) + 2.0 * (pi @ (fbar * (P @ g))))
     if sigma2 < 0.0:
         if sigma2 < -1e-10:
             raise RuntimeError("variance rate came out negative")
         sigma2 = 0.0
-    f_table = block_function(model, y_chain)
-    delta = _boundary_delta(model, f_table)
-    return MarkovAnalysis(h_rate=h, sigma2_rate=sigma2, delta=delta,
-                          block_f=f_table, z_chain=zc, y_chain=y_chain)
+    return MarkovAnalysis(h_rate=h, sigma2_rate=sigma2,
+                          delta=_boundary_delta(model, f),
+                          block_f=_block_dict(model, f), z_chain=zc, y_chain=y_chain)
 
 
 def _initial_context_pmf(model: MarkovPairModel) -> np.ndarray:

@@ -324,24 +324,29 @@ class MarkovPairModel:
         return out
 
     @cached_property
+    def _next_context(self) -> np.ndarray:
+        """Next context of every edge (context, pair symbol)."""
+        return self.shift_context(np.arange(self.num_contexts)[:, None],
+                                  np.arange(self.num_pair_symbols))
+
+    @cached_property
     def transition_f(self) -> np.ndarray:
         return np.array([[float(p) for p in row] for row in self.transition])
+
+    @cached_property
+    def stationary_f(self) -> np.ndarray:
+        """The stationary context law, solved once per model."""
+        return stationary_context_law(self)
 
     @cached_property
     def initial_f(self) -> np.ndarray:
         if self.initial is not None:
             return np.array([float(p) for p in self.initial])
-        return stationary_context_law(self)
+        return self.stationary_f
 
     def context_digraph(self) -> list[list[int]]:
         """Successor lists of the context chain, positive transitions only."""
-        succ: list[list[int]] = []
-        for c in range(self.num_contexts):
-            succ.append(
-                [self.shift_context(c, s) for s in range(self.num_pair_symbols)
-                 if self.transition[c][s] > 0]
-            )
-        return succ
+        return [nxt[p > 0.0].tolist() for nxt, p in zip(self._next_context, self.transition_f)]
 
     def validate(self) -> ValidationReport:
         errors: list[str] = []
@@ -455,22 +460,18 @@ def class_period(succ: list[list[int]], members: list[int]) -> int:
 
 
 def stationary_context_law(model: MarkovPairModel) -> np.ndarray:
-    """Stationary law over contexts, supported on the closed class."""
+    """Stationary law over contexts, supported on the closed class; each
+    call solves afresh, ``model.stationary_f`` keeps one solve."""
     closed = closed_classes(model.context_digraph())
     if len(closed) != 1:
         raise ValueError("context chain is not irreducible; validate the model")
     members = closed[0]
-    pos = {c: i for i, c in enumerate(members)}
-    m = len(members)
-    P = np.zeros((m, m))
-    for i, c in enumerate(members):
-        for s in range(model.num_pair_symbols):
-            p = model.transition[c][s]
-            if p > 0:
-                P[i, pos[model.shift_context(c, s)]] += float(p)
-    pi = _stationary_of_matrix(P)
+    C = model.num_contexts
+    # each pair symbol leads to its own next context: no cell is set twice
+    P = np.zeros((C, C))
+    P[np.arange(C)[:, None], model._next_context] = model.transition_f
     out = np.zeros(model.num_contexts)
-    out[members] = pi
+    out[members] = _stationary_of_matrix(P[np.ix_(members, members)])
     return out
 
 
@@ -524,57 +525,35 @@ class DerivedYChain:
 
 
 def derive_y_chain(model: MarkovPairModel) -> DerivedYChain:
-    """Marginalize the stationary pair chain onto the side information."""
+    """Marginalize the stationary pair chain onto the side information;
+    ``np.add.at`` sums over the edges (context, pair symbol) in row-major
+    order, the order of a loop over contexts and then pair symbols."""
     d = model.order
     ny = len(model.y_alphabet)
     nctx_y = ny**d
-    pi = stationary_context_law(model)
-
+    pi = model.stationary_f
     y_context = model._y_context
-    pi_y = np.zeros(nctx_y)
+    y_of = np.arange(model.num_pair_symbols) % ny
+    mass = pi[:, None] * model.transition_f
+
+    pi_y = np.bincount(y_context, weights=pi, minlength=nctx_y)
     joint_next = np.zeros((nctx_y, ny))
-    for c in range(model.num_contexts):
-        if pi[c] == 0:
-            continue
-        yc = y_context[c]
-        pi_y[yc] += pi[c]
-        for s in range(model.num_pair_symbols):
-            p = model.transition[c][s]
-            if p > 0:
-                joint_next[yc, s % ny] += pi[c] * float(p)
+    np.add.at(joint_next, (y_context[:, None], y_of), mass)
     trans = np.zeros((nctx_y, ny))
     nz = pi_y > 0
     trans[nz] = joint_next[nz] / pi_y[nz, None]
 
     # Defect: compare the order-d conditional against the conditional
     # given one extra trailing symbol of y-history, both in stationarity.
-    deep = {}
-    for c in range(model.num_contexts):
-        if pi[c] == 0:
-            continue
-        yc = y_context[c]
-        for s1 in range(model.num_pair_symbols):
-            p1 = model.transition[c][s1]
-            if p1 == 0:
-                continue
-            c2 = model.shift_context(c, s1)
-            for s2 in range(model.num_pair_symbols):
-                p2 = model.transition[c2][s2]
-                if p2 == 0:
-                    continue
-                key = (yc, s1 % ny, s2 % ny)
-                deep[key] = deep.get(key, 0.0) + pi[c] * float(p1) * float(p2)
-    head = {}
-    for (yc, y1, y2), mass in deep.items():
-        head[(yc, y1)] = head.get((yc, y1), 0.0) + mass
-    defect = 0.0
-    for (yc, y1, y2), mass in deep.items():
-        h = head[(yc, y1)]
-        if h <= 0:
-            continue
-        # context for the short conditional: drop the oldest symbol, append y1
-        short_ctx = (yc * ny + y1) % nctx_y
-        defect = max(defect, abs(mass / h - trans[short_ctx, y2]))
+    deep = np.zeros((nctx_y, ny, ny))
+    np.add.at(deep, (y_context[:, None, None], y_of[:, None], y_of),
+              mass[:, :, None] * model.transition_f[model._next_context])
+    # context for the short conditional: drop the oldest symbol, append y1
+    short_ctx = (np.arange(nctx_y)[:, None] * ny + np.arange(ny)) % nctx_y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(deep / deep.sum(axis=2, keepdims=True) - trans[short_ctx])
+    # only keys that some positive two-step path reaches, i.e. of positive mass
+    defect = gap[deep > 0].max(initial=0.0)
 
     return DerivedYChain(
         y_alphabet=model.y_alphabet,

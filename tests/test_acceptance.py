@@ -34,7 +34,7 @@ from sidecomp.models import (
     model_from_dict,
 )
 
-from conftest import MODELS_DIR, record_acceptance, y_repeat
+from tests.conftest import MODELS_DIR, record_acceptance, y_repeat
 
 
 def _criterion(num: int, name: str, checks: dict[str, bool]) -> None:

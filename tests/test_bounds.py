@@ -20,7 +20,7 @@ from sidecomp.limits import rate_star_ref
 from sidecomp.markov import markov_rates
 from sidecomp.models import model_from_dict
 
-from conftest import y_repeat
+from tests.conftest import y_repeat
 
 
 class TestNormalHelpers:

@@ -5,7 +5,7 @@ import pytest
 
 from sidecomp.cli import main
 
-from conftest import MODELS_DIR
+from tests.conftest import MODELS_DIR
 
 FIG1 = str(MODELS_DIR / "fig1.json")
 MARKOV = str(MODELS_DIR / "markov2x2.json")

@@ -5,7 +5,7 @@ with ``tests/golden/<name>.txt``.  A library change that keeps every
 printed number passes; one that moves a single digit fails.
 
 To re-record after a deliberate output change, run
-``PYTHONPATH=src python tests/test_cli_golden.py`` from the repo root.
+``PYTHONPATH=src python -m tests.test_cli_golden`` from the repo root.
 """
 
 from pathlib import Path
@@ -14,9 +14,10 @@ import pytest
 
 from sidecomp.cli import main
 
-from conftest import MODELS_DIR
+from tests.conftest import MODELS_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+ROOT = MODELS_DIR.parent
 
 
 def _model(name: str) -> str:
@@ -57,6 +58,20 @@ CASES = {
     "measures_markov2x2": [
         "measures", "--model", _model("markov2x2"),
     ],
+    "measures_copy_chain": [
+        "measures", "--model", _model("copy_chain"),
+    ],
+    "measures_indep_chains": [
+        "measures", "--model", _model("indep_chains"),
+    ],
+    "measures_ymarg_nonmarkov": [
+        "measures", "--model", _model("ymarg_nonmarkov"),
+    ],
+    # validate echoes the model path, so this case runs from the repo root
+    # with a relative one
+    "validate_ymarg_nonmarkov": [
+        "validate", "--model", "models/ymarg_nonmarkov.json",
+    ],
     "figure1_n40_480": [
         "figure1", "--n", *(str(n) for n in range(40, 481, 40)),
     ],
@@ -76,7 +91,8 @@ def _stdout(capsys, argv: list[str]) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_matches_golden(capsys, name):
+def test_stdout_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.chdir(ROOT)
     expected = (GOLDEN_DIR / f"{name}.txt").read_text()
     assert _stdout(capsys, CASES[name]) == expected
 
@@ -84,7 +100,9 @@ def test_stdout_matches_golden(capsys, name):
 if __name__ == "__main__":
     import contextlib
     import io
+    import os
 
+    os.chdir(ROOT)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
         buf = io.StringIO()

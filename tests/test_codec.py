@@ -17,10 +17,10 @@ from sidecomp.codec import (
     encode,
     rank_for_codeword,
 )
-from sidecomp.limits import epsilon_star_prefix, epsilon_star_ref
+from sidecomp.limits import GuardExceededError, epsilon_star_prefix, epsilon_star_ref
 from sidecomp.models import CondIidModel, SideInfoString
 
-from conftest import y_repeat
+from tests.conftest import y_repeat
 
 
 class TestRankCoding:
@@ -78,6 +78,12 @@ class TestRankedCodebook:
     def test_guard_rejects_huge_n(self, fig1):
         with pytest.raises(ValueError):
             build_code(fig1, y_repeat(fig1, "0", 31))
+
+    def test_guard_is_the_bruteforce_guard(self, fig1):
+        # 2^21 strings, one past limits.BRUTEFORCE_GUARD: refused before
+        # any string is enumerated
+        with pytest.raises(GuardExceededError):
+            build_code(fig1, y_repeat(fig1, "0", 21))
 
 
 def _all_y(model, n):

@@ -25,7 +25,7 @@ from sidecomp.limits import (
 from sidecomp.measures import _y_marginal_log2
 from sidecomp.models import Alphabet, MarkovPairModel, SideInfoString, model_from_dict
 
-from conftest import small_models, y_repeat
+from tests.conftest import small_models, y_repeat
 
 
 def _markov_small(with_initial: bool):

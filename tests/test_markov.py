@@ -1,13 +1,14 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidecomp import markov
+from sidecomp import markov, models
 from sidecomp.markov import (
     ZChain,
     _initial_context_pmf,
@@ -20,7 +21,14 @@ from sidecomp.markov import (
     simulate_pair,
 )
 from sidecomp.measures import cdf_rows, inverse_cdf_table, measures
-from sidecomp.models import embed_cond_iid, model_from_dict
+from sidecomp.models import (
+    _stationary_of_matrix,
+    closed_classes,
+    derive_y_chain,
+    embed_cond_iid,
+    model_from_dict,
+    stationary_context_law,
+)
 
 
 def _reference_walk(model, trials, steps, rng):
@@ -70,6 +78,137 @@ def _reference_statistics(model, n, trials, rng, analysis):
     return info, window
 
 
+def _reference_digraph(model):
+    S = model.num_pair_symbols
+    return [[model.shift_context(c, s) for s in range(S) if model.transition[c][s] > 0]
+            for c in range(model.num_contexts)]
+
+
+def _reference_stationary(model):
+    """Stationary context law with its matrix built by a loop."""
+    S = model.num_pair_symbols
+    members = closed_classes(_reference_digraph(model))[0]
+    pos = {c: i for i, c in enumerate(members)}
+    P = np.zeros((len(members), len(members)))
+    for i, c in enumerate(members):
+        for s in range(S):
+            p = model.transition[c][s]
+            if p > 0:
+                P[i, pos[model.shift_context(c, s)]] += float(p)
+    out = np.zeros(model.num_contexts)
+    out[members] = _stationary_of_matrix(P)
+    return out
+
+
+def _reference_y_chain(model, pi):
+    """(transition, markovianity defect) of the derived y-chain, by loops
+    over contexts and pair symbols into dicts."""
+    ny = len(model.y_alphabet)
+    nctx_y = ny**model.order
+    y_context = model._y_context
+    pi_y = np.zeros(nctx_y)
+    joint_next = np.zeros((nctx_y, ny))
+    for c in range(model.num_contexts):
+        if pi[c] == 0:
+            continue
+        pi_y[y_context[c]] += pi[c]
+        for s in range(model.num_pair_symbols):
+            p = model.transition[c][s]
+            if p > 0:
+                joint_next[y_context[c], s % ny] += pi[c] * float(p)
+    trans = np.zeros((nctx_y, ny))
+    nz = pi_y > 0
+    trans[nz] = joint_next[nz] / pi_y[nz, None]
+    deep = {}
+    for c in range(model.num_contexts):
+        if pi[c] == 0:
+            continue
+        for s1 in range(model.num_pair_symbols):
+            p1 = model.transition[c][s1]
+            if p1 == 0:
+                continue
+            c2 = model.shift_context(c, s1)
+            for s2 in range(model.num_pair_symbols):
+                p2 = model.transition[c2][s2]
+                if p2 == 0:
+                    continue
+                key = (y_context[c], s1 % ny, s2 % ny)
+                deep[key] = deep.get(key, 0.0) + pi[c] * float(p1) * float(p2)
+    head = {}
+    for (yc, y1, y2), mass in deep.items():
+        head[(yc, y1)] = head.get((yc, y1), 0.0) + mass
+    defect = 0.0
+    for (yc, y1, y2), mass in deep.items():
+        h = head[(yc, y1)]
+        if h > 0:
+            defect = max(defect, abs(mass / h - trans[(yc * ny + y1) % nctx_y, y2]))
+    return trans, defect
+
+
+def _reference_block_function(model, y_chain):
+    ny = len(model.y_alphabet)
+    table = {}
+    for ctx in range(model.num_contexts):
+        for s in range(model.num_pair_symbols):
+            p = model.transition_f[ctx, s]
+            py = y_chain.transition[model._y_context[ctx], s % ny]
+            if p > 0.0 and py > 0.0:
+                table[model.context_symbols(ctx) + (s,)] = math.log2(py) - math.log2(p)
+    return table
+
+
+def _reference_z_chain(model, pi_ctx, f_table):
+    """(states, transition, stationary, f) of the block chain, by loops."""
+    states, weights, pos = [], [], {}
+    for ctx in np.flatnonzero(pi_ctx > 0.0):
+        for s in range(model.num_pair_symbols):
+            p = model.transition_f[ctx, s]
+            if p > 0.0:
+                pos[(int(ctx), s)] = len(states)
+                states.append(model.context_symbols(int(ctx)) + (s,))
+                weights.append(float(pi_ctx[ctx]) * float(p))
+    P = np.zeros((len(states), len(states)))
+    for (ctx, s), i in pos.items():
+        nxt = model.shift_context(ctx, s)
+        for s2 in range(model.num_pair_symbols):
+            if model.transition_f[nxt, s2] > 0.0:
+                P[i, pos[(nxt, s2)]] = model.transition_f[nxt, s2]
+    pi = np.array(weights)
+    pi /= pi.sum()
+    return tuple(states), P, pi, np.array([f_table[b] for b in states])
+
+
+def _reference_delta(model, pi_ctx, f_table):
+    """Boundary constant by a recursive walk over every path of d pair
+    symbols from every positive-stationary context."""
+    init = model.initial_f
+    y_mass = np.bincount(model._y_context, weights=init)
+    t1_max = 0.0
+    for ctx in np.flatnonzero(init > 0.0):
+        t1 = math.log2(y_mass[model._y_context[ctx]]) - math.log2(float(init[ctx]))
+        t1_max = max(t1_max, t1)
+    best = worst = 0.0
+
+    def walk(ctx, depth, acc):
+        nonlocal best, worst
+        if depth == model.order:
+            best, worst = max(best, acc), min(worst, acc)
+            return
+        for s in range(model.num_pair_symbols):
+            fv = f_table.get(model.context_symbols(ctx) + (s,))
+            if model.transition_f[ctx, s] > 0.0 and fv is not None:
+                walk(model.shift_context(ctx, s), depth + 1, acc + fv)
+
+    for ctx in np.flatnonzero(pi_ctx > 0.0):
+        walk(int(ctx), 0, 0.0)
+    return t1_max + max(best, -worst)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _quiet_rates(model):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -77,24 +216,32 @@ def _quiet_rates(model):
 
 
 @st.composite
-def pair_chains(draw):
-    """Order-1 or -2 pair chains with rational rows that have zero entries.
+def pair_chains(draw, max_order=2, pool_size=3, initial=False):
+    """Pair chains of order 1 to ``max_order`` (at most 81 contexts) with
+    rational rows that have zero entries.
 
-    Contexts take their rows from a pool of at most three, so rows repeat
-    and the distinct CDF levels are shared between rows.  Every row puts
-    mass on pair symbol 0, which keeps the chain ergodic and aperiodic.
+    Contexts take their rows from a pool of at most ``pool_size`` (one
+    per context if None), so rows repeat and the distinct CDF levels are
+    shared between rows.  Every row puts mass on pair symbol 0, which
+    keeps the chain ergodic and aperiodic.  With ``initial``, some chains
+    get an explicit initial law, with zeros.
     """
     nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    order = draw(st.integers(1, 2))
     S = nx * ny
+    order = draw(st.integers(1, max_order).filter(lambda o: S**o <= 81))
     weights = st.tuples(st.integers(1, 3), *[st.integers(0, 2)] * (S - 1))
-    pool = draw(st.lists(weights, min_size=1, max_size=3))
+    pool = draw(st.lists(weights, min_size=1, max_size=pool_size or S**order))
     rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(S**order)]
-    return model_from_dict({
+    doc = {
         "kind": "markov_pair", "order": order,
         "x_alphabet": list("abc")[:nx], "y_alphabet": list("012")[:ny],
         "transition": [[str(Fraction(w, sum(row))) for w in row] for row in rows],
-    })
+    }
+    if initial and draw(st.booleans()):
+        w = draw(st.lists(st.integers(0, 3), min_size=S**order, max_size=S**order)
+                 .filter(any))
+        doc["initial"] = [str(Fraction(v, sum(w))) for v in w]
+    return model_from_dict(doc)
 
 
 class TestRates:
@@ -170,6 +317,54 @@ class TestBlockFunction:
         assert np.allclose(zc.transition.sum(axis=1), 1.0, atol=1e-12)
         assert zc.stationary.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.isfinite(zc.f).all()
+
+
+class TestEdgeTable:
+    """The array passes of the Markov analysis against the loops they replace."""
+
+    # pair symbols (a,0), (a,1), (a,2), (b,0), (b,1), (b,2): from y-context
+    # 0, y1 = 2 leads only to context (a,2), which never emits y = 1,
+    # though context (b,2) does; so the key (0, 2, 1) has head mass but no
+    # path reaches it, and its gap would exceed those of the keys reached
+    _R = ["1/2", "0", "1/2", "0", "0", "0"]
+    UNSEEN_KEY = {
+        "kind": "markov_pair", "order": 1, "x_alphabet": ["a", "b"],
+        "y_alphabet": ["0", "1", "2"],
+        "transition": [_R, _R, ["1/3", "0", "0", "0", "0", "2/3"], _R, _R,
+                       ["1/2", "0", "0", "0", "1/2", "0"]],
+    }
+
+    @settings(max_examples=60)
+    @given(model=pair_chains(max_order=3, pool_size=None, initial=True))
+    @example(model=model_from_dict(UNSEEN_KEY))
+    def test_random_chains_match_reference_loops(self, model):
+        with mock.patch.object(models, "stationary_context_law",
+                               wraps=stationary_context_law) as solve:
+            analysis = _quiet_rates(model)
+        assert solve.call_count == 1
+
+        assert model.context_digraph() == _reference_digraph(model)
+        pi = _reference_stationary(model)
+        assert _same_bits(model.stationary_f, pi)
+        assert _same_bits(stationary_context_law(model), pi)
+        trans, defect = _reference_y_chain(model, pi)
+        for y_chain in (analysis.y_chain, derive_y_chain(model)):
+            assert _same_bits(y_chain.transition, trans)
+            # the loops sum the deep masses per key in first-visit order;
+            # the defect compares conditional probabilities, at most 1, so
+            # the bound is 4 ulp at that scale
+            assert abs(y_chain.markovianity_defect - defect) <= 4 * 2.0**-53
+
+        f_table = _reference_block_function(model, analysis.y_chain)
+        for table in (analysis.block_f, block_function(model)):
+            assert list(table.items()) == list(f_table.items())
+        states, P, stationary, f = _reference_z_chain(model, pi, f_table)
+        for zc in (analysis.z_chain, build_z_chain(model)):
+            assert zc.states == states
+            assert _same_bits(zc.transition, P)
+            assert _same_bits(zc.stationary, stationary)
+            assert _same_bits(zc.f, f)
+        assert _same_bits(analysis.delta, _reference_delta(model, pi, f_table))
 
 
 class TestPathSampling:

@@ -18,7 +18,7 @@ from sidecomp.measures import (
 )
 from sidecomp.models import model_from_dict
 
-from conftest import small_models, y_repeat
+from tests.conftest import small_models, y_repeat
 
 # [DERIVED] fig1 measures, frozen from an independent mpmath evaluation
 FIG1 = {

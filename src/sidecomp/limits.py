@@ -22,6 +22,18 @@ Two evaluation tracks coexist:
   class counts kept as exact Python integers;
 * exact: rational per-string probabilities, for small blocklengths,
   used as the ground truth the float track is tested against.
+
+A law ranks its cells only when a query reads the ranking: the pair
+curves, ``info_tail``, ``counts``/``probs`` and the exact track.  The
+float point queries of a fixed y-string (``rate_star_ref``,
+``epsilon_star_ref``) on a law of more than ``COUNT_CHUNK`` cells
+answer from a level window instead: a float bisection of a ``log2p``
+level (steered by the mass below it, or by a log-sum-exp estimate of
+the string count above it) narrows the window to about
+``WINDOW_CELLS`` cells; only those are sorted and merged, the window
+grows geometrically while a merge chain crosses its edge or the sought
+class lies outside, and one exact count of the strings above it places
+each located class.
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ BRUTEFORCE_GUARD = 1 << 20
 DEFAULT_CLASS_CAP = 10**8
 # ranked classes whose exact counts are produced together
 COUNT_CHUNK = 1 << 12
+# cells a float point query ranks around its level before widening
+WINDOW_CELLS = 1024
 
 
 class GuardExceededError(ValueError):
@@ -54,8 +68,11 @@ class GuardExceededError(ValueError):
 class RatePoint:
     """Optimal rate at one (n, epsilon): smallest k with overflow <= epsilon.
 
-    ``eps_at_k_plus_1 <= epsilon < eps_at_k`` always holds (the second
-    part vacuously when ``k == 0`` and epsilon is close to 1).
+    In exact arithmetic ``eps_at_k_plus_1 <= epsilon < eps_at_k`` (the
+    second part vacuously when ``k == 0``).  The float values keep it
+    only up to rounding: ``eps_at_k`` can round onto epsilon, as for
+    ``uniform2`` at n = 500 and epsilon = 0.5, whose exact ``eps_at_k``
+    is 1/2 + 2^-500.
     """
 
     n: int
@@ -88,7 +105,7 @@ class _Factor:
     """
 
     lp: np.ndarray
-    counts: np.ndarray          # object array of Python ints
+    counts: np.ndarray          # object array of Python ints; int64 ones when flat
     lc: np.ndarray
     nums: np.ndarray | None     # object array of Python ints
     den: int = 1
@@ -96,7 +113,7 @@ class _Factor:
 
 def _flat_factor(lp: np.ndarray, nums: list[int] | None = None, den: int = 1) -> _Factor:
     """One cell per string, as the brute-force builders enumerate them."""
-    ones = np.ones(len(lp), dtype=object)
+    ones = np.ones(len(lp), dtype=np.int64)
     nums_arr = None if nums is None else np.array(nums, dtype=object)
     return _Factor(lp, ones, np.zeros(len(lp)), nums_arr, den)
 
@@ -123,22 +140,45 @@ class _Split(NamedTuple):
     prefix of ``i``."""
 
     lp: np.ndarray              # log2 probability of each a
-    counts: list[int]           # string count of each a
-    nums: list[int] | None      # exact track: numerator of each a
-    mass: list[int] | None      # exact track: count times numerator of each a
+    counts: np.ndarray          # string count of each a (Python ints)
     last_lp: np.ndarray         # last factor's log2p, best first
-    last_neg: list[int] | None  # exact track: its numerators negated, ascending
-    last_cum: list[int]         # its cumulative counts, from 0
-    last_cum_mass: list[int] | None
+    last_key: np.ndarray        # -last_lp, ascending, for searchsorted
+    last_cum: np.ndarray        # its cumulative counts, from 0; int64 when they fit
+    # float track
+    lc: np.ndarray | None = None            # log2 string count of each a
+    mass: np.ndarray | None = None          # probability of each a's strings
+    last_log_cum: np.ndarray | None = None  # log2 last_cum
+    last_tail: np.ndarray | None = None     # last factor's suffix masses, to 0
+    # exact track
+    nums: list[int] | None = None           # numerator of each a
+    num_mass: list[int] | None = None       # count times numerator of each a
+    last_neg: list[int] | None = None       # last factor's numerators negated
+    last_cum_mass: list[int] | None = None
+
+
+class _Window(NamedTuple):
+    """The classes of the cells between two levels, when neither edge
+    cuts a class; exact counts are taken over the whole law."""
+
+    base: int                   # strings ranked before the window
+    cum: list[int]              # cumulative count through each class
+    tops: list[float]           # each class's log2p, its highest cell's
+    top_len: np.ndarray         # per a, the cells (a, i) above the window
+    rows: np.ndarray            # the a of each window cell, in rank order
+    ends: np.ndarray            # each class's last window cell
+    past: bool                  # whether possible strings rank after it
+    tails: dict[int, float]     # class -> its tail mass, once computed
 
 
 class LengthLaw:
     """Ranked per-string probability classes with exact counts.
 
-    The cells of the outer product of the factors are ranked once by
+    The cells of the outer product of the factors are ranked by
     decreasing probability (``log2p`` on the float track, integer
     numerators over a common denominator on the exact track) and
-    grouped into classes of equal probability.  Exact class counts are
+    grouped into classes of equal probability.  The ranking is built on
+    first use; the float point queries (:meth:`epsilon_star_window`,
+    :meth:`rate_point_window`) never build it.  Exact class counts are
     produced ``COUNT_CHUNK`` classes at a time, only when a query needs
     them; the law keeps the cumulative count at the end of every chunk
     it produced or located, and the last chunk it produced.  A chunk's
@@ -154,20 +194,48 @@ class LengthLaw:
         self.exact = exact
         self._factors = factors
         self._shape = tuple(len(f.lp) for f in factors)
-        lp = _outer([f.lp for f in factors], np.add)
-        lc = _outer([f.lc for f in factors], np.add)
         self._den, self._total_num = 1, 0
         if exact:
+            self._den = math.prod(f.den for f in factors)
+            self._total_num = math.prod(
+                sum(map(operator.mul, f.nums.tolist(), f.counts.tolist())) for f in factors
+            )
+        self._support = math.prod(sum(f.counts.tolist()) for f in factors)
+        # chunk -> (cumulative count, count-weighted numerators) at its end
+        self._ends: dict[int, tuple[int, int]] = {}
+        self._last: tuple[int, _Chunk] | None = None
+        self._split: _Split | None = None
+        self._window_hit: _Window | None = None
+        # the ranking, built on first use by _ranked
+        self._order = self._starts = self._log2p = self._suffix = None
+
+    def _ranked(self) -> np.ndarray:
+        """Rank of each class's first cell; ranks the cells on first use."""
+        if self._starts is None:
+            self._rank()
+        return self._starts
+
+    @property
+    def log2p(self) -> np.ndarray:
+        self._ranked()
+        return self._log2p
+
+    @property
+    def suffix_mass(self) -> np.ndarray:
+        self._ranked()
+        return self._suffix
+
+    def _rank(self) -> None:
+        factors = self._factors
+        lp = _outer([f.lp for f in factors], np.add)
+        lc = _outer([f.lc for f in factors], np.add)
+        if self.exact:
             nums = _outer([f.nums for f in factors], np.multiply)
             keys = nums.tolist()
             order = np.array(sorted(range(len(keys)), key=keys.__getitem__, reverse=True),
                              dtype=np.intp)
             ranked = nums[order]
             new_class = (ranked[1:] != ranked[:-1]).astype(bool)
-            self._den = math.prod(f.den for f in factors)
-            self._total_num = math.prod(
-                sum(map(operator.mul, f.nums.tolist(), f.counts.tolist())) for f in factors
-            )
             lp = lp[order]
         else:
             order = np.argsort(-lp, kind="stable")
@@ -177,18 +245,13 @@ class LengthLaw:
         self._order = order
         self._starts = np.flatnonzero(np.concatenate(([True], new_class)))
         mass = np.add.reduceat(np.exp2(lp + lc[order]), self._starts)
-        self._support = math.prod(sum(f.counts.tolist()) for f in factors)
-        self.log2p = lp[self._starts]
-        if num_strings > self._support:
-            self.log2p = np.append(self.log2p, -math.inf)
+        self._log2p = lp[self._starts]
+        if self.num_strings > self._support:
+            self._log2p = np.append(self._log2p, -math.inf)
             mass = np.append(mass, 0.0)
         suffix = np.zeros(len(mass) + 1)
         suffix[:-1] = mass[::-1].cumsum()[::-1]
-        self.suffix_mass = suffix
-        # chunk -> (cumulative count, count-weighted numerators) at its end
-        self._ends: dict[int, tuple[int, int]] = {}
-        self._last: tuple[int, _Chunk] | None = None
-        self._split: _Split | None = None
+        self._suffix = suffix
 
     # -- exact counts, chunk by chunk --------------------------------------
 
@@ -196,7 +259,7 @@ class LengthLaw:
         """Exact data of chunk ``c``."""
         if self._last is not None and self._last[0] == c:
             return self._last[1]
-        starts = self._starts[c * COUNT_CHUNK:(c + 1) * COUNT_CHUNK + 1]
+        starts = self._ranked()[c * COUNT_CHUNK:(c + 1) * COUNT_CHUNK + 1]
         end = int(starts[-1]) if len(starts) > COUNT_CHUNK else len(self._order)
         first = int(starts[0])
         heads = starts[:COUNT_CHUNK] - first
@@ -218,7 +281,7 @@ class LengthLaw:
     def _end(self, c: int) -> tuple[int, int]:
         """Cumulative count (and count-weighted numerators) through chunk ``c``."""
         if c not in self._ends:
-            self._ends[c] = self._before(min((c + 1) * COUNT_CHUNK, len(self._starts)))
+            self._ends[c] = self._before(min((c + 1) * COUNT_CHUNK, len(self._ranked())))
         return self._ends[c]
 
     def _before(self, j: int) -> tuple[int, int]:
@@ -232,7 +295,7 @@ class LengthLaw:
         """
         if j == 0:
             return 0, 0
-        if j == len(self._starts):
+        if j == len(self._ranked()):
             return self._support, self._total_num
         s = self._split_tables()
         if self.exact:
@@ -241,20 +304,26 @@ class LengthLaw:
             t = s.nums[a] * last.nums[i]
             # nA * nF > t  <=>  nF > t // nA  for integers, nA > 0
             lengths = [bisect_left(s.last_neg, -(t // v)) if v else 0 for v in s.nums]
-            mass = sum(map(operator.mul, s.mass, map(s.last_cum_mass.__getitem__, lengths)))
-        else:
-            lengths = _prefix_lengths(s.lp, s.last_lp, self.log2p[j]).tolist()
-            mass = 0
-        return sum(map(operator.mul, s.counts, map(s.last_cum.__getitem__, lengths))), mass
+            mass = sum(map(operator.mul, s.num_mass, map(s.last_cum_mass.__getitem__, lengths)))
+            return self._count(lengths), mass
+        return self._count(_prefix_lengths(s.lp, s.last_lp, self._log2p[j], key=s.last_key)), 0
+
+    def _count(self, lengths: Sequence[int] | np.ndarray) -> int:
+        """Exact count of the strings in the cells ``(a, i < lengths[a])``."""
+        s = self._split_tables()
+        return sum(map(operator.mul, s.counts, s.last_cum[lengths].tolist()))
 
     def _split_tables(self) -> _Split:
-        """The (a, i) tables of :meth:`_before`, built on first use."""
+        """The (a, i) tables of :meth:`_before` and the float point
+        queries, built on first use."""
         if self._split is None:
             *rest, last = self._factors
-            lp, counts, nums = np.zeros(1), [1], [1]
+            lp, counts = np.zeros(1), np.ones(1, dtype=object)
+            lc, nums = np.zeros(1), [1]
             if rest:
                 lp = _outer([f.lp for f in rest], np.add)
-                counts = _outer([f.counts for f in rest], np.multiply).tolist()
+                counts = _outer([f.counts for f in rest], np.multiply)
+                lc = _outer([f.lc for f in rest], np.add)
                 if self.exact:
                     nums = _outer([f.nums for f in rest], np.multiply).tolist()
             if self.exact:
@@ -262,33 +331,39 @@ class LengthLaw:
                 order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
             else:
                 order = np.argsort(-last.lp, kind="stable")
-            last_counts = last.counts[order].tolist()
-            cum = list(accumulate(last_counts, initial=0))
+            last_lp, last_lc = last.lp[order], last.lc[order]
+            cum, log_cum = _running_counts(last.counts[order], last_lc)
             if not self.exact:
-                self._split = _Split(lp, counts, None, None, last.lp[order], None, cum, None)
+                cell_mass = np.exp2(last_lp + last_lc)
+                self._split = _Split(
+                    lp, counts, last_lp, -last_lp, cum, lc=lc, mass=np.exp2(lp + lc),
+                    last_log_cum=log_cum,
+                    last_tail=np.append(cell_mass[::-1].cumsum()[::-1], 0.0))
                 return self._split
             last_nums = last.nums[order].tolist()
             self._split = _Split(
-                lp, counts, nums, list(map(operator.mul, counts, nums)), last.lp[order],
-                [-v for v in last_nums], cum,
-                list(accumulate(map(operator.mul, last_counts, last_nums), initial=0)))
+                lp, counts, last_lp, -last_lp, cum, nums=nums,
+                num_mass=list(map(operator.mul, counts.tolist(), nums)),
+                last_neg=[-v for v in last_nums],
+                last_cum_mass=list(accumulate(
+                    map(operator.mul, last.counts[order].tolist(), last_nums), initial=0)))
         return self._split
 
     def _class_of_rank(self, b: int) -> int:
         """Index of the class holding rank ``b``, 1 <= b <= num_strings."""
         if b > self._support:
-            return len(self._starts)
+            return len(self._ranked())
         if self._last is not None and self._last[1].base < b <= self._last[1].cum[-1]:
             c = self._last[0]
         else:
-            chunks = range(-(-len(self._starts) // COUNT_CHUNK))
+            chunks = range(-(-len(self._ranked()) // COUNT_CHUNK))
             c = bisect_left(chunks, b, key=lambda c: self._end(c)[0])
         return c * COUNT_CHUNK + bisect_left(self._chunk(c).cum, b)
 
     def _class_data(self, j: int) -> tuple[int, int, int, int]:
         """Cumulative count before and through class ``j``; on the exact
         track also the count-weighted numerators before it and its numerator."""
-        if j == len(self._starts):
+        if j == len(self._ranked()):
             return self._support, self.num_strings, self._total_num, 0
         c, i = divmod(j, COUNT_CHUNK)
         ch = self._chunk(c)
@@ -296,6 +371,160 @@ class LengthLaw:
         if not self.exact:
             return prev, ch.cum[i], 0, 0
         return prev, ch.cum[i], ch.mass[i - 1] if i else ch.base_mass, ch.nums[i]
+
+    # -- the classes in a level window, without the ranking ----------------
+
+    def _above(self, level: float) -> np.ndarray:
+        """Per ``a``, how many cells ``(a, i)`` have ``log2p - level > MERGE_TOL``."""
+        s = self._split_tables()
+        return _prefix_lengths(s.lp, s.last_lp, level, key=s.last_key)
+
+    def _tail(self, lengths: np.ndarray) -> float:
+        """Mass of the cells past the prefixes ``lengths``: the one float
+        formula behind every mass the window queries report."""
+        s = self._split_tables()
+        return float(np.sum(s.mass * s.last_tail[lengths]))
+
+    def _class_tail(self, win: _Window, c: int) -> float:
+        """Mass of the strings ranked after class ``c`` of the window
+        (after the classes above it, for ``c = -1``).
+
+        The prefixes are the cells with ``log2p`` at least the class's
+        lowest, counted off the window, so every window holding the class
+        gives the same float.
+        """
+        if c not in win.tails:
+            lengths = win.top_len
+            if c >= 0:
+                lengths = lengths + np.bincount(win.rows[:win.ends[c] + 1],
+                                                minlength=len(lengths))
+            win.tails[c] = self._tail(lengths)
+        return win.tails[c]
+
+    def _log_count(self, lengths: np.ndarray) -> float:
+        """log2 of the number of strings in the prefixes ``lengths``, in float."""
+        s = self._split_tables()
+        logs = s.lc + s.last_log_cum[lengths]
+        top = logs.max()
+        if top == -math.inf:
+            return top
+        return float(top + math.log2(np.sum(np.exp2(logs - top))))
+
+    def _window(self, lo_len: np.ndarray, hi_len: np.ndarray) -> tuple[int, _Window | None]:
+        """The classes of the cells between the prefixes ``hi_len`` and
+        ``lo_len``, as ``(0, window)``; ``(-1, None)`` or ``(1, None)``
+        when a class crosses the top or the bottom edge, ``(0, None)``
+        when no cell lies between."""
+        s = self._split_tables()
+        widths = lo_len - hi_len
+        rows = np.repeat(np.arange(len(widths)), widths)
+        if not len(rows):
+            return 0, None
+        cols = np.arange(len(rows)) - np.repeat(np.cumsum(widths) - widths - hi_len, widths)
+        lp = s.lp[rows] + s.last_lp[cols]
+        order = np.argsort(-lp, kind="stable")
+        lp, rows, cols = lp[order], rows[order], cols[order]
+        # the edges must fall between classes, by the ranking's own predicate
+        up = hi_len > 0
+        if up.any() and not (s.lp[up] + s.last_lp[hi_len[up] - 1]).min() - lp[0] > MERGE_TOL:
+            return -1, None
+        down = lo_len < len(s.last_lp)
+        below = (s.lp[down] + s.last_lp[lo_len[down]]).max() if down.any() else -math.inf
+        if not lp[-1] - below > MERGE_TOL:
+            return 1, None
+        starts = np.flatnonzero(np.concatenate(([True], np.abs(np.diff(lp)) > MERGE_TOL)))
+        ends = np.append(starts[1:], len(lp)) - 1
+        # a class's cells of one a are a run of the last factor, in rank
+        # order: one product per run, its count off the cumulative counts
+        key = np.repeat(np.arange(len(starts)), ends - starts + 1) * len(s.lp) + rows
+        run = np.argsort(key, kind="stable")
+        key, cols = key[run], cols[run]
+        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        tails = np.append(heads[1:], len(key)) - 1
+        runs = s.counts[key[heads] % len(s.lp)] * (
+            s.last_cum[cols[tails] + 1] - s.last_cum[cols[heads]])
+        firsts = np.flatnonzero(np.concatenate(([True], np.diff(key[heads] // len(s.lp)) != 0)))
+        counts = np.add.reduceat(runs, firsts).tolist()
+        base = self._count(hi_len)
+        return 0, _Window(base, list(accumulate(counts, initial=base))[1:],
+                          lp[starts].tolist(), hi_len, rows, ends, below > -math.inf, {})
+
+    def _locate(self, reaches, where) -> tuple[_Window, int | None]:
+        """The window holding a sought class, and ``where`` it is in it.
+
+        ``reaches(lengths)`` says whether the cells above a level
+        (:meth:`_above`) reach the sought class; ``where(window)`` says
+        whether the class lies above (-1), below (1) or in the window
+        (0, with its index).  A float bisection of the level shrinks the
+        window to about ``WINDOW_CELLS`` cells (or to a tie or merge
+        chain of more), which then grows geometrically until ``where``
+        finds the class in it and no class crosses its edges.
+        """
+        if self._window_hit is not None:
+            move, j = where(self._window_hit)
+            if not move:
+                return self._window_hit, j
+        s = self._split_tables()
+        finite, last = np.isfinite(s.lp), s.last_lp[np.isfinite(s.last_lp)]
+        # levels 1 below and above every cell of positive probability
+        lo, hi = s.lp[finite].min() + last[-1] - 1.0, s.lp[finite].max() + last[0] + 1.0
+        lo_len, hi_len = np.where(finite, len(last), 0), np.zeros(len(finite), dtype=np.intp)
+        while int((lo_len - hi_len).sum()) > WINDOW_CELLS:
+            inside = lo_len > hi_len
+            top = (s.lp[inside] + s.last_lp[hi_len[inside]]).max()
+            bottom = (s.lp[inside] + s.last_lp[lo_len[inside] - 1]).min()
+            mid = (lo + hi) / 2
+            # cells at most MERGE_TOL apart are ties or one merge chain
+            if not (top - bottom > MERGE_TOL and lo < mid < hi):
+                break
+            mid_len = self._above(mid)
+            if reaches(mid_len):
+                lo, lo_len = mid, mid_len
+            else:
+                hi, hi_len = mid, mid_len
+        step = hi - lo
+        while True:
+            move, win = self._window(lo_len, hi_len)
+            if win is not None:
+                move, j = where(win)
+                if not move:
+                    self._window_hit = win
+                    return win, j
+            if move <= 0:
+                hi += step
+                hi_len = self._above(hi)
+            if move >= 0:
+                lo -= step
+                lo_len = self._above(lo)
+            step *= 2
+
+    def _window_class_of_rank(self, b: int) -> tuple[_Window, int | None]:
+        """The window and class holding rank ``b``, 1 < b <= support;
+        no class when ``b`` ranks past every possible string."""
+        log2b = math.log2(b)
+
+        def where(win: _Window) -> tuple[int, int | None]:
+            if win.base >= b:
+                return -1, None
+            if win.cum[-1] < b:
+                return (1, None) if win.past else (0, None)
+            return 0, bisect_left(win.cum, b)
+
+        return self._locate(lambda lengths: self._log_count(lengths) >= log2b, where)
+
+    def _window_crossing(self, epsilon: float) -> tuple[_Window, int]:
+        """The window and the first class whose tail mass is <= epsilon,
+        for epsilon below the total mass."""
+
+        def where(win: _Window) -> tuple[int, int | None]:
+            # tail masses fall along the classes, from the classes above
+            j = bisect_left(range(-1, len(win.cum)), True,
+                            key=lambda c: self._class_tail(win, c) <= epsilon) - 1
+            if j < 0:
+                return -1, None
+            return (1, None) if j == len(win.cum) else (0, j)
+
+        return self._locate(lambda lengths: self._tail(lengths) <= epsilon, where)
 
     # -- vectorized views --------------------------------------------------
 
@@ -306,7 +535,7 @@ class LengthLaw:
     @property
     def cum_counts(self) -> list[int]:
         out: list[int] = []
-        for c in range(-(-len(self._starts) // COUNT_CHUNK)):
+        for c in range(-(-len(self._ranked()) // COUNT_CHUNK)):
             out += self._chunk(c).cum
         if self.num_strings > self._support:
             out.append(self.num_strings)
@@ -321,7 +550,7 @@ class LengthLaw:
     def probs(self) -> list[Fraction] | None:
         if not self.exact:
             return None
-        out = [Fraction(self._class_data(j)[3], self._den) for j in range(len(self._starts))]
+        out = [Fraction(self._class_data(j)[3], self._den) for j in range(len(self._ranked()))]
         return out + [Fraction(0)] * (self.num_classes - len(out))
 
     # -- queries -----------------------------------------------------------
@@ -344,12 +573,21 @@ class LengthLaw:
         if b > self.num_strings:
             return 0.0
         j = self._class_of_rank(b)
-        tail = float(self.suffix_mass[j + 1])
-        d = self._class_data(j)[1] - b + 1
-        lp = self.log2p[j]
-        if d > 0 and lp > -math.inf:
-            tail += 2.0 ** (math.log2(d) + lp)
-        return tail
+        return _excess_in_class(float(self._suffix[j + 1]),
+                                self._class_data(j)[1] - b + 1, self._log2p[j])
+
+    def excess_at_rank_window(self, b: int) -> float:
+        """:meth:`excess_at_rank` from a level window; tail masses from
+        :meth:`_tail`, so they may differ from the ranking's by rounding."""
+        if b <= 1:
+            return self._tail(np.zeros(len(self._split_tables().lp), dtype=np.intp))
+        if b > self._support:
+            return 0.0
+        win, j = self._window_class_of_rank(b)
+        if j is None:
+            return 0.0
+        tail = self._class_tail(win, j)
+        return _excess_in_class(tail, win.cum[j] - b + 1, win.tops[j])
 
     def excess_at_rank_exact(self, b: int) -> Fraction:
         self._require_exact()
@@ -365,6 +603,12 @@ class LengthLaw:
         if k < 0:
             raise ValueError("k must be >= 0")
         return self.excess_at_rank(1 << k)
+
+    def epsilon_star_window(self, k: int) -> float:
+        """:meth:`epsilon_star` without the ranking."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        return self.excess_at_rank_window(1 << k)
 
     def epsilon_star_exact(self, k: int) -> Fraction:
         if k < 0:
@@ -386,44 +630,87 @@ class LengthLaw:
         return total
 
     def rate_point(self, epsilon: float) -> RatePoint:
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        b_min = self._mass_crossing_rank(epsilon)
+        _check_epsilon(epsilon)
+        suffix = self.suffix_mass
+        # the first class whose tail mass is <= epsilon
+        idx = int(np.searchsorted(-suffix, -epsilon, side="left"))
+        b_min = 1
+        if idx:
+            prev, cum, _, _ = self._class_data(idx - 1)
+            b_min = _crossing_rank(prev, cum, self.log2p[idx - 1], epsilon - float(suffix[idx]))
+        return self._rate_point(epsilon, b_min, self.excess_at_rank)
+
+    def rate_point_window(self, epsilon: float) -> RatePoint:
+        """:meth:`rate_point` without the ranking; ``k`` and both overflow
+        values come from the same tail masses, so they agree."""
+        _check_epsilon(epsilon)
+        b_min = 1
+        if self.excess_at_rank_window(1) > epsilon:
+            win, j = self._window_crossing(epsilon)
+            tail = self._class_tail(win, j)
+            b_min = _crossing_rank(win.cum[j - 1] if j else win.base, win.cum[j],
+                                   win.tops[j], epsilon - tail)
+        return self._rate_point(epsilon, b_min, self.excess_at_rank_window)
+
+    def _rate_point(self, epsilon: float, b_min: int, excess) -> RatePoint:
+        """The rate point whose smallest rank with overflow <= epsilon is ``b_min``."""
         k = max(0, (b_min - 1).bit_length() - 1)
         return RatePoint(
             n=self.n,
             epsilon=epsilon,
             k=k,
             rate=k / self.n,
-            eps_at_k=self.epsilon_star(k),
-            eps_at_k_plus_1=self.epsilon_star(k + 1),
+            eps_at_k=excess(1 << k),
+            eps_at_k_plus_1=excess(2 << k),
         )
 
-    def _mass_crossing_rank(self, epsilon: float) -> int:
-        """Smallest rank b with excess_at_rank(b) <= epsilon."""
-        suffix = self.suffix_mass
-        idx = int(np.searchsorted(-suffix, -epsilon, side="left"))
-        if idx == 0:
-            return 1
-        j = idx - 1
-        prev_cum, cum, _, _ = self._class_data(j)
-        lp = self.log2p[j]
-        if lp == -math.inf:
-            return prev_cum + 1
-        room = epsilon - float(suffix[j + 1])
-        if room <= 0:
-            return cum + 1
-        offset = _floor_exp2(math.log2(room) - lp)
-        return max(cum + 1 - offset, prev_cum + 1)
+
+def _running_counts(counts: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running totals from 0 of ``counts`` (``lc`` their log2): exact,
+    as int64 when the total fits, and as float log2."""
+    if lc.max() + math.log2(len(lc)) < 62:
+        run = np.concatenate(([0], np.cumsum(counts.astype(np.int64))))
+        with np.errstate(divide="ignore"):
+            return run, np.log2(run)
+    run = np.concatenate(([0], np.cumsum(counts)))
+    return run, np.logaddexp2.accumulate(np.concatenate(([-math.inf], lc)))
 
 
-def _prefix_lengths(lp: np.ndarray, last_lp: np.ndarray, level: float) -> np.ndarray:
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
+
+
+def _excess_in_class(tail: float, d: int, lp: float) -> float:
+    """Overflow at the rank ``d`` strings before the end of a class of
+    log2p ``lp``, followed by mass ``tail``."""
+    if d > 0 and lp > -math.inf:
+        tail += 2.0 ** (math.log2(d) + lp)
+    return tail
+
+
+def _crossing_rank(prev_cum: int, cum: int, lp: float, room: float) -> int:
+    """Smallest rank in the class of ranks ``prev_cum + 1 .. cum`` and
+    log2p ``lp`` whose overflow stays within ``room`` of the class's tail."""
+    if lp == -math.inf:
+        return prev_cum + 1
+    if room <= 0:
+        return cum + 1
+    offset = _floor_exp2(math.log2(room) - lp)
+    return max(cum + 1 - offset, prev_cum + 1)
+
+
+def _prefix_lengths(
+    lp: np.ndarray, last_lp: np.ndarray, level: float, key: np.ndarray | None = None
+) -> np.ndarray:
     """Per entry ``x`` of ``lp``, how many leading entries ``f`` of the
     descending ``last_lp`` satisfy ``(x + f) - level > MERGE_TOL``: the
-    cells of a law ranked in classes before the class at ``level``."""
+    cells of a law ranked in classes before the class at ``level``.
+    ``key`` is ``-last_lp``, when the caller keeps it."""
     size = len(last_lp)
+    key = -last_lp if key is None else key
     with np.errstate(invalid="ignore"):
-        lengths = np.searchsorted(-last_lp, lp - level - MERGE_TOL)
+        lengths = np.searchsorted(key, lp - level - MERGE_TOL)
         # the guess can be off by rounding; settle it on the predicate itself
         while True:
             up = lengths < size
@@ -670,7 +957,9 @@ def epsilon_star_ref(
 ) -> float | Fraction:
     """Best overflow probability at k bits given the y-string."""
     law = _ref_law(model, y, method, exact)
-    return law.epsilon_star_exact(k) if exact else law.epsilon_star(k)
+    if exact:
+        return law.epsilon_star_exact(k)
+    return law.epsilon_star(k) if _one_chunk(law) else law.epsilon_star_window(k)
 
 
 def rate_star_ref(
@@ -678,7 +967,14 @@ def rate_star_ref(
 ) -> RatePoint:
     """Best code rate at overflow budget epsilon, given the y-string."""
     law = _ref_law(model, y, method, exact=False)
-    return law.rate_point(epsilon)
+    return law.rate_point(epsilon) if _one_chunk(law) else law.rate_point_window(epsilon)
+
+
+def _one_chunk(law: LengthLaw) -> bool:
+    """Whether the law has at most ``COUNT_CHUNK`` cells: its ranking is
+    then one sort and one count chunk, no dearer than a level window
+    over all of it, so point queries read the ranking."""
+    return math.prod(law._shape) <= COUNT_CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +1088,7 @@ def rate_star_pair(
     model: Model, n: int, epsilon: float, method: str = "auto"
 ) -> RatePoint:
     """Best pair-averaged rate: smallest k/n with overflow <= epsilon."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     curve = _pair_curve(model, n, method, exact=False)
     k = next(k for k in range(len(curve)) if (curve[k + 1] if k + 1 < len(curve) else 0.0) <= epsilon)
     return RatePoint(

@@ -33,6 +33,18 @@ CASES = {
         "limits", "--model", _model("fig1"), "--n", "400", "--k", "100", "200", "300",
         "--y", "repeat:001", "--scope", "ref",
     ],
+    "limits_nogap_ref_n90_k": [
+        "limits", "--model", _model("nogap"), "--n", "90", "--k", "20", "60", "100",
+        "--y", "repeat:01", "--scope", "ref",
+    ],
+    "limits_skewed34_ref_n24_eps": [
+        "limits", "--model", _model("skewed34"), "--n", "24", "--eps", "0.05", "0.3",
+        "--y", "repeat:wxyz", "--scope", "ref",
+    ],
+    "limits_fig1_ref_n6000_eps": [
+        "limits", "--model", _model("fig1"), "--n", "6000", "--eps", "0.4",
+        "--y", "repeat:001", "--scope", "ref",
+    ],
     "limits_skewed34_pair_n5": [
         "limits", "--model", _model("skewed34"), "--n", "5", "--eps", "0.2",
     ],

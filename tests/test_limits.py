@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +24,13 @@ from sidecomp.limits import (
     rate_star_ref,
 )
 from sidecomp.measures import _y_marginal_log2
-from sidecomp.models import Alphabet, MarkovPairModel, SideInfoString, model_from_dict
+from sidecomp.models import (
+    Alphabet,
+    CondIidModel,
+    MarkovPairModel,
+    SideInfoString,
+    model_from_dict,
+)
 
 from tests.conftest import small_models, y_repeat
 
@@ -415,6 +422,148 @@ class TestChunkJump:
             assert law.log2p[-1] == -math.inf
             _assert_jumps_match_walk(
                 lambda: length_law_bruteforce(model, y, exact=exact), exact)
+
+
+@st.composite
+def window_models(draw):
+    """Random cond-i.i.d. model with |X| <= 4 and |Y| <= 3 whose rational
+    rows have zeros, dyadic entries and repeated values, so that cells
+    tie exactly and merge in chains of rounding gaps, and rows with two
+    entries 2^-41 apart in log, whose type classes merge in chains
+    longer than MERGE_TOL."""
+    nx, ny = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rows: list[list[Fraction]] = []
+    for _ in range(ny):
+        kind = draw(st.sampled_from(["weights", "dyadic", "chain", "repeat"] if rows
+                                    else ["weights", "dyadic", "chain"]))
+        if kind == "chain":
+            w = [2**41 + 1, 2**41] + [2**40 * draw(st.integers(0, 4)) for _ in range(nx - 2)]
+            row = draw(st.permutations([Fraction(a, sum(w)) for a in w]))
+        elif kind == "repeat":
+            # another row's values in another order
+            row = draw(st.permutations(draw(st.sampled_from(rows))))
+        elif kind == "dyadic":
+            row = [Fraction(1)]
+            for _ in range(draw(st.integers(0, nx - 1))):
+                half = row.pop(draw(st.integers(0, len(row) - 1))) / 2
+                row += [half, half]
+            row = draw(st.permutations(row + [Fraction(0)] * (nx - len(row))))
+        else:
+            w = draw(st.lists(st.integers(0, 6), min_size=nx, max_size=nx)
+                     .filter(lambda v: sum(v) > 0))
+            row = [Fraction(a, sum(w)) for a in w]
+        rows.append(list(row))
+    return CondIidModel(
+        x_alphabet=Alphabet(tuple(str(i) for i in range(nx))),
+        y_alphabet=Alphabet(tuple(str(i) for i in range(ny))),
+        p_x_given_y=tuple(tuple(r) for r in rows),
+    )
+
+
+WINDOW_EPSILONS = (0.5, 0.2, 0.05, 1e-3, 1e-9)
+
+CHAIN = model_from_dict({
+    "kind": "cond_iid",
+    "x_alphabet": ["a", "b", "c"],
+    "y_alphabet": ["0", "1"],
+    "p_x_given_y": [[f"{2**41 + 1}/{5 * 2**40 + 1}", f"{2**41}/{5 * 2**40 + 1}",
+                     f"{2**40}/{5 * 2**40 + 1}"], ["1/2", "1/3", "1/6"]],
+})
+
+
+def _close(a: float, b: float) -> bool:
+    """Within 1e-12 relative; 0 matches only 0."""
+    return a == b or (a != 0 and b != 0 and abs(a - b) <= 1e-12 * max(abs(a), abs(b)))
+
+
+def _assert_window_matches_ranking(make) -> None:
+    """Every float point query of a fresh law, answered from a level
+    window, agrees with the same query on the ranked law; the class a
+    window finds for a rank is the ranked law's, count for count.
+
+    ``make(exact)`` builds the law.  The two rate points may differ in k
+    only where epsilon equals the exact overflow between them, a tie
+    that only rounding decides.
+    """
+    ranked = make(False)
+    for k in range(ranked.num_strings.bit_length() + 1):
+        assert _close(make(False).epsilon_star_window(k), ranked.epsilon_star(k)), k
+        if 1 < (b := 1 << k) <= ranked._support:
+            win, j = make(False)._window_class_of_rank(b)
+            want = ranked._class_of_rank(b)
+            if j is None:
+                assert ranked.log2p[want] == -math.inf
+            else:
+                assert win.cum[j] == ranked._class_data(want)[1]
+                assert win.tops[j] == ranked.log2p[want]
+    for eps in WINDOW_EPSILONS:
+        got, want = make(False).rate_point_window(eps), ranked.rate_point(eps)
+        if got.k != want.k:
+            assert abs(got.k - want.k) == 1, eps
+            tie = make(True).epsilon_star_exact(max(got.k, want.k))
+            assert abs(float(tie) - eps) <= 1e-12 * eps, eps
+        assert _close(got.eps_at_k, ranked.epsilon_star(got.k)), eps
+        assert _close(got.eps_at_k_plus_1, ranked.epsilon_star(got.k + 1)), eps
+
+
+class TestLevelWindow:
+    @given(window_models(), st.data())
+    @settings(max_examples=80)
+    def test_window_matches_ranking(self, model, data):
+        ny = len(model.y_alphabet)
+        n = data.draw(st.integers(1, 12))
+        if data.draw(st.booleans()):
+            idx = (data.draw(st.integers(0, ny - 1)),) * n   # one factor: A is trivial
+        else:
+            idx = tuple(data.draw(st.integers(0, ny - 1)) for _ in range(n))
+        y = SideInfoString(model.y_alphabet, idx)
+        size = data.draw(st.sampled_from([1, 2, 5, limits.WINDOW_CELLS]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "WINDOW_CELLS", size)
+            _assert_window_matches_ranking(lambda exact: length_law_typeclass(model, y, exact))
+            if len(model.x_alphabet) ** n <= 1 << 12:
+                # one flat factor, with the impossible strings as -inf cells
+                _assert_window_matches_ranking(
+                    lambda exact: length_law_bruteforce(model, y, exact))
+
+    def test_merge_chains_grow_the_window(self, corpus_models, monkeypatch):
+        # nogap's rows share their values, so equal probabilities come out
+        # a rounding error apart and chain into classes far narrower than
+        # MERGE_TOL, which the bisection keeps whole; in CHAIN two symbols
+        # are 2^-41 apart in log, so runs of type classes chain over many
+        # times MERGE_TOL, and a one-cell window must grow across them
+        monkeypatch.setattr(limits, "WINDOW_CELLS", 1)
+        cases = [(corpus_models["nogap"], "01", 40), (corpus_models["nogap"], "0011", 24),
+                 (CHAIN, "001", 30)]
+        for model, word, n in cases:
+            y = y_repeat(model, word, n)
+            law = length_law_typeclass(model, y)
+            assert law.num_classes < math.prod(law._shape)
+            _assert_window_matches_ranking(lambda exact: length_law_typeclass(model, y, exact))
+
+    def test_rate_tie_decided_by_rounding(self):
+        # exact eps*(7) = 1/2, so at epsilon = 0.5 the exact rate point is
+        # k = 6; the two paths round that overflow differently (one run
+        # read 0.49999999999999983 in the window and 0.5 in the ranking,
+        # whose offset then gave k = 7), which the helper must allow
+        model = model_from_dict({
+            "kind": "cond_iid", "x_alphabet": ["0", "1", "2"], "y_alphabet": ["0", "1"],
+            "p_x_given_y": [["1/11", "5/11", "5/11"], ["1/2", "1/4", "1/4"]]})
+        y = SideInfoString(model.y_alphabet, (0, 1, 1, 1, 1, 1))
+        assert length_law_bruteforce(model, y, exact=True).epsilon_star_exact(7) == Fraction(1, 2)
+        _assert_window_matches_ranking(lambda exact: length_law_bruteforce(model, y, exact))
+
+    def test_point_query_never_ranks(self, fig1):
+        # criterion 7's point: the ranked law peaks near 500 MiB here
+        y = y_repeat(fig1, "001", 6000)
+        tracemalloc.start()
+        try:
+            rp = rate_star_ref(fig1, y, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rp.k == 3826
+        assert peak < 32 * 2**20
 
 
 class TestGuards:

@@ -21,7 +21,13 @@ Two evaluation tracks coexist:
   doubles, which underflow long before interesting blocklengths) with
   class counts kept as exact Python integers;
 * exact: rational per-string probabilities, for small blocklengths,
-  used as the ground truth the float track is tested against.
+  used as the ground truth the float track is tested against.  It
+  ranks by integer numerators alone; an exact law builds its float
+  ``log2p`` and suffix masses only when one is read.
+
+A pair curve asks each law for its overflow at every rank ``2^k`` in
+one monotone pass, and on the exact track sums the weighted curves in
+integers, one row per distinct denominator of weight over law.
 
 A law ranks its cells only when a query reads the ranking: the pair
 curves, ``info_tail``, ``counts``/``probs`` and the exact track.  The
@@ -43,9 +49,9 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, product
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,21 +107,31 @@ class _Factor:
 
     Cell ``i`` holds ``counts[i]`` strings (``log2`` of that is ``lc[i]``)
     of log2 probability ``lp[i]``; on the exact track each has
-    probability ``nums[i] / den``.
+    probability ``nums[i] / den``.  An exact flat factor has no
+    ``log2s`` and takes ``lp`` from ``nums`` on first read.
     """
 
-    lp: np.ndarray
+    log2s: np.ndarray | None
     counts: np.ndarray          # object array of Python ints; int64 ones when flat
     lc: np.ndarray
     nums: np.ndarray | None     # object array of Python ints
     den: int = 1
 
+    @cached_property
+    def lp(self) -> np.ndarray:
+        if self.log2s is not None:
+            return self.log2s
+        log2_den = math.log2(self.den)
+        return np.array([math.log2(v) - log2_den if v > 0 else -math.inf
+                         for v in self.nums.tolist()])
 
-def _flat_factor(lp: np.ndarray, nums: list[int] | None = None, den: int = 1) -> _Factor:
-    """One cell per string, as the brute-force builders enumerate them."""
-    ones = np.ones(len(lp), dtype=np.int64)
+
+def _flat_factor(lp: np.ndarray | None, nums: list[int] | None = None, den: int = 1) -> _Factor:
+    """One cell per string, as the brute-force builders enumerate them;
+    exact ones (``lp`` None) take their log2 probabilities on first read."""
+    size = len(nums) if lp is None else len(lp)
     nums_arr = None if nums is None else np.array(nums, dtype=object)
-    return _Factor(lp, ones, np.zeros(len(lp)), nums_arr, den)
+    return _Factor(lp, np.ones(size, dtype=np.int64), np.zeros(size), nums_arr, den)
 
 
 def _outer(arrays: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
@@ -124,12 +140,11 @@ def _outer(arrays: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
 
 
 class _Chunk(NamedTuple):
-    """Exact data of ``COUNT_CHUNK`` consecutive ranked classes."""
+    """Exact data of ``COUNT_CHUNK`` consecutive ranked classes; class
+    ``i`` of the chunk spans ranks ``cum[i] + 1 .. cum[i + 1]``."""
 
-    base: int                   # cumulative count before the chunk
-    cum: list[int]              # cumulative count through each class
-    base_mass: int              # exact track: count-weighted numerators before
-    mass: list[int] | None      # ... and through each class
+    cum: list[int]              # cumulative count before the chunk, then through each class
+    mass: list[int] | None      # exact track: the same for count-weighted numerators
     nums: list[int] | None      # class numerators over the law's denominator
 
 
@@ -139,12 +154,13 @@ class _Split(NamedTuple):
     rank order, so the cells of one ``a`` ranked above any class form a
     prefix of ``i``."""
 
-    lp: np.ndarray              # log2 probability of each a
     counts: np.ndarray          # string count of each a (Python ints)
-    last_lp: np.ndarray         # last factor's log2p, best first
-    last_key: np.ndarray        # -last_lp, ascending, for searchsorted
-    last_cum: np.ndarray        # its cumulative counts, from 0; int64 when they fit
+    last_cum: np.ndarray        # last factor's cumulative counts in rank order,
+                                # from 0; int64 when they fit
     # float track
+    lp: np.ndarray | None = None            # log2 probability of each a
+    last_lp: np.ndarray | None = None       # last factor's log2p, best first
+    last_key: np.ndarray | None = None      # -last_lp, ascending, for searchsorted
     lc: np.ndarray | None = None            # log2 string count of each a
     mass: np.ndarray | None = None          # probability of each a's strings
     last_log_cum: np.ndarray | None = None  # log2 last_cum
@@ -193,7 +209,7 @@ class LengthLaw:
         self.num_strings = num_strings
         self.exact = exact
         self._factors = factors
-        self._shape = tuple(len(f.lp) for f in factors)
+        self._shape = tuple(len(f.counts) for f in factors)
         self._den, self._total_num = 1, 0
         if exact:
             self._den = math.prod(f.den for f in factors)
@@ -217,18 +233,14 @@ class LengthLaw:
 
     @property
     def log2p(self) -> np.ndarray:
-        self._ranked()
-        return self._log2p
+        return self._class_floats()[0]
 
     @property
     def suffix_mass(self) -> np.ndarray:
-        self._ranked()
-        return self._suffix
+        return self._class_floats()[1]
 
     def _rank(self) -> None:
         factors = self._factors
-        lp = _outer([f.lp for f in factors], np.add)
-        lc = _outer([f.lc for f in factors], np.add)
         if self.exact:
             nums = _outer([f.nums for f in factors], np.multiply)
             keys = nums.tolist()
@@ -236,15 +248,28 @@ class LengthLaw:
                              dtype=np.intp)
             ranked = nums[order]
             new_class = (ranked[1:] != ranked[:-1]).astype(bool)
-            lp = lp[order]
         else:
+            lp = _outer([f.lp for f in factors], np.add)
             order = np.argsort(-lp, kind="stable")
             lp = lp[order]
             with np.errstate(invalid="ignore"):
                 new_class = np.abs(np.diff(lp)) > MERGE_TOL
         self._order = order
         self._starts = np.flatnonzero(np.concatenate(([True], new_class)))
-        mass = np.add.reduceat(np.exp2(lp + lc[order]), self._starts)
+        if not self.exact:
+            self._class_floats(lp)
+
+    def _class_floats(self, lp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Each class's ``log2p`` and the float suffix masses, from ``lp``,
+        the log2p of the ranked cells: the float ranking passes it, the
+        exact track builds it on first read."""
+        if lp is None:
+            self._ranked()
+            if self._log2p is not None:
+                return self._log2p, self._suffix
+            lp = _outer([f.lp for f in self._factors], np.add)[self._order]
+        lc = _outer([f.lc for f in self._factors], np.add)
+        mass = np.add.reduceat(np.exp2(lp + lc[self._order]), self._starts)
         self._log2p = lp[self._starts]
         if self.num_strings > self._support:
             self._log2p = np.append(self._log2p, -math.inf)
@@ -252,6 +277,7 @@ class LengthLaw:
         suffix = np.zeros(len(mass) + 1)
         suffix[:-1] = mass[::-1].cumsum()[::-1]
         self._suffix = suffix
+        return self._log2p, self._suffix
 
     # -- exact counts, chunk by chunk --------------------------------------
 
@@ -267,13 +293,13 @@ class LengthLaw:
         counts = reduce(operator.mul, [f.counts[i] for f, i in zip(self._factors, cells)])
         class_counts = np.add.reduceat(counts, heads).tolist()
         base, base_mass = self._end(c - 1) if c else (0, 0)
-        cum = list(accumulate(class_counts, initial=base))[1:]
+        cum = list(accumulate(class_counts, initial=base))
         mass = nums = None
         if self.exact:
             nums = reduce(operator.mul, [f.nums[i[heads]] for f, i in zip(self._factors, cells)])
             nums = nums.tolist()
-            mass = list(accumulate(map(operator.mul, nums, class_counts), initial=base_mass))[1:]
-        chunk = _Chunk(base, cum, base_mass, mass, nums)
+            mass = list(accumulate(map(operator.mul, nums, class_counts), initial=base_mass))
+        chunk = _Chunk(cum, mass, nums)
         self._ends[c] = (cum[-1], mass[-1] if mass else 0)
         self._last = (c, chunk)
         return chunk
@@ -300,7 +326,7 @@ class LengthLaw:
         s = self._split_tables()
         if self.exact:
             last = self._factors[-1]
-            a, i = divmod(int(self._order[self._starts[j]]), len(last.lp))
+            a, i = divmod(int(self._order[self._starts[j]]), len(last.counts))
             t = s.nums[a] * last.nums[i]
             # nA * nF > t  <=>  nF > t // nA  for integers, nA > 0
             lengths = [bisect_left(s.last_neg, -(t // v)) if v else 0 for v in s.nums]
@@ -315,34 +341,36 @@ class LengthLaw:
 
     def _split_tables(self) -> _Split:
         """The (a, i) tables of :meth:`_before` and the float point
-        queries, built on first use."""
+        queries, built on first use; the exact track's carry no floats."""
         if self._split is None:
             *rest, last = self._factors
-            lp, counts = np.zeros(1), np.ones(1, dtype=object)
-            lc, nums = np.zeros(1), [1]
+            counts, nums = np.ones(1, dtype=object), [1]
             if rest:
-                lp = _outer([f.lp for f in rest], np.add)
                 counts = _outer([f.counts for f in rest], np.multiply)
-                lc = _outer([f.lc for f in rest], np.add)
-                if self.exact:
-                    nums = _outer([f.nums for f in rest], np.multiply).tolist()
             if self.exact:
                 keys = last.nums.tolist()
                 order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
             else:
                 order = np.argsort(-last.lp, kind="stable")
-            last_lp, last_lc = last.lp[order], last.lc[order]
+            last_lc = last.lc[order]
             cum, log_cum = _running_counts(last.counts[order], last_lc)
             if not self.exact:
+                lp, lc = np.zeros(1), np.zeros(1)
+                if rest:
+                    lp = _outer([f.lp for f in rest], np.add)
+                    lc = _outer([f.lc for f in rest], np.add)
+                last_lp = last.lp[order]
                 cell_mass = np.exp2(last_lp + last_lc)
                 self._split = _Split(
-                    lp, counts, last_lp, -last_lp, cum, lc=lc, mass=np.exp2(lp + lc),
-                    last_log_cum=log_cum,
+                    counts, cum, lp=lp, last_lp=last_lp, last_key=-last_lp, lc=lc,
+                    mass=np.exp2(lp + lc), last_log_cum=log_cum,
                     last_tail=np.append(cell_mass[::-1].cumsum()[::-1], 0.0))
                 return self._split
+            if rest:
+                nums = _outer([f.nums for f in rest], np.multiply).tolist()
             last_nums = last.nums[order].tolist()
             self._split = _Split(
-                lp, counts, last_lp, -last_lp, cum, nums=nums,
+                counts, cum, nums=nums,
                 num_mass=list(map(operator.mul, counts.tolist(), nums)),
                 last_neg=[-v for v in last_nums],
                 last_cum_mass=list(accumulate(
@@ -350,15 +378,13 @@ class LengthLaw:
         return self._split
 
     def _class_of_rank(self, b: int) -> int:
-        """Index of the class holding rank ``b``, 1 <= b <= num_strings."""
-        if b > self._support:
-            return len(self._ranked())
-        if self._last is not None and self._last[1].base < b <= self._last[1].cum[-1]:
+        """Index of the class holding rank ``b``, 1 < b <= support."""
+        if self._last is not None and self._last[1].cum[0] < b <= self._last[1].cum[-1]:
             c = self._last[0]
         else:
             chunks = range(-(-len(self._ranked()) // COUNT_CHUNK))
             c = bisect_left(chunks, b, key=lambda c: self._end(c)[0])
-        return c * COUNT_CHUNK + bisect_left(self._chunk(c).cum, b)
+        return c * COUNT_CHUNK + bisect_left(self._chunk(c).cum, b, 1) - 1
 
     def _class_data(self, j: int) -> tuple[int, int, int, int]:
         """Cumulative count before and through class ``j``; on the exact
@@ -367,10 +393,9 @@ class LengthLaw:
             return self._support, self.num_strings, self._total_num, 0
         c, i = divmod(j, COUNT_CHUNK)
         ch = self._chunk(c)
-        prev = ch.cum[i - 1] if i else ch.base
         if not self.exact:
-            return prev, ch.cum[i], 0, 0
-        return prev, ch.cum[i], ch.mass[i - 1] if i else ch.base_mass, ch.nums[i]
+            return ch.cum[i], ch.cum[i + 1], 0, 0
+        return ch.cum[i], ch.cum[i + 1], ch.mass[i], ch.nums[i]
 
     # -- the classes in a level window, without the ranking ----------------
 
@@ -530,13 +555,13 @@ class LengthLaw:
 
     @property
     def num_classes(self) -> int:
-        return len(self.log2p)
+        return len(self._ranked()) + (self.num_strings > self._support)
 
     @property
     def cum_counts(self) -> list[int]:
         out: list[int] = []
         for c in range(-(-len(self._ranked()) // COUNT_CHUNK)):
-            out += self._chunk(c).cum
+            out += self._chunk(c).cum[1:]
         if self.num_strings > self._support:
             out.append(self.num_strings)
         return out
@@ -568,13 +593,7 @@ class LengthLaw:
 
     def excess_at_rank(self, b: int) -> float:
         """P[rank >= b], the mass of strings ranked b and beyond."""
-        if b <= 1:
-            return self.total_mass()
-        if b > self.num_strings:
-            return 0.0
-        j = self._class_of_rank(b)
-        return _excess_in_class(float(self._suffix[j + 1]),
-                                self._class_data(j)[1] - b + 1, self._log2p[j])
+        return self._excess_at_ranks([b], exact=False)[0]
 
     def excess_at_rank_window(self, b: int) -> float:
         """:meth:`excess_at_rank` from a level window; tail masses from
@@ -591,12 +610,45 @@ class LengthLaw:
 
     def excess_at_rank_exact(self, b: int) -> Fraction:
         self._require_exact()
-        if b <= 1:
-            return self.total_mass_exact()
-        if b > self.num_strings:
-            return Fraction(0)
-        prev, _, mass_before, num = self._class_data(self._class_of_rank(b))
-        return Fraction(self._total_num - mass_before - num * (b - 1 - prev), self._den)
+        return Fraction(self._excess_at_ranks([b], exact=True)[0], self._den)
+
+    def _excess_at_ranks(self, ranks: Iterable[int], exact: bool) -> list:
+        """P[rank >= b] for each of the ascending ``ranks``: floats, or
+        with ``exact`` integer numerators over the law's denominator.
+
+        One monotone pass locates every rank: the chunk that held the
+        last rank is bisected from its position while it holds the
+        next, and :meth:`_class_of_rank` runs only when the chunk
+        changes.  The float track then reads the located classes'
+        ``log2p`` and tail masses with one gather each.
+        """
+        out: list = []
+        located = []        # float track: (index in out, class, strings to its end)
+        ch = None
+        for b in ranks:
+            if b <= 1:
+                out.append(self._total_num if exact else self.total_mass())
+                continue
+            if b > self._support:
+                out.append(0 if exact else 0.0)
+                continue
+            if ch is None or b > ch.cum[-1]:
+                c, i = divmod(self._class_of_rank(b), COUNT_CHUNK)
+                ch = self._chunk(c)
+            else:
+                i = bisect_left(ch.cum, b, i + 1) - 1
+            if exact:
+                out.append(self._total_num - ch.mass[i] - ch.nums[i] * (b - 1 - ch.cum[i]))
+            else:
+                located.append((len(out), c * COUNT_CHUNK + i, ch.cum[i + 1] - b + 1))
+                out.append(None)
+        if located:
+            at, js, ds = zip(*located)
+            log2p, suffix = self._class_floats()
+            js = np.array(js)
+            for a, tail, d, lp in zip(at, suffix[js + 1].tolist(), ds, log2p[js].tolist()):
+                out[a] = _excess_in_class(tail, d, lp)
+        return out
 
     def epsilon_star(self, k: int) -> float:
         """Overflow probability of the optimal code at k bits."""
@@ -842,11 +894,6 @@ def _bruteforce_cond_iid_exact(
     return nums, den
 
 
-def _exact_flat_factor(nums: list[int], den: int) -> _Factor:
-    lp = np.array([math.log2(v) - math.log2(den) if v > 0 else -math.inf for v in nums])
-    return _flat_factor(lp, nums, den)
-
-
 def length_law_bruteforce(
     model: Model,
     y: SideInfoString,
@@ -865,7 +912,7 @@ def length_law_bruteforce(
         raise GuardExceededError(f"brute force needs |X|^n <= {guard}, got {num_strings}")
     if isinstance(model, CondIidModel):
         if exact:
-            factor = _exact_flat_factor(*_bruteforce_cond_iid_exact(model, y))
+            factor = _flat_factor(None, *_bruteforce_cond_iid_exact(model, y))
         else:
             logp = np.zeros(1)
             for yi in y.indices:
@@ -911,7 +958,7 @@ def _markov_flat_factor(
             return prob_y, None
         lcm = math.lcm(*(p.denominator for p in joints))
         nums = [p.numerator * (lcm // p.denominator) for p in joints]
-        return prob_y, _exact_flat_factor(nums, sum(nums))
+        return prob_y, _flat_factor(None, nums, sum(nums))
     total = joints.sum()
     if total <= 0:
         return float(total), None
@@ -1051,12 +1098,33 @@ def _pair_laws(
 def _pair_curve_of_route(
     model: Model, n: int, route: str, exact: bool, class_cap: int
 ) -> tuple:
-    kmax = (len(model.x_alphabet) ** n).bit_length()
-    total: list = [Fraction(0) if exact else 0.0] * (kmax + 1)
-    for w, law in _pair_laws(model, n, route, exact, class_cap):
-        for k in range(kmax + 1):
-            total[k] += w * (law.epsilon_star_exact(k) if exact else law.epsilon_star(k))
+    ranks = [1 << k for k in range((len(model.x_alphabet) ** n).bit_length() + 1)]
+    laws = _pair_laws(model, n, route, exact, class_cap)
+    if exact:
+        return tuple(_weighted_sum(laws, ranks))
+    total = [0.0] * len(ranks)
+    for w, law in laws:
+        for k, v in enumerate(law._excess_at_ranks(ranks, exact=False)):
+            total[k] += w * v
     return tuple(total)
+
+
+def _weighted_sum(
+    laws: Iterable[tuple[Fraction, LengthLaw]], ranks: Sequence[int]
+) -> list[Fraction]:
+    """Sum over ``laws`` of ``w · P[rank >= b]``, exactly, for each of the
+    ascending ``ranks``.  Each law's overflow numerators ``N`` are over
+    its denominator ``den``; with ``w / den = p / q`` the sum keeps one
+    integer row of ``p · N`` per distinct ``q``, and one ``Fraction``
+    per row and rank at the end."""
+    rows: dict[int, list[int]] = {}
+    for w, law in laws:
+        scale = Fraction(w) / law._den
+        row = rows.setdefault(scale.denominator, [0] * len(ranks))
+        for k, v in enumerate(law._excess_at_ranks(ranks, exact=True)):
+            row[k] += scale.numerator * v
+    return [sum((Fraction(row[k], q) for q, row in rows.items()), Fraction(0))
+            for k in range(len(ranks))]
 
 
 def _pair_curve(
@@ -1185,7 +1253,9 @@ def check_general_converse(
         laws = list(_pair_laws(model, n, "bruteforce", exact))
         scope = "pair"
     if exact:
-        lhs_val: Fraction = sum((w * law.epsilon_star_exact(k) for w, law in laws), Fraction(0))
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        lhs_val: Fraction = _weighted_sum(laws, [1 << k])[0]
     else:
         lhs_val = math.fsum(w * law.epsilon_star(k) for w, law in laws)
     entries = []

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -32,7 +33,7 @@ from sidecomp.models import (
     model_from_dict,
 )
 
-from tests.conftest import small_models, y_repeat
+from tests.conftest import MODELS_DIR, small_models, y_repeat
 
 
 def _markov_small(with_initial: bool):
@@ -51,6 +52,60 @@ def _markov_small(with_initial: bool):
     if with_initial:
         doc["initial"] = ["1/4", "1/4", "1/4", "1/4"]
     return model_from_dict(doc)
+
+
+def _pair_laws_of(model, n, route, exact):
+    return list(limits._pair_laws(model, n, route, exact))
+
+
+def _fresh(law):
+    """The same law with no chunk produced or located yet."""
+    return LengthLaw(law.n, law.num_strings, law._factors, law.exact)
+
+
+def _assert_curve_is_per_k(law, kmax):
+    """The one-pass curve equals the per-k queries of fresh laws: floats
+    bit for bit, and exact numerators as ``Fraction``s."""
+    ranks = [1 << k for k in range(kmax + 1)]
+    curve = law._excess_at_ranks(ranks, exact=False)
+    want = [_fresh(law).epsilon_star(k) for k in range(kmax + 1)]
+    assert all(type(v) is float for v in curve)
+    assert [v.hex() for v in curve] == [float(v).hex() for v in want]
+    if law.exact:
+        nums = _fresh(law)._excess_at_ranks(ranks, exact=True)
+        assert [Fraction(v, law._den) for v in nums] == [
+            _fresh(law).epsilon_star_exact(k) for k in range(kmax + 1)]
+
+
+def _reference_pair_curve(laws, kmax, exact):
+    """The pair sum as one Fraction (or float) accumulation per (law, k)."""
+    total = [Fraction(0) if exact else 0.0] * (kmax + 1)
+    for w, law in laws:
+        for k in range(kmax + 1):
+            total[k] += w * (law.epsilon_star_exact(k) if exact else law.epsilon_star(k))
+    return total
+
+
+def _assert_pair_curve_matches_per_k(model, n, route, exact):
+    """Every law's one-pass curve, and the pair curve summed from them,
+    equal the per-k queries."""
+    kmax = (len(model.x_alphabet) ** n).bit_length()
+    laws = _pair_laws_of(model, n, route, exact)
+    for _, law in laws:
+        _assert_curve_is_per_k(law, kmax)
+    _pair_curve_of_route.cache_clear()
+    got = limits._pair_curve(model, n, route, exact)
+    want = _reference_pair_curve(laws, kmax, exact)
+    if exact:
+        assert list(got) == want
+    else:
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
+
+MARKOV2X2_INITIAL = model_from_dict({
+    **json.loads((MODELS_DIR / "markov2x2.json").read_text()),
+    "initial": ["1/2", "1/6", "1/6", "1/6"],
+})
 
 
 class TestFrozenValues:
@@ -259,6 +314,15 @@ class TestGeneralConverse:
         assert check.ok
         assert check.scope == "pair"
 
+    @pytest.mark.parametrize("model", [pytest.param(None, id="fig1"),
+                                       pytest.param(MARKOV2X2_INITIAL, id="markov2x2")])
+    def test_pair_exact_lhs_is_the_weighted_sum(self, fig1, model):
+        model = model or fig1
+        laws = _pair_laws_of(model, 3, "bruteforce", True)
+        for k in range(5):
+            want = sum((w * law.epsilon_star_exact(k) for w, law in laws), Fraction(0))
+            assert check_general_converse(model, k, [1, 2], n=3, exact=True).lhs == float(want)
+
     def test_float_track(self, fig1):
         y = y_repeat(fig1, "001", 6)
         assert check_general_converse(fig1, 2, [0.5, 1.5, 3], y=y).ok
@@ -300,6 +364,110 @@ class TestProductFormLaw:
         # one law per y-composition, however many k are asked
         assert len(calls) == len(set(calls)) == n + 1
         assert curve[0] == 1 and curve[-1] == 0
+
+
+def _eager_class_floats(law):
+    """log2p and suffix masses of an exact law, built eagerly the way the
+    ranking built them with every exact law before they were deferred."""
+    lps = []
+    for f in law._factors:
+        if f.log2s is None:
+            lps.append(np.array([math.log2(v) - math.log2(f.den) if v > 0 else -math.inf
+                                 for v in f.nums.tolist()]))
+        else:
+            lps.append(f.log2s)
+    lp = limits._outer(lps, np.add)
+    lc = limits._outer([f.lc for f in law._factors], np.add)
+    nums = limits._outer([f.nums for f in law._factors], np.multiply)
+    keys = nums.tolist()
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__, reverse=True),
+                     dtype=np.intp)
+    ranked = nums[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).astype(bool))))
+    lp = lp[order]
+    mass = np.add.reduceat(np.exp2(lp + lc[order]), starts)
+    log2p = lp[starts]
+    if law.num_strings > law._support:
+        log2p = np.append(log2p, -math.inf)
+        mass = np.append(mass, 0.0)
+    suffix = np.zeros(len(mass) + 1)
+    suffix[:-1] = mass[::-1].cumsum()[::-1]
+    return log2p, suffix
+
+
+def _float_ranking_built(law) -> bool:
+    return law._log2p is not None or any("lp" in vars(f) for f in law._factors)
+
+
+class TestOnePassCurve:
+    @given(small_models(), st.data())
+    @settings(max_examples=40)
+    def test_curve_matches_per_k_queries(self, model, data):
+        # count chunks of 1-3 classes, so the ranks 2^k cross and skip chunks
+        n = data.draw(st.integers(1, 3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "COUNT_CHUNK", data.draw(st.sampled_from([1, 2, 3])))
+            for route in ("typeclass", "bruteforce"):
+                for exact in (False, True):
+                    _assert_pair_curve_matches_per_k(model, n, route, exact)
+        _pair_curve_of_route.cache_clear()
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_markov_bruteforce_laws(self, monkeypatch, size):
+        monkeypatch.setattr(limits, "COUNT_CHUNK", size)
+        for exact in (False, True):
+            _assert_pair_curve_matches_per_k(MARKOV2X2_INITIAL, 4, "bruteforce", exact)
+        _pair_curve_of_route.cache_clear()
+
+    def test_float_curve_entries_are_floats(self, corpus_models):
+        for model, n in ((corpus_models["fig1"], 6), (corpus_models["skewed34"], 4),
+                         (corpus_models["deterministic"], 3), (MARKOV2X2_INITIAL, 4)):
+            values = [epsilon_star_pair(model, n, k) for k in range(n + 4)]
+            assert all(type(v) is float for v in values)
+            exact = [epsilon_star_pair(model, n, k, exact=True) for k in range(n + 4)]
+            assert all(type(v) is Fraction for v in exact)
+
+    def test_exact_pair_curve_builds_no_floats(self, corpus_models, monkeypatch):
+        built = []
+        pair_laws = limits._pair_laws
+
+        def recording(*args, **kwargs):
+            for w, law in pair_laws(*args, **kwargs):
+                built.append(law)
+                yield w, law
+
+        monkeypatch.setattr(limits, "_pair_laws", recording)
+        for model, n, route in ((corpus_models["fig1"], 4, "typeclass"),
+                                (corpus_models["fig1"], 4, "bruteforce"),
+                                (corpus_models["skewed34"], 3, "bruteforce"),
+                                (MARKOV2X2_INITIAL, 4, "bruteforce")):
+            _pair_curve_of_route.cache_clear()
+            built.clear()
+            limits._pair_curve(model, n, route, exact=True)
+            assert built
+            for law in built:
+                assert law.num_classes >= 1
+                assert not _float_ranking_built(law)
+        _pair_curve_of_route.cache_clear()
+
+    def test_deferred_floats_match_eager_build(self, corpus_models):
+        cases = [(corpus_models["fig1"], "001", 9), (corpus_models["deterministic"], "01", 6),
+                 (corpus_models["skewed34"], "wzz", 5), (MARKOV2X2_INITIAL, "0110", 8)]
+        for model, word, n in cases:
+            y = y_repeat(model, word, n)
+            builders = [length_law_bruteforce]
+            if isinstance(model, CondIidModel):
+                builders.append(length_law_typeclass)
+            for build in builders:
+                law = build(model, y, exact=True)
+                log2p, suffix = _eager_class_floats(law)
+                assert law.num_classes == len(log2p)
+                assert not _float_ranking_built(law)
+                assert law.log2p.tobytes() == log2p.tobytes()
+                assert law.suffix_mass.tobytes() == suffix.tobytes()
+                for tau in (0.0, 1.5, n / 2, float(n), 2.0 * n):
+                    j = int(np.searchsorted(-log2p, tau, side="left"))
+                    assert law.info_tail(tau).hex() == float(suffix[j]).hex()
 
 
 def _walked(make):

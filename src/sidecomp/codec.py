@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -75,8 +76,10 @@ class RankedCodebook:
     nums: list[int]
     den: int
 
-    def __post_init__(self) -> None:
-        self.rank_of = {x: m + 1 for m, x in enumerate(self.order)}
+    @cached_property
+    def rank_of(self) -> dict[tuple[int, ...], int]:
+        """Rank of each x-index tuple, built when :meth:`encode` first reads it."""
+        return {x: m + 1 for m, x in enumerate(self.order)}
 
     @property
     def n(self) -> int:

@@ -13,7 +13,9 @@ conditionally i.i.d. models one factor per y-symbol, whose cells are
 the type classes of the positions seeing that symbol; the brute-force
 builders enumerate strings one by one into a single flat factor and
 exist as independent oracles (they are also the only exact route for
-Markov models).
+Markov models).  The exact brute-force pair curve of a conditionally
+i.i.d. model builds no law: one integer walk over y-prefixes carries
+every string's joint numerator, sorted, and sums the overflows.
 
 Two evaluation tracks coexist:
 
@@ -1065,7 +1067,12 @@ def _pair_laws(
     model: Model, n: int, route: str, exact: bool, class_cap: int = DEFAULT_CLASS_CAP
 ) -> Iterator[tuple[float | Fraction, LengthLaw]]:
     """(weight, law) over y-compositions (type class) or y-strings (brute
-    force); the overflow given y depends on y only through its composition."""
+    force); the overflow given y depends on y only through its composition.
+
+    The brute-force laws serve the float pair curves, the Markov pair
+    curves and :func:`check_general_converse`; the exact brute-force pair
+    curve of a conditionally i.i.d. model is :func:`_bruteforce_pair_curve`,
+    which builds none."""
     ny = len(model.y_alphabet)
     if route == "typeclass":
         assert isinstance(model, CondIidModel)
@@ -1075,10 +1082,7 @@ def _pair_laws(
             if w != 0:
                 yield w, length_law_typeclass(model, comp, exact=exact, class_cap=class_cap)
         return
-    if (len(model.x_alphabet) * ny) ** n > BRUTEFORCE_GUARD:
-        raise GuardExceededError(
-            f"pair brute force needs (|X||Y|)^n <= {BRUTEFORCE_GUARD}"
-        )
+    _check_pair_guard(model, n)
     if isinstance(model, CondIidModel):
         p_y = [p if exact else float(p) for p in model.require_p_y()]
     for ys in product(range(ny), repeat=n):
@@ -1094,11 +1098,58 @@ def _pair_laws(
             yield w, LengthLaw(n, len(model.x_alphabet) ** n, [factor], exact)
 
 
+def _check_pair_guard(model: Model, n: int) -> None:
+    if (len(model.x_alphabet) * len(model.y_alphabet)) ** n > BRUTEFORCE_GUARD:
+        raise GuardExceededError(
+            f"pair brute force needs (|X||Y|)^n <= {BRUTEFORCE_GUARD}"
+        )
+
+
+def _bruteforce_pair_curve(model: CondIidModel, n: int, ranks: Sequence[int]) -> list[Fraction]:
+    """Exact pair overflow at each of the ascending ``ranks``, by
+    enumerating every y-string and every x-string, with no law.
+
+    The y-strings are walked depth first in product order.  A y-prefix of
+    length ``i`` carries the joint numerators ``p_y(y)·P(x|y)`` of its
+    x-prefixes over ``(D·L)^i``, ``D`` and ``L`` the lcms of the ``p_y``
+    and of the row denominators, in descending order; a child's list is
+    ``|X|`` scaled copies of it, descending runs that one sort merges.  A
+    y-symbol of zero probability has no subtree.  Given a full y-string,
+    the overflow at rank ``b`` is the total minus the ``b - 1`` largest
+    numerators, however ties are ordered; every y-string adds it into
+    one integer row.
+    """
+    _check_pair_guard(model, n)
+    p_y = model.require_p_y()
+    d = math.lcm(*(p.denominator for p in p_y))
+    l = math.lcm(*(q.denominator for row in model.p_x_given_y for q in row))
+    # per y-symbol of positive probability, the scale of each x-symbol
+    steps = [[p.numerator * (d // p.denominator) * q.numerator * (l // q.denominator)
+              for q in row] for p, row in zip(p_y, model.p_x_given_y) if p]
+    row = [0] * len(ranks)
+    stack = [(n, [1])]      # (positions left, numerators of a y-prefix)
+    while stack:
+        left, nums = stack.pop()
+        if left:
+            stack += [(left - 1, sorted([v * c for c in scales for v in nums], reverse=True))
+                      for scales in reversed(steps)]
+            continue
+        rest, start = sum(nums), 0
+        for k, b in enumerate(ranks):
+            rest -= sum(nums[start:b - 1])
+            start = b - 1
+            row[k] += rest
+    den = (d * l) ** n
+    return [Fraction(v, den) for v in row]
+
+
 @lru_cache(maxsize=128)
 def _pair_curve_of_route(
     model: Model, n: int, route: str, exact: bool, class_cap: int
 ) -> tuple:
     ranks = [1 << k for k in range((len(model.x_alphabet) ** n).bit_length() + 1)]
+    if exact and route == "bruteforce" and isinstance(model, CondIidModel):
+        return tuple(_bruteforce_pair_curve(model, n, ranks))
     laws = _pair_laws(model, n, route, exact, class_cap)
     if exact:
         return tuple(_weighted_sum(laws, ranks))
@@ -1116,7 +1167,8 @@ def _weighted_sum(
     ascending ``ranks``.  Each law's overflow numerators ``N`` are over
     its denominator ``den``; with ``w / den = p / q`` the sum keeps one
     integer row of ``p · N`` per distinct ``q``, and one ``Fraction``
-    per row and rank at the end."""
+    per row and rank at the end.  It sums the exact type-class and
+    Markov pair curves and the exact pair converse."""
     rows: dict[int, list[int]] = {}
     for w, law in laws:
         scale = Fraction(w) / law._den

@@ -550,10 +550,12 @@ def derive_y_chain(model: MarkovPairModel) -> DerivedYChain:
               mass[:, :, None] * model.transition_f[model._next_context])
     # context for the short conditional: drop the oldest symbol, append y1
     short_ctx = (np.arange(nctx_y)[:, None] * ny + np.arange(ny)) % nctx_y
+    head = deep.sum(axis=2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(deep / deep.sum(axis=2, keepdims=True) - trans[short_ctx])
-    # only keys that some positive two-step path reaches, i.e. of positive mass
-    defect = gap[deep > 0].max(initial=0.0)
+        gap = np.abs(deep / head - trans[short_ctx])
+    # every key (y-context, y1, y2) whose head (y-context, y1) has mass,
+    # also a y2 that no positive two-step path reaches
+    defect = gap[head[:, :, 0] > 0].max(initial=0.0)
 
     return DerivedYChain(
         y_alphabet=model.y_alphabet,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sidecomp import codec
 from sidecomp.codec import (
     Codeword,
     build_code,
@@ -64,6 +65,26 @@ class TestRankedCodebook:
         book = build_code(fig1, y)
         for xs in book.order:
             assert book.decode(book.encode(xs).bits) == xs
+
+    def test_rank_table_built_only_by_encode(self, fig1, monkeypatch):
+        y = y_repeat(fig1, "001", 6)
+        books = []
+
+        def recording(model, y):
+            books.append(build_code(model, y))
+            return books[-1]
+
+        monkeypatch.setattr(codec, "build_code", recording)
+        check_pointwise_achievability(fig1, y)
+        check_counting_sandwich(fig1, y)
+        assert build_prefix_code(fig1, y, 3).book is books[-1]
+        assert len(books) == 3
+        assert all("rank_of" not in vars(book) for book in books)
+        book = books[0]
+        for m, xs in enumerate(book.order, start=1):
+            assert book.encode(xs).bits == codeword_for_rank(m)
+            assert book.decode(codeword_for_rank(m)) == xs
+        assert "rank_of" in vars(book)
 
     def test_decode_beyond_codebook(self, fig1):
         y = y_repeat(fig1, "0", 1)

@@ -428,26 +428,66 @@ class TestOnePassCurve:
             assert all(type(v) is Fraction for v in exact)
 
     def test_exact_pair_curve_builds_no_floats(self, corpus_models, monkeypatch):
-        built = []
+        built, calls, constructed = [], [], []
         pair_laws = limits._pair_laws
+        init = LengthLaw.__init__
 
         def recording(*args, **kwargs):
+            calls.append(args)
             for w, law in pair_laws(*args, **kwargs):
                 built.append(law)
                 yield w, law
 
+        def constructing(self, *args, **kwargs):
+            constructed.append(self)
+            init(self, *args, **kwargs)
+
         monkeypatch.setattr(limits, "_pair_laws", recording)
+        monkeypatch.setattr(LengthLaw, "__init__", constructing)
         for model, n, route in ((corpus_models["fig1"], 4, "typeclass"),
                                 (corpus_models["fig1"], 4, "bruteforce"),
                                 (corpus_models["skewed34"], 3, "bruteforce"),
                                 (MARKOV2X2_INITIAL, 4, "bruteforce")):
             _pair_curve_of_route.cache_clear()
             built.clear()
+            calls.clear()
+            constructed.clear()
             limits._pair_curve(model, n, route, exact=True)
+            if route == "bruteforce" and isinstance(model, CondIidModel):
+                # the integer walk over y-prefixes builds no law at all
+                assert not calls and not constructed
+                continue
             assert built
             for law in built:
                 assert law.num_classes >= 1
                 assert not _float_ranking_built(law)
+        _pair_curve_of_route.cache_clear()
+
+    def test_bruteforce_walk_matches_typeclass_on_corpus(self, corpus_models):
+        for name, model in sorted(corpus_models.items()):
+            if not isinstance(model, CondIidModel) or model.p_y is None:
+                continue
+            joint = len(model.x_alphabet) * len(model.y_alphabet)
+            n = max(n for n in range(1, 17) if joint**n <= 1 << 16)
+            _pair_curve_of_route.cache_clear()
+            walk = limits._pair_curve(model, n, "bruteforce", exact=True)
+            assert walk == limits._pair_curve(model, n, "typeclass", exact=True), name
+        _pair_curve_of_route.cache_clear()
+
+    def test_bruteforce_walk_with_zeros(self):
+        # a y-symbol of zero probability and a zero conditional entry
+        model = model_from_dict({
+            "kind": "cond_iid", "x_alphabet": ["a", "b", "c"], "y_alphabet": ["0", "1", "2"],
+            "p_x_given_y": [["1/2", "0", "1/2"], ["1/6", "1/3", "1/2"], ["1/3", "1/3", "1/3"]],
+            "p_y": ["2/5", "0", "3/5"],
+        })
+        for n in range(1, 5):
+            _pair_curve_of_route.cache_clear()
+            walk = limits._pair_curve(model, n, "bruteforce", exact=True)
+            kmax = (3**n).bit_length()
+            laws = _pair_laws_of(model, n, "bruteforce", True)
+            assert list(walk) == _reference_pair_curve(laws, kmax, True)
+            assert walk == limits._pair_curve(model, n, "typeclass", exact=True)
         _pair_curve_of_route.cache_clear()
 
     def test_deferred_floats_match_eager_build(self, corpus_models):
@@ -742,6 +782,16 @@ class TestGuards:
     def test_pair_converse_guard(self, fig1):
         with pytest.raises(GuardExceededError):
             check_general_converse(fig1, 1, [1.0], n=11)
+
+    def test_pair_walk_guard(self, fig1, monkeypatch):
+        # 4^11 > 2^20: refused before p_y is read, so before any y-string
+        def unread(self):
+            raise AssertionError("p_y read past the guard")
+
+        monkeypatch.setattr(CondIidModel, "require_p_y", unread)
+        _pair_curve_of_route.cache_clear()
+        with pytest.raises(GuardExceededError):
+            epsilon_star_pair(fig1, 11, 1, method="bruteforce", exact=True)
 
     def test_class_cap(self, fig1):
         with pytest.raises(GuardExceededError):

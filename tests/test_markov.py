@@ -138,10 +138,11 @@ def _reference_y_chain(model, pi):
     for (yc, y1, y2), mass in deep.items():
         head[(yc, y1)] = head.get((yc, y1), 0.0) + mass
     defect = 0.0
-    for (yc, y1, y2), mass in deep.items():
-        h = head[(yc, y1)]
+    for (yc, y1), h in head.items():
         if h > 0:
-            defect = max(defect, abs(mass / h - trans[(yc * ny + y1) % nctx_y, y2]))
+            for y2 in range(ny):
+                mass = deep.get((yc, y1, y2), 0.0)
+                defect = max(defect, abs(mass / h - trans[(yc * ny + y1) % nctx_y, y2]))
     return trans, defect
 
 
@@ -325,7 +326,7 @@ class TestEdgeTable:
     # pair symbols (a,0), (a,1), (a,2), (b,0), (b,1), (b,2): from y-context
     # 0, y1 = 2 leads only to context (a,2), which never emits y = 1,
     # though context (b,2) does; so the key (0, 2, 1) has head mass but no
-    # path reaches it, and its gap would exceed those of the keys reached
+    # path reaches it, and its gap of 0.40 exceeds the 0.30 of the keys reached
     _R = ["1/2", "0", "1/2", "0", "0", "0"]
     UNSEEN_KEY = {
         "kind": "markov_pair", "order": 1, "x_alphabet": ["a", "b"],
@@ -365,6 +366,12 @@ class TestEdgeTable:
             assert _same_bits(zc.stationary, stationary)
             assert _same_bits(zc.f, f)
         assert _same_bits(analysis.delta, _reference_delta(model, pi, f_table))
+
+    def test_unseen_key_counts_in_the_defect(self):
+        model = model_from_dict(self.UNSEEN_KEY)
+        assert derive_y_chain(model).markovianity_defect == pytest.approx(0.40, abs=1e-12)
+        assert _reference_y_chain(model, _reference_stationary(model))[1] == pytest.approx(
+            0.40, abs=1e-12)
 
 
 class TestPathSampling:

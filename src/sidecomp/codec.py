@@ -28,7 +28,13 @@ from functools import cached_property
 from itertools import product
 from typing import Sequence
 
-from .limits import BRUTEFORCE_GUARD, GuardExceededError, _bruteforce_cond_iid_exact
+from .limits import (
+    BRUTEFORCE_GUARD,
+    COUNT_CHUNK,
+    GuardExceededError,
+    _bruteforce_cond_iid_exact,
+    _LastBuilt,
+)
 from .models import CondIidModel, SideInfoString
 
 
@@ -62,7 +68,7 @@ class Codeword:
         return self.bits if self.bits else "∅"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankedCodebook:
     """The optimal code for one y-string, fully enumerated.
 
@@ -117,25 +123,38 @@ class RankedCodebook:
         return Fraction(self.nums[m - 1], self.den)
 
 
+# the last codebook, held while it has at most COUNT_CHUNK strings
+_LAST_BOOK = _LastBuilt(lambda book: book.num_strings <= COUNT_CHUNK)
+
+
 def build_code(model: CondIidModel, y: SideInfoString) -> RankedCodebook:
-    """Rank all source strings for this y-string, exactly."""
+    """Rank all source strings for this y-string, exactly.
+
+    Calls for one (model, y) in a row share one codebook: it is kept
+    while it has at most ``COUNT_CHUNK`` strings, and a larger one only
+    while a caller still holds it (a :class:`PrefixCodebook` does).
+    """
     n = len(y)
     nx = len(model.x_alphabet)
     if nx**n > BRUTEFORCE_GUARD:
         raise GuardExceededError(
             f"explicit codebook needs |X|^n <= {BRUTEFORCE_GUARD}, got {nx**n}"
         )
-    nums, den = _bruteforce_cond_iid_exact(model, y)
-    # A stable sort over product order breaks ties lexicographically.
-    ranked = sorted(range(len(nums)), key=lambda i: -nums[i])
-    strings = list(product(range(nx), repeat=n))
-    return RankedCodebook(
-        model=model,
-        y=y,
-        order=[strings[i] for i in ranked],
-        nums=[nums[i] for i in ranked],
-        den=den,
-    )
+
+    def build() -> RankedCodebook:
+        nums, den = _bruteforce_cond_iid_exact(model, y)
+        # A stable sort over product order breaks ties lexicographically.
+        ranked = sorted(range(len(nums)), key=lambda i: -nums[i])
+        strings = list(product(range(nx), repeat=n))
+        return RankedCodebook(
+            model=model,
+            y=y,
+            order=[strings[i] for i in ranked],
+            nums=[nums[i] for i in ranked],
+            den=den,
+        )
+
+    return _LAST_BOOK.get((model, y), build)
 
 
 def encode(model: CondIidModel, y: SideInfoString, x: Sequence[int] | str) -> Codeword:

@@ -42,18 +42,35 @@ the string count above it) narrows the window to about
 grows geometrically while a merge chain crosses its edge or the sought
 class lies outside, and one exact count of the strings above it places
 each located class.
+
+Each object is built once where queries repeat it, and every sharing
+point bounds what it keeps:
+
+* a type-class pair sweep builds one factor per (y-symbol, count) and
+  keeps it only while a later composition of the sweep still uses it
+  (one y-symbol at count ``c`` occurs in ``comb(n - c + |Y| - 2, |Y| - 2)``
+  compositions), so it holds at most ``|Y| n`` factors, and none when
+  ``|Y| <= 2``;
+* the fixed-y point queries keep their last law (keyed on model, y,
+  route, track and cap), and :func:`codec.build_code` its last
+  codebook (keyed on model and y).  A law of at most ``COUNT_CHUNK``
+  cells, or a codebook of at most ``COUNT_CHUNK`` strings, is held; a
+  larger one only by weak reference, so it is reused while a caller
+  still holds it and nothing larger outlives its query because of the
+  memo.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,6 +221,10 @@ class LengthLaw:
     a chunk never produces the chunks before it.  ``log2p`` may end
     with ``-inf`` for the zero-probability strings, which still occupy
     ranks.  ``counts`` sums to the total number of source strings.
+
+    Threads may share a law (the fixed-y point queries hand one to every
+    caller): each cache is stored in one assignment once it is whole, and
+    read once per use, so a race at worst builds a cache twice.
     """
 
     def __init__(self, n: int, num_strings: int, factors: list[_Factor], exact: bool) -> None:
@@ -224,8 +245,8 @@ class LengthLaw:
         self._last: tuple[int, _Chunk] | None = None
         self._split: _Split | None = None
         self._window_hit: _Window | None = None
-        # the ranking, built on first use by _ranked
-        self._order = self._starts = self._log2p = self._suffix = None
+        # the ranking, built on first use by _ranked, and the class floats
+        self._order = self._starts = self._floats = None
 
     def _ranked(self) -> np.ndarray:
         """Rank of each class's first cell; ranks the cells on first use."""
@@ -256,37 +277,42 @@ class LengthLaw:
             lp = lp[order]
             with np.errstate(invalid="ignore"):
                 new_class = np.abs(np.diff(lp)) > MERGE_TOL
+        starts = np.flatnonzero(np.concatenate(([True], new_class)))
         self._order = order
-        self._starts = np.flatnonzero(np.concatenate(([True], new_class)))
         if not self.exact:
-            self._class_floats(lp)
+            self._class_floats(lp, starts)
+        # last: a caller that finds the ranking finds the float one whole
+        self._starts = starts
 
-    def _class_floats(self, lp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _class_floats(
+        self, lp: np.ndarray | None = None, starts: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Each class's ``log2p`` and the float suffix masses, from ``lp``,
-        the log2p of the ranked cells: the float ranking passes it, the
-        exact track builds it on first read."""
+        the log2p of the ranked cells, and ``starts``: the float ranking
+        passes them, the exact track builds them on first read."""
         if lp is None:
-            self._ranked()
-            if self._log2p is not None:
-                return self._log2p, self._suffix
+            starts = self._ranked()
+            if self._floats is not None:
+                return self._floats
             lp = _outer([f.lp for f in self._factors], np.add)[self._order]
         lc = _outer([f.lc for f in self._factors], np.add)
-        mass = np.add.reduceat(np.exp2(lp + lc[self._order]), self._starts)
-        self._log2p = lp[self._starts]
+        mass = np.add.reduceat(np.exp2(lp + lc[self._order]), starts)
+        log2p = lp[starts]
         if self.num_strings > self._support:
-            self._log2p = np.append(self._log2p, -math.inf)
+            log2p = np.append(log2p, -math.inf)
             mass = np.append(mass, 0.0)
         suffix = np.zeros(len(mass) + 1)
         suffix[:-1] = mass[::-1].cumsum()[::-1]
-        self._suffix = suffix
-        return self._log2p, self._suffix
+        self._floats = (log2p, suffix)
+        return self._floats
 
     # -- exact counts, chunk by chunk --------------------------------------
 
     def _chunk(self, c: int) -> _Chunk:
         """Exact data of chunk ``c``."""
-        if self._last is not None and self._last[0] == c:
-            return self._last[1]
+        last = self._last
+        if last is not None and last[0] == c:
+            return last[1]
         starts = self._ranked()[c * COUNT_CHUNK:(c + 1) * COUNT_CHUNK + 1]
         end = int(starts[-1]) if len(starts) > COUNT_CHUNK else len(self._order)
         first = int(starts[0])
@@ -334,7 +360,7 @@ class LengthLaw:
             lengths = [bisect_left(s.last_neg, -(t // v)) if v else 0 for v in s.nums]
             mass = sum(map(operator.mul, s.num_mass, map(s.last_cum_mass.__getitem__, lengths)))
             return self._count(lengths), mass
-        return self._count(_prefix_lengths(s.lp, s.last_lp, self._log2p[j], key=s.last_key)), 0
+        return self._count(_prefix_lengths(s.lp, s.last_lp, self.log2p[j], key=s.last_key)), 0
 
     def _count(self, lengths: Sequence[int] | np.ndarray) -> int:
         """Exact count of the strings in the cells ``(a, i < lengths[a])``."""
@@ -381,8 +407,9 @@ class LengthLaw:
 
     def _class_of_rank(self, b: int) -> int:
         """Index of the class holding rank ``b``, 1 < b <= support."""
-        if self._last is not None and self._last[1].cum[0] < b <= self._last[1].cum[-1]:
-            c = self._last[0]
+        last = self._last
+        if last is not None and last[1].cum[0] < b <= last[1].cum[-1]:
+            c = last[0]
         else:
             chunks = range(-(-len(self._ranked()) // COUNT_CHUNK))
             c = bisect_left(chunks, b, key=lambda c: self._end(c)[0])
@@ -487,10 +514,11 @@ class LengthLaw:
         chain of more), which then grows geometrically until ``where``
         finds the class in it and no class crosses its edges.
         """
-        if self._window_hit is not None:
-            move, j = where(self._window_hit)
+        hit = self._window_hit
+        if hit is not None:
+            move, j = where(hit)
             if not move:
-                return self._window_hit, j
+                return hit, j
         s = self._split_tables()
         finite, last = np.isfinite(s.lp), s.last_lp[np.isfinite(s.last_lp)]
         # levels 1 below and above every cell of positive probability
@@ -859,21 +887,35 @@ def length_law_typeclass(
     only through its composition.
     """
     composition = y.counts() if isinstance(y, SideInfoString) else tuple(y)
+    rows = model.p_x_given_y
+    return _typeclass_law(model, composition, exact, class_cap,
+                          lambda a, c: _symbol_factor(rows[a], c, exact))
+
+
+def _typeclass_law(
+    model: CondIidModel,
+    composition: Sequence[int],
+    exact: bool,
+    class_cap: int,
+    factor: Callable[[int, int], _Factor],
+) -> LengthLaw:
+    """:func:`length_law_typeclass` of a composition, with ``factor(a, c)``
+    the factor of ``c`` positions that all see y-symbol ``a``."""
     if len(composition) != len(model.y_alphabet):
         raise ValueError("composition needs one count per y-symbol")
     n = sum(composition)
     if n < 1:
         raise ValueError("blocklength must be >= 1")
-    rows = [(model.p_x_given_y[a], c) for a, c in enumerate(composition) if c]
     cells = 1  # type classes of c positions over a support of s symbols
-    for row, c in rows:
-        s = sum(p > 0 for p in row)
-        cells *= math.comb(c + s - 1, s - 1)
+    for row, c in zip(model.p_x_given_y, composition):
+        if c:
+            s = sum(p > 0 for p in row)
+            cells *= math.comb(c + s - 1, s - 1)
     if cells > class_cap:
         raise GuardExceededError(
             f"type-class count exceeds cap {class_cap} at composition {tuple(composition)}"
         )
-    factors = [_symbol_factor(row, c, exact) for row, c in rows]
+    factors = [factor(a, c) for a, c in enumerate(composition) if c]
     return LengthLaw(n, len(model.x_alphabet) ** n, factors, exact)
 
 
@@ -985,6 +1027,44 @@ def _resolve_method(model: Model, n: int, method: str) -> str:
     return method
 
 
+def _one_chunk(law: LengthLaw) -> bool:
+    """Whether the law has at most ``COUNT_CHUNK`` cells: its ranking is
+    then one sort and one count chunk, no dearer than a level window
+    over all of it, so point queries read the ranking."""
+    return math.prod(law._shape) <= COUNT_CHUNK
+
+
+class _LastBuilt:
+    """The last object ``get`` built, for the next call with the same key.
+
+    An object that passes ``small`` is held; any other only by weak
+    reference, so it is reused while a caller still holds it and freed
+    with it otherwise.  The old entry is dropped before a new object is
+    built, and the key and the reference are one tuple, so a racing
+    caller never pairs a key with another key's object.
+    """
+
+    def __init__(self, small: Callable) -> None:
+        self._small = small
+        # (key, the object while it is small, a weak reference to it)
+        self._entry: tuple | None = None
+
+    def get(self, key: tuple, build: Callable):
+        entry = self._entry
+        if entry is not None and entry[0] == key:
+            obj = entry[2]()
+            if obj is not None:
+                return obj
+        self._entry = None
+        obj = build()
+        self._entry = (key, obj if self._small(obj) else None, weakref.ref(obj))
+        return obj
+
+
+# the last fixed-y law, held while it has at most COUNT_CHUNK cells
+_LAST_REF_LAW = _LastBuilt(_one_chunk)
+
+
 def _ref_law(
     model: Model,
     y: SideInfoString,
@@ -992,9 +1072,15 @@ def _ref_law(
     exact: bool,
     class_cap: int = DEFAULT_CLASS_CAP,
 ) -> LengthLaw:
-    if _resolve_method(model, len(y), method) == "bruteforce":
-        return length_law_bruteforce(model, y, exact=exact)
-    return length_law_typeclass(model, y, exact=exact, class_cap=class_cap)
+    """The law given ``y``; point queries of one (model, y) in a row share it."""
+    route = _resolve_method(model, len(y), method)
+
+    def build() -> LengthLaw:
+        if route == "bruteforce":
+            return length_law_bruteforce(model, y, exact=exact)
+        return length_law_typeclass(model, y, exact=exact, class_cap=class_cap)
+
+    return _LAST_REF_LAW.get((model, y, route, exact, class_cap), build)
 
 
 def epsilon_star_ref(
@@ -1017,13 +1103,6 @@ def rate_star_ref(
     """Best code rate at overflow budget epsilon, given the y-string."""
     law = _ref_law(model, y, method, exact=False)
     return law.rate_point(epsilon) if _one_chunk(law) else law.rate_point_window(epsilon)
-
-
-def _one_chunk(law: LengthLaw) -> bool:
-    """Whether the law has at most ``COUNT_CHUNK`` cells: its ranking is
-    then one sort and one count chunk, no dearer than a level window
-    over all of it, so point queries read the ranking."""
-    return math.prod(law._shape) <= COUNT_CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -1069,18 +1148,43 @@ def _pair_laws(
     """(weight, law) over y-compositions (type class) or y-strings (brute
     force); the overflow given y depends on y only through its composition.
 
-    The brute-force laws serve the float pair curves, the Markov pair
-    curves and :func:`check_general_converse`; the exact brute-force pair
-    curve of a conditionally i.i.d. model is :func:`_bruteforce_pair_curve`,
-    which builds none."""
+    The type-class laws share their factors: the factor of y-symbol
+    ``a`` at count ``c`` is built once and kept only until the last
+    composition that uses it has been swept, so at most one per (a, c)
+    is held, and none for two y-symbols, where no composition repeats
+    one.  The brute-force laws serve the float pair curves, the Markov
+    pair curves and :func:`check_general_converse`; the exact brute-force
+    pair curve of a conditionally i.i.d. model is
+    :func:`_bruteforce_pair_curve`, which builds none."""
     ny = len(model.y_alphabet)
     if route == "typeclass":
         assert isinstance(model, CondIidModel)
-        p_y = model.require_p_y()
+        p_y, rows = model.require_p_y(), model.p_x_given_y
+        shared: dict[tuple[int, int], _Factor] = {}
+        left: dict[tuple[int, int], int] = {}
+
+        def uses(c: int) -> int:
+            """Compositions of the sweep in which one y-symbol occurs c times."""
+            return 1 if ny == 1 else math.comb(n - c + ny - 2, ny - 2)
+
+        def factor(a: int, c: int) -> _Factor:
+            f = shared.get((a, c))
+            if f is None:
+                f = _symbol_factor(rows[a], c, exact)
+                if uses(c) > 1:
+                    shared[a, c] = f
+            return f
+
         for comp in _compositions(n, ny):
             w = _composition_weight(p_y, comp, exact)
             if w != 0:
-                yield w, length_law_typeclass(model, comp, exact=exact, class_cap=class_cap)
+                yield w, _typeclass_law(model, comp, exact, class_cap, factor)
+            # drop a factor after the last composition that holds it
+            for key in ((a, c) for a, c in enumerate(comp) if c):
+                left[key] = left.get(key, uses(key[1])) - 1
+                if not left[key]:
+                    del left[key]
+                    shared.pop(key, None)
         return
     _check_pair_guard(model, n)
     if isinstance(model, CondIidModel):

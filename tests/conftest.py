@@ -33,10 +33,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @st.composite
-def small_models(draw):
+def small_models(draw, max_ny=3):
     """Random conditionally i.i.d. model with exact rational entries."""
     nx = draw(st.integers(2, 3))
-    ny = draw(st.integers(1, 3))
+    ny = draw(st.integers(1, max_ny))
     rows = []
     for _ in range(ny):
         w = draw(

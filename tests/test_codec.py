@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +21,12 @@ from sidecomp.codec import (
     encode,
     rank_for_codeword,
 )
-from sidecomp.limits import GuardExceededError, epsilon_star_prefix, epsilon_star_ref
+from sidecomp.limits import (
+    COUNT_CHUNK,
+    GuardExceededError,
+    epsilon_star_prefix,
+    epsilon_star_ref,
+)
 from sidecomp.models import CondIidModel, SideInfoString
 
 from tests.conftest import y_repeat
@@ -221,3 +229,33 @@ class TestPrefixCode:
     def test_k_zero_rejected(self, fig1):
         with pytest.raises(ValueError):
             build_prefix_code(fig1, y_repeat(fig1, "0", 1), 0)
+
+
+class TestLastCodebook:
+    def test_large_book_lives_only_while_held(self, fig1):
+        y = y_repeat(fig1, "001", 13)
+        code = build_prefix_code(fig1, y, 3)
+        assert code.book.num_strings > COUNT_CHUNK
+        # the previous prefix code holds the book, so the next k reuses it
+        assert build_code(fig1, y) is code.book
+        assert build_prefix_code(fig1, y, 4).book is code.book
+        held = weakref.ref(code.book)
+        del code
+        gc.collect()
+        assert held() is None       # the memo does not keep it alive
+        fresh = build_code(fig1, y)
+        assert fresh.num_strings == 1 << 13
+
+    def test_small_book_is_kept_until_another_is_built(self, fig1):
+        y = y_repeat(fig1, "001", 6)
+        kept = weakref.ref(build_code(fig1, y))
+        gc.collect()
+        assert kept() is not None and build_code(fig1, y) is kept()
+        build_code(fig1, y_repeat(fig1, "01", 6))
+        gc.collect()
+        assert kept() is None
+
+    def test_book_is_frozen(self, fig1):
+        book = build_code(fig1, y_repeat(fig1, "01", 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            book.den = 1

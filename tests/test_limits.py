@@ -1,6 +1,10 @@
+import gc
 import json
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -351,12 +355,14 @@ class TestProductFormLaw:
 
     def test_pair_queries_build_each_law_once(self, fig1, monkeypatch):
         calls = []
+        build = limits._typeclass_law
 
         def counting(*args, **kwargs):
             calls.append(args[1])
-            return length_law_typeclass(*args, **kwargs)
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr("sidecomp.limits.length_law_typeclass", counting)
+        # the sweep builds its laws through _typeclass_law, with shared factors
+        monkeypatch.setattr(limits, "_typeclass_law", counting)
         _pair_curve_of_route.cache_clear()
         n = 6
         curve = [epsilon_star_pair(fig1, n, k, method="typeclass", exact=True)
@@ -396,7 +402,7 @@ def _eager_class_floats(law):
 
 
 def _float_ranking_built(law) -> bool:
-    return law._log2p is not None or any("lp" in vars(f) for f in law._factors)
+    return law._floats is not None or any("lp" in vars(f) for f in law._factors)
 
 
 class TestOnePassCurve:
@@ -797,3 +803,201 @@ class TestGuards:
         with pytest.raises(GuardExceededError):
             length_law_typeclass(fig1, (2000, 1000), class_cap=2001 * 1001 - 1)
         assert length_law_typeclass(fig1, (20, 10), class_cap=21 * 11).num_classes == 21 * 11
+
+
+def _rate_bits(rp):
+    return rp.k, rp.eps_at_k.hex(), rp.eps_at_k_plus_1.hex()
+
+
+def _fresh_typeclass_pair_curve(model, n, exact):
+    """The type-class pair curve from one length_law_typeclass per
+    composition, so that no two laws share a factor."""
+    p_y = model.require_p_y()
+    laws = []
+    for comp in limits._compositions(n, len(model.y_alphabet)):
+        w = limits._composition_weight(p_y, comp, exact)
+        if w != 0:
+            laws.append((w, length_law_typeclass(model, comp, exact=exact)))
+    return _reference_pair_curve(laws, (len(model.x_alphabet) ** n).bit_length(), exact)
+
+
+def _assert_shared_factor_curves_match(model, n):
+    for exact in (False, True):
+        _pair_curve_of_route.cache_clear()
+        got = limits._pair_curve(model, n, "typeclass", exact)
+        want = _fresh_typeclass_pair_curve(model, n, exact)
+        if exact:
+            assert list(got) == want
+        else:
+            assert [v.hex() for v in got] == [float(v).hex() for v in want]
+    _pair_curve_of_route.cache_clear()
+
+
+ONE_SYMBOL = model_from_dict({
+    "kind": "cond_iid", "x_alphabet": ["0", "1", "2"], "y_alphabet": ["0"],
+    "p_x_given_y": [["1/2", "1/3", "1/6"]], "p_y": ["1"],
+})
+
+# a y-symbol of zero probability and a zero conditional entry
+DEAD_SYMBOL = model_from_dict({
+    "kind": "cond_iid", "x_alphabet": ["a", "b", "c"], "y_alphabet": ["0", "1", "2"],
+    "p_x_given_y": [["1/2", "0", "1/2"], ["1/6", "1/3", "1/2"], ["1/3", "1/3", "1/3"]],
+    "p_y": ["2/5", "0", "3/5"],
+})
+
+
+class TestBuildOnce:
+    """Shared factors within a sweep, and the last law and codebook kept
+    across queries, give the results of building everything afresh."""
+
+    @given(small_models(max_ny=4), st.data())
+    @settings(max_examples=40)
+    def test_shared_factor_pair_curves(self, model, data):
+        _assert_shared_factor_curves_match(model, data.draw(st.integers(1, 4)))
+
+    def test_shared_factor_pair_curves_one_to_four_symbols(self, corpus_models):
+        for model, n in ((ONE_SYMBOL, 6), (corpus_models["fig1"], 8), (DEAD_SYMBOL, 5),
+                         (corpus_models["skewed34"], 5)):
+            _assert_shared_factor_curves_match(model, n)
+
+    @given(small_models(), st.data())
+    @settings(max_examples=40)
+    def test_ref_memo_matches_fresh_laws(self, model, data):
+        ny = len(model.y_alphabet)
+        n = data.draw(st.integers(1, 4))
+        y = SideInfoString(model.y_alphabet,
+                           tuple(data.draw(st.integers(0, ny - 1)) for _ in range(n)))
+        ks = range((len(model.x_alphabet) ** n).bit_length() + 1)
+        for method, build in (("bruteforce", length_law_bruteforce),
+                              ("typeclass", length_law_typeclass)):
+            # one query sequence per (route, track), so each shares one law
+            for k in ks:
+                assert epsilon_star_ref(model, y, k, method=method, exact=True) == \
+                    build(model, y, exact=True).epsilon_star_exact(k)
+            for k in ks:
+                assert epsilon_star_ref(model, y, k, method=method).hex() == \
+                    build(model, y).epsilon_star(k).hex()
+            for eps in (0.7, 0.3, 0.05):
+                assert _rate_bits(rate_star_ref(model, y, eps, method=method)) == \
+                    _rate_bits(build(model, y).rate_point(eps))
+
+    @pytest.mark.parametrize("name, word, n", [("fig1", "001", 400), ("nogap", "01", 40)])
+    def test_held_window_law_matches_fresh_laws(self, corpus_models, name, word, n):
+        model = corpus_models[name]
+        y = y_repeat(model, word, n)
+        held = limits._ref_law(model, y, "auto", False)
+        assert not limits._one_chunk(held)
+        ks = range(0, held.num_strings.bit_length() + 1, 7)
+        eps_list = WINDOW_EPSILONS * -(-len(ks) // len(WINDOW_EPSILONS))
+        for k, eps in zip(ks, eps_list):
+            # the held law answers every query, its window kept between them
+            assert epsilon_star_ref(model, y, k).hex() == \
+                length_law_typeclass(model, y).epsilon_star_window(k).hex()
+            assert _rate_bits(rate_star_ref(model, y, eps)) == \
+                _rate_bits(length_law_typeclass(model, y).rate_point_window(eps))
+        assert limits._ref_law(model, y, "auto", False) is held
+
+    def test_point_queries_of_one_y_build_one_law(self, monkeypatch):
+        m = _markov_small(with_initial=True)
+        y = y_repeat(m, "011", 9)
+        builds = []
+        build = limits.length_law_bruteforce
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(limits, "length_law_bruteforce", counting)
+        monkeypatch.setattr(limits, "_LAST_REF_LAW", limits._LastBuilt(limits._one_chunk))
+        for k in range(len(y) + 1):
+            assert epsilon_star_ref(m, y, k).hex() == build(m, y).epsilon_star(k).hex()
+        assert len(builds) == 1
+
+    @staticmethod
+    def _race(queries, want):
+        """Ask ``queries`` from four threads switching often; the
+        answers, as float hex, must be ``want``."""
+        wrong = []
+
+        def ask(t):
+            for i in range(len(queries)):
+                j = (t * 7 + i) % len(queries)
+                try:
+                    if queries[j]() != want[j]:
+                        wrong.append(j)
+                except Exception as exc:    # a torn cache shows as an error
+                    wrong.append((j, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_racing_callers_share_small_laws(self, fig1):
+        # more threads than cores on two y-strings that take turns in the
+        # one memo slot, each kept law ranked and read by several threads
+        ys = [y_repeat(fig1, word, 9) for word in ("001", "01")]
+        queries, want = [], []
+        for _ in range(20):
+            for y in ys:
+                for k in range(10):
+                    queries.append(lambda y=y, k=k: epsilon_star_ref(fig1, y, k).hex())
+                    want.append(length_law_bruteforce(fig1, y).epsilon_star(k).hex())
+        self._race(queries, want)
+
+    def test_racing_callers_share_a_window_law(self, fig1):
+        # a law above COUNT_CHUNK cells is shared while a caller holds it
+        y = y_repeat(fig1, "001", 400)
+        held = limits._ref_law(fig1, y, "auto", False)
+        queries, want = [], []
+        for k in range(0, 401, 20):
+            queries.append(lambda k=k: epsilon_star_ref(fig1, y, k).hex())
+            want.append(length_law_typeclass(fig1, y).epsilon_star_window(k).hex())
+        for eps in WINDOW_EPSILONS:
+            queries.append(lambda eps=eps: _rate_bits(rate_star_ref(fig1, y, eps)))
+            want.append(_rate_bits(length_law_typeclass(fig1, y).rate_point_window(eps)))
+        self._race(queries, want)
+        assert limits._ref_law(fig1, y, "auto", False) is held
+
+    def test_skewed34_sweep_builds_each_factor_once(self, corpus_models, monkeypatch):
+        calls = []
+        build = limits._symbol_factor
+
+        def counting(row, count, exact):
+            calls.append((row, count))
+            return build(row, count, exact)
+
+        monkeypatch.setattr(limits, "_symbol_factor", counting)
+        _pair_curve_of_route.cache_clear()
+        rate_star_pair(corpus_models["skewed34"], 10, 0.1)
+        _pair_curve_of_route.cache_clear()
+        # one per (y-symbol, count): four symbols, counts 1 to 10
+        assert len(calls) == len(set(calls)) == 40
+
+    @pytest.mark.parametrize("name, n, most", [("fig1", 40, 0), ("skewed34", 6, 4 * 6)])
+    def test_sweep_holds_factors_only_while_needed(self, corpus_models, name, n, most):
+        seen, held = {}, []
+        for _, law in limits._pair_laws(corpus_models[name], n, "typeclass", False):
+            seen.update((id(f), weakref.ref(f)) for f in law._factors)
+            del law
+            # the law is dropped: a factor still alive is the sweep's
+            held.append(sum(r() is not None for r in seen.values()))
+        assert max(held) <= most
+        if most:
+            assert max(held) > 0    # the check sees a factor the sweep keeps
+        assert not any(r() is not None for r in seen.values())
+
+    def test_window_law_does_not_outlive_its_query(self, fig1):
+        y = y_repeat(fig1, "001", 400)
+        rate_star_ref(fig1, y, 0.1)
+        epsilon_star_ref(fig1, y, 200)
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, LengthLaw)]

@@ -2,10 +2,11 @@
 
 The per-string conditional information decomposes into a sum of a
 block function f over sliding (d+1)-blocks of pair symbols plus a
-boundary term bounded by a constant delta.  The blocks themselves form
-a first-order chain, so the rates come from its stationary law: the
-entropy rate is the stationary mean of f and the variance rate solves
-the Poisson equation.  Monte Carlo helpers sample paths and probe how
+boundary term bounded by a constant delta.  A block is an edge
+(context, pair symbol) of the context chain: the entropy rate is the
+stationary mean of f over the edges, and the variance rate solves a
+Poisson equation on the context chain itself, |XY| times smaller than
+the chain of blocks.  Monte Carlo helpers sample paths and probe how
 fast the normalized conditional information approaches the Gaussian.
 """
 
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,8 +24,8 @@ from .measures import inverse_cdf_table
 from .models import (
     DerivedYChain,
     MarkovPairModel,
+    _context_matrix,
     class_period,
-    closed_classes,
     derive_y_chain,
 )
 
@@ -63,24 +65,23 @@ class MarkovAnalysis:
 
     ``delta`` bounds the absolute gap between the conditional
     information of a length-n prefix and the n-window sum of f, for
-    every positive-probability path and every n.
+    every positive-probability path and every n.  The rates are solved
+    on the context chain; ``z_chain``, the chain of blocks, is built
+    only when it is read.
     """
 
     h_rate: float
     sigma2_rate: float
     delta: float
     block_f: dict[tuple[int, ...], float]
-    z_chain: ZChain
     y_chain: DerivedYChain
+    _model: MarkovPairModel = field(repr=False, compare=False)
+    _f: np.ndarray = field(repr=False, compare=False)
 
-
-def _check_ergodic(model: MarkovPairModel) -> None:
-    succ = model.context_digraph()
-    closed = closed_classes(succ)
-    if len(closed) != 1:
-        raise ValueError("pair chain has several closed context classes")
-    if class_period(succ, closed[0]) != 1:
-        raise ValueError("pair context chain is periodic")
+    @cached_property
+    def z_chain(self) -> ZChain:
+        """The chain of overlapping blocks, built on first read."""
+        return _z_chain(self._model, self._f)
 
 
 def _log2(a: np.ndarray) -> np.ndarray:
@@ -123,15 +124,22 @@ def block_function(
     return _block_dict(model, _f_table(model, y_chain or derive_y_chain(model)))
 
 
-def _z_chain(model: MarkovPairModel, f: np.ndarray) -> ZChain:
-    _check_ergodic(model)
+def _edges(model: MarkovPairModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(context, pair symbol, mass) of the edges of positive stationary
+    mass, in row-major order; the masses sum to 1."""
     pi_ctx = model.stationary_f
     T = model.transition_f
     ctx, s = np.nonzero((pi_ctx[:, None] > 0.0) & (T > 0.0))
+    w = pi_ctx[ctx] * T[ctx, s]
+    w /= w.sum()
+    return ctx, s, w
+
+
+def _z_chain(model: MarkovPairModel, f: np.ndarray) -> ZChain:
+    ctx, s, pi = _edges(model)
     # state j = (ctx_j, s_j) follows state i when ctx_j is i's next context
-    P = np.where(ctx == model._next_context[ctx, s][:, None], T[ctx, s], 0.0)
-    pi = pi_ctx[ctx] * T[ctx, s]
-    pi /= pi.sum()
+    P = np.where(ctx == model._next_context[ctx, s][:, None],
+                 model.transition_f[ctx, s], 0.0)
     return ZChain(order=model.order, states=tuple(_blocks(model, ctx, s)),
                   transition=P, stationary=pi, f=f[ctx, s])
 
@@ -141,23 +149,6 @@ def build_z_chain(
 ) -> ZChain:
     """Overlapping-block chain restricted to positive stationary states."""
     return _z_chain(model, _f_table(model, y_chain or derive_y_chain(model)))
-
-
-def _poisson_solve(P: np.ndarray, pi: np.ndarray, fbar: np.ndarray) -> np.ndarray:
-    """Solve g - P g = fbar with E_pi[g] = 0."""
-    m = P.shape[0]
-    if m <= 2000:
-        A = np.eye(m) - P + np.outer(np.ones(m), pi)
-        return np.linalg.solve(A, fbar)
-    g = fbar.copy()
-    term = fbar.copy()
-    for _ in range(200_000):
-        term = P @ term
-        term -= (pi @ term) * np.ones(m)
-        g += term
-        if np.abs(term).max() <= 1e-14:
-            return g
-    raise RuntimeError("Poisson iteration did not converge")
 
 
 def _boundary_delta(model: MarkovPairModel, f: np.ndarray) -> float:
@@ -186,7 +177,17 @@ def _boundary_delta(model: MarkovPairModel, f: np.ndarray) -> float:
 
 
 def markov_rates(model: MarkovPairModel) -> MarkovAnalysis:
-    """Entropy rate, varentropy rate (via the Poisson equation), delta."""
+    """Entropy rate, varentropy rate (via the Poisson equation), delta.
+
+    The variance rate is ``sum w fbar^2 + 2 sum w fbar g(next)`` over the
+    edges of stationary mass w, ``fbar = f - h``, where g solves the
+    Poisson equation of the context chain on its closed class,
+    ``(I - P + 1 pi) g = r`` with ``r(c) = sum_s T(c, s) fbar(c, s)``:
+    the chain of blocks' ``P g`` at an edge is g at its next context.
+    """
+    members = np.flatnonzero(model.stationary_f > 0.0)
+    if class_period(model.context_digraph(), members.tolist()) != 1:
+        raise ValueError("pair context chain is periodic")
     y_chain = derive_y_chain(model)
     if y_chain.markovianity_defect > 1e-9:
         warnings.warn(
@@ -197,19 +198,23 @@ def markov_rates(model: MarkovPairModel) -> MarkovAnalysis:
             stacklevel=2,
         )
     f = _f_table(model, y_chain)
-    zc = _z_chain(model, f)
-    pi, P = zc.stationary, zc.transition
-    h = float(pi @ zc.f)
-    fbar = zc.f - h
-    g = _poisson_solve(P, pi, fbar)
-    sigma2 = float(pi @ (fbar * fbar) + 2.0 * (pi @ (fbar * (P @ g))))
+    ctx, s, w = _edges(model)
+    h = float(w @ f[ctx, s])
+    fbar = f[ctx, s] - h
+    r = np.bincount(ctx, weights=model.transition_f[ctx, s] * fbar,
+                    minlength=model.num_contexts)
+    A = np.eye(len(members)) - _context_matrix(model, members) + model.stationary_f[members]
+    g = np.zeros(model.num_contexts)
+    g[members] = np.linalg.solve(A, r[members])
+    sigma2 = float(w @ (fbar * fbar) + 2.0 * (w @ (fbar * g[model._next_context[ctx, s]])))
     if sigma2 < 0.0:
         if sigma2 < -1e-10:
             raise RuntimeError("variance rate came out negative")
         sigma2 = 0.0
     return MarkovAnalysis(h_rate=h, sigma2_rate=sigma2,
                           delta=_boundary_delta(model, f),
-                          block_f=_block_dict(model, f), z_chain=zc, y_chain=y_chain)
+                          block_f=_block_dict(model, f), y_chain=y_chain,
+                          _model=model, _f=f)
 
 
 def _initial_context_pmf(model: MarkovPairModel) -> np.ndarray:

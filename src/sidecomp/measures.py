@@ -196,47 +196,41 @@ def cond_info_density(model: Model, x: Sequence[int], y: SideInfoString) -> floa
 
 
 def _markov_info_density(model: MarkovPairModel, x: tuple[int, ...], y: SideInfoString) -> float:
-    n = len(x)
-    d = model.order
-    # Joint path probability of (x, y) under the pair chain.
-    init = model.initial_f
-    trans = model.transition_f
-    pair = [model.pair_index(x[t], y.indices[t]) for t in range(n)]
-    if n < d:
-        raise ValueError(f"need length >= model order {d}")
-    ctx = model.context_index(pair[:d])
-    joint_log = math.log2(init[ctx]) if init[ctx] > 0 else -math.inf
-    for t in range(d, n):
-        p = trans[ctx, pair[t]]
-        if p <= 0:
-            joint_log = -math.inf
-            break
-        joint_log += math.log2(p)
-        ctx = model.shift_context(ctx, pair[t])
+    joint_log = _y_marginal_log2(model, y.indices, x)
     if joint_log == -math.inf:
         raise ValueError("string pair has zero probability")
-    # Side-information marginal by summing the pair chain over x-paths.
     y_log = _y_marginal_log2(model, y.indices)
     if y_log == -math.inf:
         raise ValueError("side-information string has zero probability")
     return y_log - joint_log
 
 
-def _y_marginal_log2(model: MarkovPairModel, y: Sequence[int]) -> float:
+def _y_marginal_log2(
+    model: MarkovPairModel, y: Sequence[int], x: Sequence[int] | None = None
+) -> float:
     """log2 P(y_1^n): the x-string enumeration's forward pass with the
     states of equal context merged after each step, then scaled to sum 1
-    (a scaled HMM forward pass)."""
+    (a scaled HMM forward pass).  With ``x``, log2 P(x_1^n, y_1^n): each
+    step takes the one pair symbol ``x_t |Y| + y_t``, so one context has
+    mass and each scale is exactly an initial or transition probability.
+    """
     d = model.order
     if len(y) < d:
         raise ValueError(f"need length >= model order {d}")
     nctx = model.num_contexts
-    ctx = model._head_contexts(y)
+    if x is None:
+        ctx = model._head_contexts(y)
+    else:
+        ctx = np.array([model.context_index(
+            [model.pair_index(a, b) for a, b in zip(x[:d], y[:d])])])
     alpha = np.bincount(ctx, weights=model.initial_f[ctx], minlength=nctx)
     every = np.arange(nctx)
     total_log = 0.0
     for t in range(d, len(y) + 1):
         if t > d:
             s, nxt = model._step(every, y[t - 1])
+            if x is not None:
+                s, nxt = s[x[t - 1]:x[t - 1] + 1], nxt[:, x[t - 1]:x[t - 1] + 1]
             weights = alpha[:, None] * model.transition_f[:, s]
             alpha = np.bincount(nxt.ravel(), weights=weights.ravel(), minlength=nctx)
         scale = alpha.sum()

@@ -466,35 +466,34 @@ def stationary_context_law(model: MarkovPairModel) -> np.ndarray:
     if len(closed) != 1:
         raise ValueError("context chain is not irreducible; validate the model")
     members = closed[0]
+    out = np.zeros(model.num_contexts)
+    out[members] = _stationary_of_matrix(_context_matrix(model, members))
+    return out
+
+
+def _context_matrix(model: MarkovPairModel, members: Sequence[int]) -> np.ndarray:
+    """Context transition matrix restricted to ``members``, a closed set
+    of contexts, in their order."""
     C = model.num_contexts
     # each pair symbol leads to its own next context: no cell is set twice
     P = np.zeros((C, C))
     P[np.arange(C)[:, None], model._next_context] = model.transition_f
-    out = np.zeros(model.num_contexts)
-    out[members] = _stationary_of_matrix(P[np.ix_(members, members)])
-    return out
+    return P[np.ix_(members, members)]
 
 
 def _stationary_of_matrix(P: np.ndarray) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 for an irreducible row-stochastic P."""
+    """Solve pi P = pi, sum(pi) = 1 for an irreducible row-stochastic P:
+    one square solve, the last equation of pi (P - I) = 0 replaced by
+    the normalization (the equations sum to zero, so one is redundant)."""
     m = P.shape[0]
-    if m <= 2000:
-        A = np.vstack([P.T - np.eye(m), np.ones((1, m))])
-        b = np.zeros(m + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    else:
-        pi = np.full(m, 1.0 / m)
-        for _ in range(200_000):
-            nxt = pi @ P
-            if np.abs(nxt - pi).sum() <= 1e-13:
-                pi = nxt
-                break
-            pi = nxt
-    pi = np.clip(pi, 0.0, None)
+    A = P.T - np.eye(m)
+    A[-1] = 1.0
+    b = np.zeros(m)
+    b[-1] = 1.0
+    pi = np.clip(np.linalg.solve(A, b), 0.0, None)
     pi /= pi.sum()
     if np.abs(pi @ P - pi).sum() > 1e-10:
-        raise RuntimeError("stationary solve did not converge")
+        raise RuntimeError("stationary solve fails pi P = pi")
     return pi
 
 

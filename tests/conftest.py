@@ -6,7 +6,13 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from sidecomp.models import Alphabet, CondIidModel, SideInfoString, load_model
+from sidecomp.models import (
+    Alphabet,
+    CondIidModel,
+    SideInfoString,
+    load_model,
+    model_from_dict,
+)
 
 settings.register_profile(
     "suite",
@@ -32,6 +38,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.line(line)
 
 
+# pair chains that ``validate`` rejects: two contexts that alternate
+# (period 2), and two contexts that each keep to themselves (two closed
+# classes)
+PERIODIC_CHAIN = {
+    "kind": "markov_pair",
+    "x_alphabet": ["0"], "y_alphabet": ["0", "1"],
+    "order": 1,
+    "transition": [["0", "1"], ["1", "0"]],
+}
+REDUCIBLE_CHAIN = {**PERIODIC_CHAIN, "transition": [["1", "0"], ["0", "1"]]}
+
+
 @st.composite
 def small_models(draw, max_ny=3):
     """Random conditionally i.i.d. model with exact rational entries."""
@@ -54,6 +72,35 @@ def small_models(draw, max_ny=3):
         p_x_given_y=tuple(rows),
         p_y=py,
     )
+
+
+@st.composite
+def pair_chains(draw, max_order=2, pool_size=3, initial=False):
+    """Pair chains of order 1 to ``max_order`` (at most 81 contexts) with
+    rational rows that have zero entries.
+
+    Contexts take their rows from a pool of at most ``pool_size`` (one
+    per context if None), so rows repeat and the distinct CDF levels are
+    shared between rows.  Every row puts mass on pair symbol 0, which
+    keeps the chain ergodic and aperiodic.  With ``initial``, some chains
+    get an explicit initial law, with zeros.
+    """
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    S = nx * ny
+    order = draw(st.integers(1, max_order).filter(lambda o: S**o <= 81))
+    weights = st.tuples(st.integers(1, 3), *[st.integers(0, 2)] * (S - 1))
+    pool = draw(st.lists(weights, min_size=1, max_size=pool_size or S**order))
+    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(S**order)]
+    doc = {
+        "kind": "markov_pair", "order": order,
+        "x_alphabet": list("abc")[:nx], "y_alphabet": list("012")[:ny],
+        "transition": [[str(Fraction(w, sum(row))) for w in row] for row in rows],
+    }
+    if initial and draw(st.booleans()):
+        w = draw(st.lists(st.integers(0, 3), min_size=S**order, max_size=S**order)
+                 .filter(any))
+        doc["initial"] = [str(Fraction(v, sum(w))) for v in w]
+    return model_from_dict(doc)
 
 
 def y_repeat(model, word: str, n: int) -> SideInfoString:

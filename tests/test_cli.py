@@ -5,7 +5,7 @@ import pytest
 
 from sidecomp.cli import main
 
-from tests.conftest import MODELS_DIR
+from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN
 
 FIG1 = str(MODELS_DIR / "fig1.json")
 MARKOV = str(MODELS_DIR / "markov2x2.json")
@@ -84,6 +84,19 @@ class TestMeasures:
         )
         assert code == 1
         assert "usage error" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        (PERIODIC_CHAIN, "pair context chain is periodic"),
+        (REDUCIBLE_CHAIN, "context chain is not irreducible; validate the model"),
+    ])
+    def test_non_ergodic_markov_model_is_one_error_line(self, capsys, tmp_path,
+                                                         doc, message):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["measures", "--model", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
 
 class TestLimits:
@@ -308,13 +321,13 @@ class TestSolveFailure:
     ])
     def test_runtime_error_is_one_stderr_line(self, capsys, monkeypatch, argv):
         def failing(model):
-            raise RuntimeError("Poisson iteration did not converge")
+            raise RuntimeError("variance rate came out negative")
 
         monkeypatch.setattr("sidecomp.markov.markov_rates", failing)
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
-        assert err == "error: Poisson iteration did not converge\n"
+        assert err == "error: variance rate came out negative\n"
 
 
 class TestParsing:

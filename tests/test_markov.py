@@ -1,6 +1,5 @@
 import math
 import warnings
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -29,6 +28,8 @@ from sidecomp.models import (
     model_from_dict,
     stationary_context_law,
 )
+
+from tests.conftest import PERIODIC_CHAIN, REDUCIBLE_CHAIN, pair_chains
 
 
 def _reference_walk(model, trials, steps, rng):
@@ -84,8 +85,8 @@ def _reference_digraph(model):
             for c in range(model.num_contexts)]
 
 
-def _reference_stationary(model):
-    """Stationary context law with its matrix built by a loop."""
+def _reference_context_matrix(model):
+    """(closed class, context transition matrix on it), by a loop."""
     S = model.num_pair_symbols
     members = closed_classes(_reference_digraph(model))[0]
     pos = {c: i for i, c in enumerate(members)}
@@ -95,9 +96,23 @@ def _reference_stationary(model):
             p = model.transition[c][s]
             if p > 0:
                 P[i, pos[model.shift_context(c, s)]] += float(p)
+    return members, P
+
+
+def _reference_stationary(model):
+    """Stationary context law with its matrix built by a loop."""
+    members, P = _reference_context_matrix(model)
     out = np.zeros(model.num_contexts)
     out[members] = _stationary_of_matrix(P)
     return out
+
+
+def _lstsq_stationary(P):
+    """pi P = pi with sum(pi) = 1 as one least-squares system."""
+    m = P.shape[0]
+    b = np.zeros(m + 1)
+    b[-1] = 1.0
+    return np.linalg.lstsq(np.vstack([P.T - np.eye(m), np.ones((1, m))]), b, rcond=None)[0]
 
 
 def _reference_y_chain(model, pi):
@@ -179,6 +194,30 @@ def _reference_z_chain(model, pi_ctx, f_table):
     return tuple(states), P, pi, np.array([f_table[b] for b in states])
 
 
+def _reference_block_rates(P, pi, f):
+    """(h, sigma^2) of f on the block chain, by a dense Poisson solve."""
+    h = float(pi @ f)
+    fbar = f - h
+    m = len(pi)
+    g = np.linalg.solve(np.eye(m) - P + np.outer(np.ones(m), pi), fbar)
+    return h, float(pi @ (fbar * fbar) + 2.0 * (pi @ (fbar * (P @ g))))
+
+
+def _assert_matches_block_chain(model, analysis):
+    """Rates of the context-chain solve against the block chain's, and
+    the square stationary solve against least squares."""
+    f_table = _reference_block_function(model, analysis.y_chain)
+    _, P, pi, f = _reference_z_chain(model, model.stationary_f, f_table)
+    h, sigma2 = _reference_block_rates(P, pi, f)
+    assert _same_bits(analysis.h_rate, h)
+    assert abs(analysis.sigma2_rate - sigma2) <= 1e-12 * abs(sigma2)
+
+    _, P_ctx = _reference_context_matrix(model)
+    pi_ctx = _stationary_of_matrix(P_ctx)
+    assert np.abs(pi_ctx @ P_ctx - pi_ctx).sum() <= 1e-12
+    assert np.abs(pi_ctx - _lstsq_stationary(P_ctx)).max() <= 1e-14
+
+
 def _reference_delta(model, pi_ctx, f_table):
     """Boundary constant by a recursive walk over every path of d pair
     symbols from every positive-stationary context."""
@@ -214,35 +253,6 @@ def _quiet_rates(model):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return markov_rates(model)
-
-
-@st.composite
-def pair_chains(draw, max_order=2, pool_size=3, initial=False):
-    """Pair chains of order 1 to ``max_order`` (at most 81 contexts) with
-    rational rows that have zero entries.
-
-    Contexts take their rows from a pool of at most ``pool_size`` (one
-    per context if None), so rows repeat and the distinct CDF levels are
-    shared between rows.  Every row puts mass on pair symbol 0, which
-    keeps the chain ergodic and aperiodic.  With ``initial``, some chains
-    get an explicit initial law, with zeros.
-    """
-    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    S = nx * ny
-    order = draw(st.integers(1, max_order).filter(lambda o: S**o <= 81))
-    weights = st.tuples(st.integers(1, 3), *[st.integers(0, 2)] * (S - 1))
-    pool = draw(st.lists(weights, min_size=1, max_size=pool_size or S**order))
-    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(S**order)]
-    doc = {
-        "kind": "markov_pair", "order": order,
-        "x_alphabet": list("abc")[:nx], "y_alphabet": list("012")[:ny],
-        "transition": [[str(Fraction(w, sum(row))) for w in row] for row in rows],
-    }
-    if initial and draw(st.booleans()):
-        w = draw(st.lists(st.integers(0, 3), min_size=S**order, max_size=S**order)
-                 .filter(any))
-        doc["initial"] = [str(Fraction(v, sum(w))) for v in w]
-    return model_from_dict(doc)
 
 
 class TestRates:
@@ -297,6 +307,15 @@ class TestRates:
         assert analysis.h_rate == pytest.approx(0.351207, abs=1e-5)
         assert analysis.sigma2_rate == pytest.approx(0.940232, abs=1e-5)
 
+    @pytest.mark.parametrize("doc, message", [
+        (PERIODIC_CHAIN, "pair context chain is periodic"),
+        (REDUCIBLE_CHAIN, "context chain is not irreducible; validate the model"),
+    ])
+    def test_non_ergodic_chain_raises(self, doc, message):
+        with pytest.raises(ValueError) as exc:
+            markov_rates(model_from_dict(doc))
+        assert str(exc.value) == message
+
 
 class TestBlockFunction:
     def test_embedded_block_is_single_letter_info(self, fig1):
@@ -340,8 +359,13 @@ class TestEdgeTable:
     @example(model=model_from_dict(UNSEEN_KEY))
     def test_random_chains_match_reference_loops(self, model):
         with mock.patch.object(models, "stationary_context_law",
-                               wraps=stationary_context_law) as solve:
+                               wraps=stationary_context_law) as solve, \
+                mock.patch.object(markov, "_z_chain", wraps=markov._z_chain) as blocks:
             analysis = _quiet_rates(model)
+            assert analysis.sigma2_rate >= 0.0
+            assert blocks.call_count == 0
+            assert analysis.z_chain is analysis.z_chain
+            assert blocks.call_count == 1
         assert solve.call_count == 1
 
         assert model.context_digraph() == _reference_digraph(model)
@@ -366,6 +390,13 @@ class TestEdgeTable:
             assert _same_bits(zc.stationary, stationary)
             assert _same_bits(zc.f, f)
         assert _same_bits(analysis.delta, _reference_delta(model, pi, f_table))
+        _assert_matches_block_chain(model, analysis)
+
+    @pytest.mark.parametrize("name", ["copy_chain", "indep_chains", "markov2x2",
+                                      "ymarg_nonmarkov"])
+    def test_corpus_rates_match_block_chain(self, corpus_models, name):
+        model = corpus_models[name]
+        _assert_matches_block_chain(model, _quiet_rates(model))
 
     def test_unseen_key_counts_in_the_defect(self):
         model = model_from_dict(self.UNSEEN_KEY)

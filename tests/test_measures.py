@@ -4,8 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidecomp.measures import (
+    _y_marginal_log2,
     cdf_rows,
     inverse_cdf_table,
     cond_info_density,
@@ -16,9 +18,9 @@ from sidecomp.measures import (
     per_y_profile,
     sample_cond_iid,
 )
-from sidecomp.models import model_from_dict
+from sidecomp.models import SideInfoString, model_from_dict
 
-from tests.conftest import small_models, y_repeat
+from tests.conftest import pair_chains, small_models, y_repeat
 
 # [DERIVED] fig1 measures, frozen from an independent mpmath evaluation
 FIG1 = {
@@ -31,6 +33,29 @@ FIG1 = {
     "mu3_pair": 1.40267130056,
     "psi2": 0.150237769053,
 }
+
+
+def _reference_markov_info_density(model, x, y):
+    """-log2 P(x | y) with the joint path probability from a scalar loop
+    over the pair path."""
+    n, d = len(x), model.order
+    init, trans = model.initial_f, model.transition_f
+    pair = [model.pair_index(x[t], y.indices[t]) for t in range(n)]
+    ctx = model.context_index(pair[:d])
+    joint_log = math.log2(init[ctx]) if init[ctx] > 0 else -math.inf
+    for t in range(d, n):
+        p = trans[ctx, pair[t]]
+        if p <= 0:
+            joint_log = -math.inf
+            break
+        joint_log += math.log2(p)
+        ctx = model.shift_context(ctx, pair[t])
+    if joint_log == -math.inf:
+        raise ValueError("string pair has zero probability")
+    y_log = _y_marginal_log2(model, y.indices)
+    if y_log == -math.inf:
+        raise ValueError("side-information string has zero probability")
+    return y_log - joint_log
 
 
 class TestMeasureSet:
@@ -141,6 +166,23 @@ class TestInfoDensity:
                 continue
             got = cond_info_density(m, xs, y)
             assert got == pytest.approx(-math.log2(p / p_y), abs=1e-10)
+
+    @settings(max_examples=150)
+    @given(model=pair_chains(initial=True), data=st.data())
+    def test_markov_matches_path_loop(self, model, data):
+        n = data.draw(st.integers(model.order, model.order + 6))
+        x = data.draw(st.lists(st.integers(0, len(model.x_alphabet) - 1),
+                               min_size=n, max_size=n))
+        y = SideInfoString(model.y_alphabet, tuple(data.draw(st.lists(
+            st.integers(0, len(model.y_alphabet) - 1), min_size=n, max_size=n))))
+        try:
+            want = _reference_markov_info_density(model, x, y)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                cond_info_density(model, x, y)
+            assert str(got.value) == str(exc)
+            return
+        assert cond_info_density(model, x, y).hex() == want.hex()
 
 
 class TestSampling:

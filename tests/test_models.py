@@ -25,6 +25,8 @@ from sidecomp.models import (
     validate,
 )
 
+from tests.conftest import PERIODIC_CHAIN, REDUCIBLE_CHAIN
+
 
 class TestParseProbability:
     def test_decimal_string(self):
@@ -159,23 +161,13 @@ class TestMarkovStructure:
         assert class_period([[0, 1], [0]], [0, 1]) == 1
 
     def test_periodic_chain_fails_validation(self):
-        m = model_from_dict({
-            "kind": "markov_pair",
-            "x_alphabet": ["0"], "y_alphabet": ["0", "1"],
-            "order": 1,
-            "transition": [["0", "1"], ["1", "0"]],
-        })
+        m = model_from_dict(PERIODIC_CHAIN)
         report = m.validate()
         assert not report.ok
         assert any("not aperiodic" in e for e in report.errors)
 
     def test_reducible_chain_fails_validation(self):
-        m = model_from_dict({
-            "kind": "markov_pair",
-            "x_alphabet": ["0"], "y_alphabet": ["0", "1"],
-            "order": 1,
-            "transition": [["1", "0"], ["0", "1"]],
-        })
+        m = model_from_dict(REDUCIBLE_CHAIN)
         assert not m.validate().ok
 
 

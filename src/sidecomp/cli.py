@@ -61,36 +61,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: one subcommand plus its knobs."""
-
-    command: str
-    model: str | None = None
-    n_values: tuple[int, ...] = ()
-    eps_values: tuple[float, ...] = ()
-    k_values: tuple[int, ...] = ()
-    y: str | None = None
-    seed: int = 0
-    method: str = "auto"
-    A: float | None = None
-    out: str | None = None
-    scope: str | None = None
-    corpus: str = "models"
-    trials: int = 20000
-
-    def __post_init__(self) -> None:
-        for e in self.eps_values:
-            if not 0.0 <= e < 1.0:
-                raise UsageError(f"--eps {e} outside [0, 1)")
-            if e == 0.0:
-                raise UsageError("--eps must be > 0")
-        if self.n_values and min(self.n_values) < 1:
-            raise UsageError("n must be >= 1")
-        if self.trials < 1:
-            raise UsageError(f"--trials must be >= 1, got {self.trials}")
-
-
 def _fmt(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -123,10 +93,10 @@ def _emit_lines(lines: Sequence[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(cfg: RunConfig):
-    if cfg.model is None:
+def _load(args: argparse.Namespace):
+    if args.model is None:
         raise UsageError("--model is required for this command")
-    return load_model(cfg.model)
+    return load_model(args.model)
 
 
 def _resolve_y_indices(spec: str, alphabet, max_n: int) -> tuple[int, ...]:
@@ -159,21 +129,21 @@ def _y_at(alphabet, base: tuple[int, ...], n: int) -> SideInfoString:
 # subcommands
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        model = _load(cfg)
+        model = _load(args)
     except ModelFormatError as exc:
-        _emit_lines([f"INVALID {cfg.model}: {exc}"], cfg.out)
+        _emit_lines([f"INVALID {args.model}: {exc}"], args.out)
         return EXIT_VALIDATION
     report = validate(model)
-    lines = [f"{'VALID' if report.ok else 'INVALID'} {cfg.model}"]
+    lines = [f"{'VALID' if report.ok else 'INVALID'} {args.model}"]
     lines += report.lines()
-    _emit_lines(lines, cfg.out)
+    _emit_lines(lines, args.out)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def cmd_measures(cfg: RunConfig) -> int:
-    model = _load(cfg)
+def cmd_measures(args: argparse.Namespace) -> int:
+    model = _load(args)
     if isinstance(model, MarkovPairModel):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -181,66 +151,66 @@ def cmd_measures(cfg: RunConfig) -> int:
         _emit(
             ["h_rate", "sigma2_rate", "delta", "y_markov_defect"],
             [[an.h_rate, an.sigma2_rate, an.delta, an.y_chain.markovianity_defect]],
-            cfg.out,
+            args.out,
         )
         return EXIT_OK
-    if cfg.y is not None:
-        ns = cfg.n_values or (1,)
-        base = _resolve_y_indices(cfg.y, model.y_alphabet, max(ns))
+    if args.y is not None:
+        ns = args.n or (1,)
+        base = _resolve_y_indices(args.y, model.y_alphabet, max(ns))
         m3 = float(msr.per_y_profile(model).m3.max())
         rows = []
         for n in ns:
             h_n, s2, _ = msr.h_n_sigma_n(model, _y_at(model.y_alphabet, base, n))
             rows.append([n, h_n, s2, m3])
-        _emit(["n", "h_n", "sigma_n2", "m3"], rows, cfg.out)
+        _emit(["n", "h_n", "sigma_n2", "m3"], rows, args.out)
         return EXIT_OK
     if model.p_y is None:
         raise UsageError("pair measures need a model with p_y (or pass --y)")
     ms = msr.measures(model)
     d = ms.as_dict()
-    _emit(list(d.keys()), [list(d.values())], cfg.out)
+    _emit(list(d.keys()), [list(d.values())], args.out)
     return EXIT_OK
 
 
-def cmd_limits(cfg: RunConfig) -> int:
-    model = _load(cfg)
-    if not cfg.n_values:
+def cmd_limits(args: argparse.Namespace) -> int:
+    model = _load(args)
+    if not args.n:
         raise UsageError("limits needs --n or --n-range")
-    scope = cfg.scope or ("ref" if cfg.y is not None else "pair")
-    if scope in ("ref", "prefix") and cfg.y is None:
+    scope = args.scope or ("ref" if args.y is not None else "pair")
+    if scope in ("ref", "prefix") and args.y is None:
         raise UsageError(f"scope {scope} needs --y")
     base = None
-    if cfg.y is not None:
-        base = _resolve_y_indices(cfg.y, model.y_alphabet, max(cfg.n_values))
+    if args.y is not None:
+        base = _resolve_y_indices(args.y, model.y_alphabet, max(args.n))
     rows: list[list[object]] = []
-    if cfg.k_values:
-        for n in cfg.n_values:
-            for k in cfg.k_values:
+    if args.k:
+        for n in args.n:
+            for k in args.k:
                 if scope == "ref":
                     e = xl.epsilon_star_ref(
-                        model, _y_at(model.y_alphabet, base, n), k, method=cfg.method)
+                        model, _y_at(model.y_alphabet, base, n), k, method=args.method)
                 elif scope == "prefix":
                     e = xl.epsilon_star_prefix(
-                        model, n, k, _y_at(model.y_alphabet, base, n), method=cfg.method)
+                        model, n, k, _y_at(model.y_alphabet, base, n), method=args.method)
                 else:
-                    e = xl.epsilon_star_pair(model, n, k, method=cfg.method)
+                    e = xl.epsilon_star_pair(model, n, k, method=args.method)
                 rows.append([scope, n, k, float(e)])
-        _emit(["scope", "n", "k", "eps_star"], rows, cfg.out)
+        _emit(["scope", "n", "k", "eps_star"], rows, args.out)
         return EXIT_OK
-    if not cfg.eps_values:
+    if not args.eps:
         raise UsageError("limits needs --eps or --k")
-    for n in cfg.n_values:
-        for eps in cfg.eps_values:
+    for n in args.n:
+        for eps in args.eps:
             if scope == "ref":
                 rp = xl.rate_star_ref(
-                    model, _y_at(model.y_alphabet, base, n), eps, method=cfg.method)
+                    model, _y_at(model.y_alphabet, base, n), eps, method=args.method)
             elif scope == "pair":
-                rp = xl.rate_star_pair(model, n, eps, method=cfg.method)
+                rp = xl.rate_star_pair(model, n, eps, method=args.method)
             else:
                 raise UsageError("rate sweeps support scopes ref and pair")
             rows.append([scope, n, eps, rp.k, rp.rate, rp.eps_at_k, rp.eps_at_k_plus_1])
     _emit(["scope", "n", "epsilon", "k_star", "rate", "eps_at_k", "eps_at_k_plus_1"],
-          rows, cfg.out)
+          rows, args.out)
     return EXIT_OK
 
 
@@ -249,73 +219,73 @@ def _bound_row(rep: nb.BoundReport) -> list[object]:
     return [rep.kind, rep.n, rep.epsilon, rep.value, rep.n_threshold, rep.valid, consts]
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    model = _load(cfg)
-    if not cfg.n_values:
+def cmd_bounds(args: argparse.Namespace) -> int:
+    model = _load(args)
+    if not args.n:
         raise UsageError("bounds needs --n or --n-range")
-    if not cfg.eps_values:
+    if not args.eps:
         raise UsageError("bounds needs --eps")
     rows = []
     if isinstance(model, MarkovPairModel):
-        if cfg.A is None:
+        if args.A is None:
             raise UsageError("markov bounds need --A (Berry-Esseen constant)")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             an = mk.markov_rates(model)
-        for n in cfg.n_values:
-            for eps in cfg.eps_values:
-                ach, conv = nb.markov_bounds(an, n, eps, cfg.A)
+        for n in args.n:
+            for eps in args.eps:
+                ach, conv = nb.markov_bounds(an, n, eps, args.A)
                 rows.append(_bound_row(ach))
                 rows.append(_bound_row(conv))
-    elif cfg.y is not None:
-        base = _resolve_y_indices(cfg.y, model.y_alphabet, max(cfg.n_values))
-        for n in cfg.n_values:
+    elif args.y is not None:
+        base = _resolve_y_indices(args.y, model.y_alphabet, max(args.n))
+        for n in args.n:
             y = _y_at(model.y_alphabet, base, n)
-            for eps in cfg.eps_values:
+            for eps in args.eps:
                 rows.append(_bound_row(nb.ref_converse(model, y, eps)))
                 rows.append(_bound_row(nb.ref_achievability(model, y, eps)))
                 rows.append(_bound_row(nb.ref_achievability(model, y, eps, prefix=True)))
     else:
-        for n in cfg.n_values:
-            for eps in cfg.eps_values:
+        for n in args.n:
+            for eps in args.eps:
                 rows.append(_bound_row(nb.pair_converse(model, n, eps)))
                 rows.append(_bound_row(nb.pair_achievability(model, n, eps)))
                 rows.append(_bound_row(nb.pair_achievability(model, n, eps, prefix=True)))
     _emit(["kind", "n", "epsilon", "value", "threshold", "valid", "constants"],
-          rows, cfg.out)
+          rows, args.out)
     return EXIT_OK
 
 
-def cmd_figure1(cfg: RunConfig) -> int:
-    model = _load(cfg) if cfg.model else model_from_dict(FIG1_DOC)
-    ns = cfg.n_values or tuple(range(1, 501))
-    eps = cfg.eps_values[0] if cfg.eps_values else 0.1
-    base = _resolve_y_indices(cfg.y or "repeat:001", model.y_alphabet, max(ns))
+def cmd_figure1(args: argparse.Namespace) -> int:
+    model = _load(args) if args.model else model_from_dict(FIG1_DOC)
+    ns = args.n or tuple(range(1, 501))
+    eps = args.eps[0] if args.eps else 0.1
+    base = _resolve_y_indices(args.y or "repeat:001", model.y_alphabet, max(ns))
     rows = []
     for n in ns:
         y = _y_at(model.y_alphabet, base, n)
-        rp = xl.rate_star_ref(model, y, eps, method=cfg.method)
+        rp = xl.rate_star_ref(model, y, eps, method=args.method)
         h_n, s2, degenerate = msr.h_n_sigma_n(model, y)
         approx = h_n - math.log2(n) / (2.0 * n)
         if not degenerate:
             approx = nb.three_term_rate(h_n, s2, n, eps)
         rows.append([n, rp.rate, approx])
-    _emit(["n", "R_star_exact", "normal_approx"], rows, cfg.out)
+    _emit(["n", "R_star_exact", "normal_approx"], rows, args.out)
     return EXIT_OK
 
 
-def cmd_markov(cfg: RunConfig) -> int:
-    if cfg.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
-    model = _load(cfg)
+def cmd_markov(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    model = _load(args)
     if isinstance(model, CondIidModel):
         model = embed_cond_iid(model)
-    grid = list(cfg.n_values) or [64, 256, 1024]
+    grid = list(args.n) or [64, 256, 1024]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        probe = mk.berry_esseen_probe(model, grid, cfg.trials, cfg.seed)
+        probe = mk.berry_esseen_probe(model, grid, args.trials, args.seed)
     rows = [[r.n, r.distance, r.scaled] for r in probe.rows]
-    _emit(["n", "kolmogorov", "kolmogorov_sqrt_n"], rows, cfg.out)
+    _emit(["n", "kolmogorov", "kolmogorov_sqrt_n"], rows, args.out)
     return EXIT_OK
 
 
@@ -443,14 +413,14 @@ def _derived_seed(seed: int, name: str) -> int:
     return (h ^ seed) & 0x7FFFFFFF
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    corpus = Path(cfg.corpus)
+def cmd_verify(args: argparse.Namespace) -> int:
+    corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise UsageError(f"corpus directory not found: {corpus}")
     files = sorted(corpus.glob("*.json"))
     if not files:
         raise UsageError(f"no model files in {corpus}")
-    v = _Verifier(seed=cfg.seed)
+    v = _Verifier(seed=args.seed)
     for path in files:
         name = path.stem
         try:
@@ -471,7 +441,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         f"checked {len(files)} models: "
         f"{'all passed' if v.failures == 0 else f'{v.failures} failures'}"
     )
-    _emit_lines(v.lines, cfg.out)
+    _emit_lines(v.lines, args.out)
     return EXIT_OK if v.failures == 0 else EXIT_VERIFY
 
 
@@ -490,65 +460,70 @@ def _parse_n_range(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _check(args: argparse.Namespace) -> None:
+    """Merge ``--n`` and ``--n-range`` into ``args.n`` and check the
+    values the commands need beyond their argparse types."""
+    if "n" in args:
+        args.n = tuple(args.n or ()) + (_parse_n_range(args.n_range) if args.n_range else ())
+    for e in getattr(args, "eps", None) or ():
+        if not 0.0 <= e < 1.0:
+            raise UsageError(f"--eps {e} outside [0, 1)")
+        if e == 0.0:
+            raise UsageError("--eps must be > 0")
+    if getattr(args, "n", None) and min(args.n) < 1:
+        raise UsageError("n must be >= 1")
+    if getattr(args, "trials", 1) < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+
+
+# every option, declared once, in help order
+_OPTIONS = {
+    "--model": {},
+    "--n": {"type": int, "nargs": "+"},
+    "--n-range": {},
+    "--eps": {"type": float, "nargs": "+"},
+    "--k": {"type": int, "nargs": "+"},
+    "--y": {},
+    "--seed": {"type": int, "default": 0},
+    "--method": {"choices": ("auto", "bruteforce", "typeclass"), "default": "auto"},
+    "--A": {"type": float},
+    "--out": {},
+    "--scope": {"choices": ("ref", "pair", "prefix")},
+    "--corpus": {"default": "models"},
+    "--trials": {"type": int, "default": 20000},
+}
+
+_N = ("--n", "--n-range")
+
+# each subcommand with the options it reads; any other is a usage error
+_COMMANDS = {
+    "validate": (cmd_validate, ("--model", "--out")),
+    "measures": (cmd_measures, ("--model", *_N, "--y", "--out")),
+    "limits": (cmd_limits, ("--model", *_N, "--eps", "--k", "--y", "--scope", "--method",
+                            "--out")),
+    "bounds": (cmd_bounds, ("--model", *_N, "--eps", "--y", "--A", "--out")),
+    "figure1": (cmd_figure1, ("--model", *_N, "--eps", "--y", "--method", "--out")),
+    "markov": (cmd_markov, ("--model", *_N, "--seed", "--trials", "--out")),
+    "verify": (cmd_verify, ("--corpus", "--seed", "--out")),
+}
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="sidecomp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("validate", "measures", "limits", "bounds", "figure1", "markov", "verify"):
+    for name, (_, options) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--model")
-        sp.add_argument("--n", type=int, nargs="+")
-        sp.add_argument("--n-range", dest="n_range")
-        sp.add_argument("--eps", type=float, nargs="+")
-        sp.add_argument("--k", type=int, nargs="+")
-        sp.add_argument("--y")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--method", choices=("auto", "bruteforce", "typeclass"),
-                        default="auto")
-        sp.add_argument("--A", type=float)
-        sp.add_argument("--out")
-        sp.add_argument("--scope", choices=("ref", "pair", "prefix"))
-        sp.add_argument("--corpus", default="models")
-        sp.add_argument("--trials", type=int, default=20000)
+        for flag, spec in _OPTIONS.items():
+            if flag in options:
+                sp.add_argument(flag, **spec)
     return p
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    ns: tuple[int, ...] = tuple(args.n or ())
-    if args.n_range:
-        ns = ns + _parse_n_range(args.n_range)
-    return RunConfig(
-        command=args.command,
-        model=args.model,
-        n_values=ns,
-        eps_values=tuple(args.eps or ()),
-        k_values=tuple(args.k or ()),
-        y=args.y,
-        seed=args.seed,
-        method=args.method,
-        A=args.A,
-        out=args.out,
-        scope=args.scope,
-        corpus=args.corpus,
-        trials=args.trials,
-    )
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "measures": cmd_measures,
-    "limits": cmd_limits,
-    "bounds": cmd_bounds,
-    "figure1": cmd_figure1,
-    "markov": cmd_markov,
-    "verify": cmd_verify,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        _check(args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -888,19 +888,20 @@ def length_law_typeclass(
     """
     composition = y.counts() if isinstance(y, SideInfoString) else tuple(y)
     rows = model.p_x_given_y
-    return _typeclass_law(model, composition, exact, class_cap,
-                          lambda a, c: _symbol_factor(rows[a], c, exact))
+    return _typeclass_law(model, composition, exact,
+                          lambda a, c: _symbol_factor(rows[a], c, exact), class_cap)
 
 
 def _typeclass_law(
     model: CondIidModel,
     composition: Sequence[int],
     exact: bool,
-    class_cap: int,
     factor: Callable[[int, int], _Factor],
+    cap: int,
 ) -> LengthLaw:
     """:func:`length_law_typeclass` of a composition, with ``factor(a, c)``
-    the factor of ``c`` positions that all see y-symbol ``a``."""
+    the factor of ``c`` positions that all see y-symbol ``a``; refused
+    before any factor is built when its cells exceed ``cap``."""
     if len(composition) != len(model.y_alphabet):
         raise ValueError("composition needs one count per y-symbol")
     n = sum(composition)
@@ -911,9 +912,9 @@ def _typeclass_law(
         if c:
             s = sum(p > 0 for p in row)
             cells *= math.comb(c + s - 1, s - 1)
-    if cells > class_cap:
+    if cells > cap:
         raise GuardExceededError(
-            f"type-class count exceeds cap {class_cap} at composition {tuple(composition)}"
+            f"type-class count exceeds cap {cap} at composition {tuple(composition)}"
         )
     factors = [factor(a, c) for a, c in enumerate(composition) if c]
     return LengthLaw(n, len(model.x_alphabet) ** n, factors, exact)
@@ -1014,16 +1015,21 @@ def _markov_flat_factor(
 # Public reference-based (fixed y) queries
 
 
-def _resolve_method(model: Model, n: int, method: str) -> str:
-    nx = len(model.x_alphabet)
-    if method == "auto":
-        if isinstance(model, MarkovPairModel):
-            return "bruteforce"
-        return "bruteforce" if nx**n <= BRUTEFORCE_GUARD else "typeclass"
-    if method not in ("bruteforce", "typeclass"):
+def _route(model: Model, strings: int, method: str) -> str:
+    """The evaluation route of a query that enumerates ``strings`` strings:
+    ``|X|^n`` given y, ``(|X||Y|)^n`` averaged over y.
+
+    ``auto`` prefers the brute-force oracle when they fit its guard,
+    otherwise the type-class sweep; Markov models have only brute force.
+    """
+    if method not in ("auto", "bruteforce", "typeclass"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "typeclass" and isinstance(model, MarkovPairModel):
-        raise ValueError("type-class evaluation needs a conditionally i.i.d. model")
+    if isinstance(model, MarkovPairModel):
+        if method == "typeclass":
+            raise ValueError("type-class evaluation needs a conditionally i.i.d. model")
+        return "bruteforce"
+    if method == "auto":
+        return "bruteforce" if strings <= BRUTEFORCE_GUARD else "typeclass"
     return method
 
 
@@ -1065,22 +1071,16 @@ class _LastBuilt:
 _LAST_REF_LAW = _LastBuilt(_one_chunk)
 
 
-def _ref_law(
-    model: Model,
-    y: SideInfoString,
-    method: str,
-    exact: bool,
-    class_cap: int = DEFAULT_CLASS_CAP,
-) -> LengthLaw:
+def _ref_law(model: Model, y: SideInfoString, method: str, exact: bool) -> LengthLaw:
     """The law given ``y``; point queries of one (model, y) in a row share it."""
-    route = _resolve_method(model, len(y), method)
+    route = _route(model, len(model.x_alphabet) ** len(y), method)
 
     def build() -> LengthLaw:
         if route == "bruteforce":
             return length_law_bruteforce(model, y, exact=exact)
-        return length_law_typeclass(model, y, exact=exact, class_cap=class_cap)
+        return length_law_typeclass(model, y, exact=exact)
 
-    return _LAST_REF_LAW.get((model, y, route, exact, class_cap), build)
+    return _LAST_REF_LAW.get((model, y, route, exact), build)
 
 
 def epsilon_star_ref(
@@ -1124,26 +1124,8 @@ def _composition_weight(
     return 0.0 if logw == -math.inf else 2.0**logw
 
 
-def _pair_method(model: Model, n: int, method: str) -> str:
-    """Resolve the evaluation route for pair-averaged queries.
-
-    ``auto`` prefers the brute-force oracle when the joint string
-    enumeration fits its guard, otherwise the composition sweep.
-    """
-    if isinstance(model, MarkovPairModel):
-        if method == "typeclass":
-            raise ValueError("type-class evaluation needs a conditionally i.i.d. model")
-        return "bruteforce"
-    if method == "auto":
-        joint = (len(model.x_alphabet) * len(model.y_alphabet)) ** n
-        return "bruteforce" if joint <= BRUTEFORCE_GUARD else "typeclass"
-    if method not in ("bruteforce", "typeclass"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
-
-
 def _pair_laws(
-    model: Model, n: int, route: str, exact: bool, class_cap: int = DEFAULT_CLASS_CAP
+    model: Model, n: int, route: str, exact: bool
 ) -> Iterator[tuple[float | Fraction, LengthLaw]]:
     """(weight, law) over y-compositions (type class) or y-strings (brute
     force); the overflow given y depends on y only through its composition.
@@ -1178,7 +1160,7 @@ def _pair_laws(
         for comp in _compositions(n, ny):
             w = _composition_weight(p_y, comp, exact)
             if w != 0:
-                yield w, _typeclass_law(model, comp, exact, class_cap, factor)
+                yield w, _typeclass_law(model, comp, exact, factor, DEFAULT_CLASS_CAP)
             # drop a factor after the last composition that holds it
             for key in ((a, c) for a, c in enumerate(comp) if c):
                 left[key] = left.get(key, uses(key[1])) - 1
@@ -1248,13 +1230,11 @@ def _bruteforce_pair_curve(model: CondIidModel, n: int, ranks: Sequence[int]) ->
 
 
 @lru_cache(maxsize=128)
-def _pair_curve_of_route(
-    model: Model, n: int, route: str, exact: bool, class_cap: int
-) -> tuple:
+def _pair_curve_of_route(model: Model, n: int, route: str, exact: bool) -> tuple:
     ranks = [1 << k for k in range((len(model.x_alphabet) ** n).bit_length() + 1)]
     if exact and route == "bruteforce" and isinstance(model, CondIidModel):
         return tuple(_bruteforce_pair_curve(model, n, ranks))
-    laws = _pair_laws(model, n, route, exact, class_cap)
+    laws = _pair_laws(model, n, route, exact)
     if exact:
         return tuple(_weighted_sum(laws, ranks))
     total = [0.0] * len(ranks)
@@ -1283,15 +1263,14 @@ def _weighted_sum(
             for k in range(len(ranks))]
 
 
-def _pair_curve(
-    model: Model, n: int, method: str, exact: bool, class_cap: int = DEFAULT_CLASS_CAP
-) -> tuple:
+def _pair_curve(model: Model, n: int, method: str, exact: bool) -> tuple:
     """Pair overflow curve over k = 0..kmax, the last entry 0.
 
     Memoized per (model, n, route, track): models are frozen, so a
     sweep of per-k point queries costs one sweep.
     """
-    return _pair_curve_of_route(model, n, _pair_method(model, n, method), exact, class_cap)
+    strings = (len(model.x_alphabet) * len(model.y_alphabet)) ** n
+    return _pair_curve_of_route(model, n, _route(model, strings, method), exact)
 
 
 def epsilon_star_pair(

@@ -21,13 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import inverse_cdf_table
-from .models import (
-    DerivedYChain,
-    MarkovPairModel,
-    _context_matrix,
-    class_period,
-    derive_y_chain,
-)
+from .models import DerivedYChain, MarkovPairModel, _context_matrix, derive_y_chain
 
 _STATIONARY_TOL = 1e-10
 _ROW_SUM_TOL = 1e-12
@@ -186,7 +180,7 @@ def markov_rates(model: MarkovPairModel) -> MarkovAnalysis:
     the chain of blocks' ``P g`` at an edge is g at its next context.
     """
     members = np.flatnonzero(model.stationary_f > 0.0)
-    if class_period(model.context_digraph(), members.tolist()) != 1:
+    if model._structure[1] != 1:
         raise ValueError("pair context chain is periodic")
     y_chain = derive_y_chain(model)
     if y_chain.markovianity_defect > 1e-9:

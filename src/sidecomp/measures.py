@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import CondIidModel, MarkovPairModel, Model, SideInfoString, derive_y_chain
+from .models import CondIidModel, MarkovPairModel, Model, SideInfoString
 
 
 @dataclass(frozen=True)
@@ -180,10 +180,15 @@ def cond_info_density(model: Model, x: Sequence[int], y: SideInfoString) -> floa
     """``-log2 P(x | y)`` in bits for equal-length strings.
 
     ``x`` is a sequence of x-alphabet indices.  Raises ``ValueError``
-    when the pair has zero probability or the lengths differ.
+    when the pair has zero probability, the lengths differ or an index
+    of ``x`` is outside the x-alphabet.
     """
     if len(x) != len(y):
         raise ValueError("x and y strings must have equal length")
+    nx = len(model.x_alphabet)
+    for xi in x:
+        if not 0 <= xi < nx:
+            raise ValueError(f"x has an index outside range({nx}): {xi}")
     if isinstance(model, CondIidModel):
         total = 0.0
         for xi, yi in zip(x, y.indices):

@@ -348,6 +348,14 @@ class MarkovPairModel:
         """Successor lists of the context chain, positive transitions only."""
         return [nxt[p > 0.0].tolist() for nxt, p in zip(self._next_context, self.transition_f)]
 
+    @cached_property
+    def _structure(self) -> tuple[list[list[int]], int]:
+        """The closed classes of the context chain and the period of the
+        first, analysed once per model."""
+        succ = self.context_digraph()
+        closed = closed_classes(succ)
+        return closed, class_period(succ, closed[0])
+
     def validate(self) -> ValidationReport:
         errors: list[str] = []
         warnings: list[str] = []
@@ -356,15 +364,13 @@ class MarkovPairModel:
         if self.initial is not None:
             _check_pmf(self.initial, "initial law", errors)
         if not errors:
-            closed = closed_classes(self.context_digraph())
+            closed, period = self._structure
             if len(closed) != 1:
                 errors.append(
                     f"context chain is not irreducible: {len(closed)} closed classes"
                 )
-            else:
-                period = class_period(self.context_digraph(), closed[0])
-                if period != 1:
-                    errors.append(f"context chain is not aperiodic: period {period}")
+            elif period != 1:
+                errors.append(f"context chain is not aperiodic: period {period}")
         report = ValidationReport(ok=not errors, errors=errors, warnings=warnings)
         if report.ok:
             derived = derive_y_chain(self)
@@ -462,7 +468,7 @@ def class_period(succ: list[list[int]], members: list[int]) -> int:
 def stationary_context_law(model: MarkovPairModel) -> np.ndarray:
     """Stationary law over contexts, supported on the closed class; each
     call solves afresh, ``model.stationary_f`` keeps one solve."""
-    closed = closed_classes(model.context_digraph())
+    closed = model._structure[0]
     if len(closed) != 1:
         raise ValueError("context chain is not irreducible; validate the model")
     members = closed[0]

@@ -1,9 +1,10 @@
+import argparse
 import csv
 import json
 
 import pytest
 
-from sidecomp.cli import main
+from sidecomp.cli import build_parser, main
 
 from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN
 
@@ -387,3 +388,56 @@ class TestParsing:
         code, out, _ = run(capsys, ["verify", "--corpus", str(MODELS_DIR), "--seed", "-1"])
         assert code == 0
         assert out.splitlines()[-1] == "checked 10 models: all passed"
+
+
+# the options each command reads; a command declares these and no other
+READS = {
+    "validate": {"--model", "--out"},
+    "measures": {"--model", "--n", "--n-range", "--y", "--out"},
+    "limits": {"--model", "--n", "--n-range", "--eps", "--k", "--y", "--scope", "--method",
+               "--out"},
+    "bounds": {"--model", "--n", "--n-range", "--eps", "--y", "--A", "--out"},
+    "figure1": {"--model", "--n", "--n-range", "--eps", "--y", "--method", "--out"},
+    "markov": {"--model", "--n", "--n-range", "--seed", "--trials", "--out"},
+    "verify": {"--corpus", "--seed", "--out"},
+}
+
+# one value per option that the parser accepted before each command had its own
+VALUES = {
+    "--model": FIG1, "--n": "5", "--n-range": "2:3", "--eps": "0.1", "--k": "1", "--y": "01",
+    "--seed": "0", "--method": "auto", "--A": "1.0", "--scope": "ref",
+    "--corpus": str(MODELS_DIR), "--trials": "10",
+}
+
+# a run of each command that exits 0, also with any one unread option added
+# before each command had its own parser
+RUNS = {
+    "validate": ["validate", "--model", FIG1],
+    "measures": ["measures", "--model", FIG1],
+    "limits": ["limits", "--model", FIG1, "--y", "00", "--n", "2", "--k", "1", "2"],
+    "bounds": ["bounds", "--model", FIG1, "--n", "500", "--eps", "0.1"],
+    "figure1": ["figure1", "--n", "6"],
+    "markov": ["markov", "--model", MARKOV, "--n", "16", "--trials", "10"],
+    "verify": ["verify", "--corpus", str(MODELS_DIR)],
+}
+
+UNREAD = [(command, flag) for command, reads in READS.items()
+          for flag in VALUES if flag not in reads]
+
+
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize("command", READS)
+    def test_parser_declares_read_options(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert declared - {"-h", "--help"} == READS[command]
+        # 13 options on 7 commands: 91 pairs, 39 of them read
+        assert len(UNREAD) == 91 - 39
+
+    # bounds --scope ref once printed the pair bounds and exited 0
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_option_is_usage_error(self, capsys, command, flag):
+        code, out, err = run(capsys, RUNS[command] + [flag, VALUES[flag]])
+        assert (code, out) == (1, "")
+        assert err == f"usage error: unrecognized arguments: {flag} {VALUES[flag]}\n"

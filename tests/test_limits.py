@@ -804,6 +804,16 @@ class TestGuards:
             length_law_typeclass(fig1, (2000, 1000), class_cap=2001 * 1001 - 1)
         assert length_law_typeclass(fig1, (20, 10), class_cap=21 * 11).num_classes == 21 * 11
 
+    @pytest.mark.parametrize("query", [
+        lambda m: epsilon_star_pair(m, 3, 1, method="bogus"),
+        lambda m: rate_star_pair(m, 3, 0.1, method="bogus"),
+        lambda m: epsilon_star_prefix(m, 3, 1, method="bogus"),
+        lambda m: epsilon_star_ref(m, y_repeat(m, "01", 3), 1, method="bogus"),
+    ])
+    def test_unknown_method_raises_on_every_route(self, corpus_models, query):
+        with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+            query(corpus_models["markov2x2"])
+
 
 def _rate_bits(rp):
     return rp.k, rp.eps_at_k.hex(), rp.eps_at_k_plus_1.hex()

@@ -141,6 +141,14 @@ class TestInfoDensity:
         with pytest.raises(ValueError):
             cond_info_density(fig1, (0, 1), y_repeat(fig1, "0", 1))
 
+    @pytest.mark.parametrize("name, x", [
+        ("fig1", (-1, 0)), ("fig1", (2, 0)), ("markov2x2", (-1, 0)),
+    ])
+    def test_x_index_outside_alphabet_raises(self, corpus_models, name, x):
+        model = corpus_models[name]
+        with pytest.raises(ValueError, match=r"^x has an index outside range\(2\)"):
+            cond_info_density(model, x, y_repeat(model, "01", 2))
+
     def test_markov_matches_enumeration(self, corpus_models):
         # Independent oracle: joint path products summed over all
         # x-strings give P(y); the density must equal the log ratio.

@@ -1,11 +1,14 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sidecomp import models
+from sidecomp.markov import markov_rates
 from sidecomp.models import (
     Alphabet,
     CondIidModel,
@@ -25,7 +28,7 @@ from sidecomp.models import (
     validate,
 )
 
-from tests.conftest import PERIODIC_CHAIN, REDUCIBLE_CHAIN
+from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN
 
 
 class TestParseProbability:
@@ -169,6 +172,15 @@ class TestMarkovStructure:
     def test_reducible_chain_fails_validation(self):
         m = model_from_dict(REDUCIBLE_CHAIN)
         assert not m.validate().ok
+
+    def test_structure_analysed_once_per_model(self):
+        m = load_model(MODELS_DIR / "markov2x2.json")
+        with mock.patch.object(models, "closed_classes", wraps=closed_classes) as tarjan, \
+                mock.patch.object(MarkovPairModel, "context_digraph", autospec=True,
+                                  side_effect=MarkovPairModel.context_digraph) as digraph:
+            assert validate(m).ok
+            markov_rates(m)
+        assert (tarjan.call_count, digraph.call_count) == (1, 1)
 
 
 class TestDerivedYChain:

@@ -99,6 +99,15 @@ def _load(args: argparse.Namespace):
     return load_model(args.model)
 
 
+def _unread(args: argparse.Namespace, run: str, *dests: str) -> None:
+    """Refuse the options among ``dests`` that were given to a run that
+    reads none of them."""
+    given = ["--n/--n-range" if d == "n" else f"--{d}" for d in dests
+             if getattr(args, d) not in (None, ())]
+    if given:
+        raise UsageError(f"{', '.join(given)} not read by {run}")
+
+
 def _resolve_y_indices(spec: str, alphabet, max_n: int) -> tuple[int, ...]:
     """Expand a y argument (repeat:<word>, file:<path>, or literal)."""
     try:
@@ -145,6 +154,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_measures(args: argparse.Namespace) -> int:
     model = _load(args)
     if isinstance(model, MarkovPairModel):
+        _unread(args, "Markov measures", "n", "y")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             an = mk.markov_rates(model)
@@ -164,6 +174,7 @@ def cmd_measures(args: argparse.Namespace) -> int:
             rows.append([n, h_n, s2, m3])
         _emit(["n", "h_n", "sigma_n2", "m3"], rows, args.out)
         return EXIT_OK
+    _unread(args, "pair measures (no --y)", "n")
     if model.p_y is None:
         raise UsageError("pair measures need a model with p_y (or pass --y)")
     ms = msr.measures(model)
@@ -179,6 +190,10 @@ def cmd_limits(args: argparse.Namespace) -> int:
     scope = args.scope or ("ref" if args.y is not None else "pair")
     if scope in ("ref", "prefix") and args.y is None:
         raise UsageError(f"scope {scope} needs --y")
+    if scope == "pair":
+        _unread(args, "scope pair", "y")
+    if args.k:
+        _unread(args, "an eps* sweep (--k)", "eps")
     base = None
     if args.y is not None:
         base = _resolve_y_indices(args.y, model.y_alphabet, max(args.n))
@@ -226,7 +241,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if not args.eps:
         raise UsageError("bounds needs --eps")
     rows = []
-    if isinstance(model, MarkovPairModel):
+    # Markov bounds read --A and no --y, the others the reverse
+    markov = isinstance(model, MarkovPairModel)
+    _unread(args, f"bounds on a {model.kind} model", "y" if markov else "A")
+    if markov:
         if args.A is None:
             raise UsageError("markov bounds need --A (Berry-Esseen constant)")
         with warnings.catch_warnings():
@@ -258,6 +276,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_figure1(args: argparse.Namespace) -> int:
     model = _load(args) if args.model else model_from_dict(FIG1_DOC)
+    if not isinstance(model, CondIidModel):
+        raise UsageError(f"figure1 needs a cond_iid model, got a {model.kind} model")
+    if args.eps and len(args.eps) > 1:
+        raise UsageError(f"figure1 takes one --eps, got {len(args.eps)}")
     ns = args.n or tuple(range(1, 501))
     eps = args.eps[0] if args.eps else 0.1
     base = _resolve_y_indices(args.y or "repeat:001", model.y_alphabet, max(ns))

@@ -52,7 +52,7 @@ point bounds what it keeps:
   compositions), so it holds at most ``|Y| n`` factors, and none when
   ``|Y| <= 2``;
 * the fixed-y point queries keep their last law (keyed on model, y,
-  route, track and cap), and :func:`codec.build_code` its last
+  route and track), and :func:`codec.build_code` its last
   codebook (keyed on model and y).  A law of at most ``COUNT_CHUNK``
   cells, or a codebook of at most ``COUNT_CHUNK`` strings, is held; a
   larger one only by weak reference, so it is reused while a caller
@@ -169,9 +169,10 @@ class _Chunk(NamedTuple):
 
 class _Split(NamedTuple):
     """The law's cells as pairs ``(a, i)``: ``a`` runs over the outer
-    product of all factors but the last, ``i`` over the last factor in
-    rank order, so the cells of one ``a`` ranked above any class form a
-    prefix of ``i``."""
+    product of all factors but the last (on the float track, its cells
+    of positive probability), ``i`` over the last factor in rank order,
+    so the cells of one ``a`` ranked above any class form a prefix of
+    ``i``."""
 
     counts: np.ndarray          # string count of each a (Python ints)
     last_cum: np.ndarray        # last factor's cumulative counts in rank order,
@@ -218,18 +219,19 @@ class LengthLaw:
     them; the law keeps the cumulative count at the end of every chunk
     it produced or located, and the last chunk it produced.  A chunk's
     base is an exact dominance count over the last factor, so reaching
-    a chunk never produces the chunks before it.  ``log2p`` may end
-    with ``-inf`` for the zero-probability strings, which still occupy
-    ranks.  ``counts`` sums to the total number of source strings.
+    a chunk never produces the chunks before it.  Strings of
+    probability zero are cells like any other (``log2p`` -inf,
+    numerator 0): they rank last, as one class, so ``counts`` sums to
+    ``num_strings``, the number of source strings.
 
     Threads may share a law (the fixed-y point queries hand one to every
     caller): each cache is stored in one assignment once it is whole, and
     read once per use, so a race at worst builds a cache twice.
     """
 
-    def __init__(self, n: int, num_strings: int, factors: list[_Factor], exact: bool) -> None:
+    def __init__(self, n: int, factors: list[_Factor], exact: bool) -> None:
         self.n = n
-        self.num_strings = num_strings
+        self.num_strings = math.prod(sum(f.counts.tolist()) for f in factors)
         self.exact = exact
         self._factors = factors
         self._shape = tuple(len(f.counts) for f in factors)
@@ -239,7 +241,6 @@ class LengthLaw:
             self._total_num = math.prod(
                 sum(map(operator.mul, f.nums.tolist(), f.counts.tolist())) for f in factors
             )
-        self._support = math.prod(sum(f.counts.tolist()) for f in factors)
         # chunk -> (cumulative count, count-weighted numerators) at its end
         self._ends: dict[int, tuple[int, int]] = {}
         self._last: tuple[int, _Chunk] | None = None
@@ -297,13 +298,9 @@ class LengthLaw:
             lp = _outer([f.lp for f in self._factors], np.add)[self._order]
         lc = _outer([f.lc for f in self._factors], np.add)
         mass = np.add.reduceat(np.exp2(lp + lc[self._order]), starts)
-        log2p = lp[starts]
-        if self.num_strings > self._support:
-            log2p = np.append(log2p, -math.inf)
-            mass = np.append(mass, 0.0)
         suffix = np.zeros(len(mass) + 1)
         suffix[:-1] = mass[::-1].cumsum()[::-1]
-        self._floats = (log2p, suffix)
+        self._floats = (lp[starts], suffix)
         return self._floats
 
     # -- exact counts, chunk by chunk --------------------------------------
@@ -350,7 +347,7 @@ class LengthLaw:
         if j == 0:
             return 0, 0
         if j == len(self._ranked()):
-            return self._support, self._total_num
+            return self.num_strings, self._total_num
         s = self._split_tables()
         if self.exact:
             last = self._factors[-1]
@@ -387,6 +384,9 @@ class LengthLaw:
                 if rest:
                     lp = _outer([f.lp for f in rest], np.add)
                     lc = _outer([f.lc for f in rest], np.add)
+                    # an a of probability zero holds no cell above any level
+                    live = lp > -math.inf
+                    counts, lp, lc = counts[live], lp[live], lc[live]
                 last_lp = last.lp[order]
                 cell_mass = np.exp2(last_lp + last_lc)
                 self._split = _Split(
@@ -406,7 +406,7 @@ class LengthLaw:
         return self._split
 
     def _class_of_rank(self, b: int) -> int:
-        """Index of the class holding rank ``b``, 1 < b <= support."""
+        """Index of the class holding rank ``b``, 1 < b <= num_strings."""
         last = self._last
         if last is not None and last[1].cum[0] < b <= last[1].cum[-1]:
             c = last[0]
@@ -418,8 +418,6 @@ class LengthLaw:
     def _class_data(self, j: int) -> tuple[int, int, int, int]:
         """Cumulative count before and through class ``j``; on the exact
         track also the count-weighted numerators before it and its numerator."""
-        if j == len(self._ranked()):
-            return self._support, self.num_strings, self._total_num, 0
         c, i = divmod(j, COUNT_CHUNK)
         ch = self._chunk(c)
         if not self.exact:
@@ -520,10 +518,10 @@ class LengthLaw:
             if not move:
                 return hit, j
         s = self._split_tables()
-        finite, last = np.isfinite(s.lp), s.last_lp[np.isfinite(s.last_lp)]
+        last = s.last_lp[np.isfinite(s.last_lp)]
         # levels 1 below and above every cell of positive probability
-        lo, hi = s.lp[finite].min() + last[-1] - 1.0, s.lp[finite].max() + last[0] + 1.0
-        lo_len, hi_len = np.where(finite, len(last), 0), np.zeros(len(finite), dtype=np.intp)
+        lo, hi = s.lp.min() + last[-1] - 1.0, s.lp.max() + last[0] + 1.0
+        lo_len, hi_len = np.full(len(s.lp), len(last)), np.zeros(len(s.lp), dtype=np.intp)
         while int((lo_len - hi_len).sum()) > WINDOW_CELLS:
             inside = lo_len > hi_len
             top = (s.lp[inside] + s.last_lp[hi_len[inside]]).max()
@@ -554,7 +552,7 @@ class LengthLaw:
             step *= 2
 
     def _window_class_of_rank(self, b: int) -> tuple[_Window, int | None]:
-        """The window and class holding rank ``b``, 1 < b <= support;
+        """The window and class holding rank ``b``, 1 < b <= num_strings;
         no class when ``b`` ranks past every possible string."""
         log2b = math.log2(b)
 
@@ -585,15 +583,13 @@ class LengthLaw:
 
     @property
     def num_classes(self) -> int:
-        return len(self._ranked()) + (self.num_strings > self._support)
+        return len(self._ranked())
 
     @property
     def cum_counts(self) -> list[int]:
         out: list[int] = []
         for c in range(-(-len(self._ranked()) // COUNT_CHUNK)):
             out += self._chunk(c).cum[1:]
-        if self.num_strings > self._support:
-            out.append(self.num_strings)
         return out
 
     @property
@@ -605,8 +601,7 @@ class LengthLaw:
     def probs(self) -> list[Fraction] | None:
         if not self.exact:
             return None
-        out = [Fraction(self._class_data(j)[3], self._den) for j in range(len(self._ranked()))]
-        return out + [Fraction(0)] * (self.num_classes - len(out))
+        return [Fraction(self._class_data(j)[3], self._den) for j in range(self.num_classes)]
 
     # -- queries -----------------------------------------------------------
 
@@ -630,7 +625,7 @@ class LengthLaw:
         :meth:`_tail`, so they may differ from the ranking's by rounding."""
         if b <= 1:
             return self._tail(np.zeros(len(self._split_tables().lp), dtype=np.intp))
-        if b > self._support:
+        if b > self.num_strings:
             return 0.0
         win, j = self._window_class_of_rank(b)
         if j is None:
@@ -659,7 +654,7 @@ class LengthLaw:
             if b <= 1:
                 out.append(self._total_num if exact else self.total_mass())
                 continue
-            if b > self._support:
+            if b > self.num_strings:
                 out.append(0 if exact else 0.0)
                 continue
             if ch is None or b > ch.cum[-1]:
@@ -850,8 +845,10 @@ def _multinomial(total: int, ks: Sequence[int]) -> int:
 def _symbol_factor(row: Sequence[Fraction], count: int, exact: bool) -> _Factor:
     """Type classes of ``count`` positions that all see one y-symbol.
 
-    Only the support of the conditional row enters; strings using a
-    zero-probability x-symbol make up the law's terminal zero class.
+    The type classes run over the support of the conditional row; when
+    the row has zeros, one more cell holds the strings that use a
+    zero-probability x-symbol (``log2p`` -inf, numerator 0), as in a
+    brute-force factor.
     """
     support = [p for p in row if p > 0]
     logs = [math.log2(float(p)) for p in support]
@@ -866,12 +863,16 @@ def _symbol_factor(row: Sequence[Fraction], count: int, exact: bool) -> _Factor:
         types = list(_compositions(count, len(support)))
         lp = np.array([math.fsum(k * l for k, l in zip(ks, logs)) for ks in types])
         counts = [_multinomial(count, ks) for ks in types]
-    nums = None
-    if exact:
-        nums = np.array([math.prod(a**k for a, k in zip(scaled, ks)) for ks in types],
-                        dtype=object)
+    nums = [math.prod(a**k for a, k in zip(scaled, ks)) for ks in types] if exact else None
+    zeros = len(row) ** count - len(support) ** count
+    if zeros:
+        lp = np.append(lp, -math.inf)
+        counts.append(zeros)
+        if exact:
+            nums.append(0)
     lc = np.array([math.log2(c) for c in counts])
-    return _Factor(lp, np.array(counts, dtype=object), lc, nums, den**count)
+    return _Factor(lp, np.array(counts, dtype=object), lc,
+                   None if nums is None else np.array(nums, dtype=object), den**count)
 
 
 def length_law_typeclass(
@@ -907,17 +908,17 @@ def _typeclass_law(
     n = sum(composition)
     if n < 1:
         raise ValueError("blocklength must be >= 1")
-    cells = 1  # type classes of c positions over a support of s symbols
+    cells = 1  # type classes of c positions over a support of s symbols, and a zero cell
     for row, c in zip(model.p_x_given_y, composition):
         if c:
             s = sum(p > 0 for p in row)
-            cells *= math.comb(c + s - 1, s - 1)
+            cells *= math.comb(c + s - 1, s - 1) + (s < len(row))
     if cells > cap:
         raise GuardExceededError(
             f"type-class count exceeds cap {cap} at composition {tuple(composition)}"
         )
     factors = [factor(a, c) for a, c in enumerate(composition) if c]
-    return LengthLaw(n, len(model.x_alphabet) ** n, factors, exact)
+    return LengthLaw(n, factors, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -927,16 +928,13 @@ def _typeclass_law(
 def _bruteforce_cond_iid_exact(
     model: CondIidModel, y: SideInfoString
 ) -> tuple[list[int], int]:
-    """Integer numerators of P(x|y) over a common denominator."""
-    nums = [1]
-    den = 1
-    for yi in y.indices:
-        row = model.p_x_given_y[yi]
-        lcm = math.lcm(*(p.denominator for p in row))
-        row_nums = [int(p.numerator * (lcm // p.denominator)) for p in row]
-        den *= lcm
-        nums = [a * b for a in nums for b in row_nums]
-    return nums, den
+    """Integer numerators of P(x|y) over a common denominator, in
+    product order of x."""
+    lcms = [math.lcm(*(p.denominator for p in row)) for row in model.p_x_given_y]
+    rows = [np.array([int(p * d) for p in row], dtype=object)
+            for row, d in zip(model.p_x_given_y, lcms)]
+    nums = _outer([rows[yi] for yi in y.indices], np.multiply)
+    return nums.tolist(), math.prod(lcms[yi] for yi in y.indices)
 
 
 def length_law_bruteforce(
@@ -950,24 +948,19 @@ def length_law_bruteforce(
     Independent of the type-class path; the only exact route for
     Markov models.  Guarded at ``|X|^n <= guard``.
     """
-    n = len(y)
-    nx = len(model.x_alphabet)
-    num_strings = nx**n
+    num_strings = len(model.x_alphabet) ** len(y)
     if num_strings > guard:
         raise GuardExceededError(f"brute force needs |X|^n <= {guard}, got {num_strings}")
     if isinstance(model, CondIidModel):
         if exact:
             factor = _flat_factor(None, *_bruteforce_cond_iid_exact(model, y))
         else:
-            logp = np.zeros(1)
-            for yi in y.indices:
-                logp = (logp[:, None] + model.cond_log2[yi][None, :]).ravel()
-            factor = _flat_factor(logp)
+            factor = _flat_factor(_outer([model.cond_log2[yi] for yi in y.indices], np.add))
     else:
         factor = _markov_flat_factor(_markov_string_probs(model, y, exact), exact)[1]
         if factor is None:
             raise ValueError("side-information string has zero probability")
-    return LengthLaw(n, num_strings, [factor], exact)
+    return LengthLaw(len(y), [factor], exact)
 
 
 def _markov_string_probs(
@@ -1181,7 +1174,7 @@ def _pair_laws(
         # one forward enumeration gives both P(y) and the law given y
         w, factor = _markov_flat_factor(_markov_string_probs(model, y, exact), exact)
         if factor is not None:
-            yield w, LengthLaw(n, len(model.x_alphabet) ** n, [factor], exact)
+            yield w, LengthLaw(n, [factor], exact)
 
 
 def _check_pair_guard(model: Model, n: int) -> None:

@@ -441,3 +441,38 @@ class TestOptionsPerCommand:
         code, out, err = run(capsys, RUNS[command] + [flag, VALUES[flag]])
         assert (code, out) == (1, "")
         assert err == f"usage error: unrecognized arguments: {flag} {VALUES[flag]}\n"
+
+
+# runs that read none of an option they were given, and the one line each
+# prints; before each was refused, the first seven exited 0 and the last
+# ended in a traceback
+UNREAD_IN_RUN = {
+    "measures-pair-n": (["measures", "--model", FIG1, "--n", "5"],
+                        "--n/--n-range not read by pair measures (no --y)"),
+    "measures-markov-y-n": (["measures", "--model", MARKOV, "--y", "0101", "--n", "3"],
+                            "--n/--n-range, --y not read by Markov measures"),
+    "limits-k-eps": (["limits", "--model", FIG1, "--n", "4", "--k", "2", "--eps", "0.1"],
+                     "--eps not read by an eps* sweep (--k)"),
+    "limits-pair-y": (["limits", "--model", FIG1, "--eps", "0.1", "--y", "0101", "--scope",
+                       "pair", "--n", "4"],
+                      "--y not read by scope pair"),
+    "figure1-two-eps": (["figure1", "--n", "3", "--eps", "0.1", "0.3"],
+                        "figure1 takes one --eps, got 2"),
+    "bounds-cond-iid-A": (["bounds", "--model", FIG1, "--n", "500", "--eps", "0.1", "--A",
+                           "1.0"],
+                          "--A not read by bounds on a cond_iid model"),
+    "bounds-markov-y": (["bounds", "--model", MARKOV, "--n", "500", "--eps", "0.1", "--A",
+                         "1.0", "--y", "0101"],
+                        "--y not read by bounds on a markov_pair model"),
+    "figure1-markov": (["figure1", "--model", MARKOV, "--n", "5"],
+                       "figure1 needs a cond_iid model, got a markov_pair model"),
+}
+
+
+class TestOptionsPerRun:
+    @pytest.mark.parametrize("case", UNREAD_IN_RUN)
+    def test_option_unread_by_run_is_usage_error(self, capsys, case):
+        argv, message = UNREAD_IN_RUN[case]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {message}\n"

@@ -1,8 +1,10 @@
 """CLI stdout pinned byte for byte against recorded golden files.
 
 Each case runs ``sidecomp.cli.main`` in-process and compares its stdout
-with ``tests/golden/<name>.txt``.  A library change that keeps every
-printed number passes; one that moves a single digit fails.
+with ``tests/golden/<name>.txt``; it runs once more with ``--out FILE``
+and compares the file's bytes with the same golden.  A library change
+that keeps every printed number passes; one that moves a single digit
+fails.
 
 To re-record after a deliberate output change, run
 ``PYTHONPATH=src python -m tests.test_cli_golden`` from the repo root.
@@ -107,6 +109,15 @@ def test_stdout_matches_golden(capsys, monkeypatch, name):
     monkeypatch.chdir(ROOT)
     expected = (GOLDEN_DIR / f"{name}.txt").read_text()
     assert _stdout(capsys, CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_out_file_matches_golden(capsys, monkeypatch, tmp_path, name):
+    # the same run with --out writes the golden bytes to the file, none to stdout
+    monkeypatch.chdir(ROOT)
+    dest = tmp_path / "out.txt"
+    assert _stdout(capsys, CASES[name] + ["--out", str(dest)]) == ""
+    assert dest.read_bytes() == (GOLDEN_DIR / f"{name}.txt").read_bytes()
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ def _pair_laws_of(model, n, route, exact):
 
 def _fresh(law):
     """The same law with no chunk produced or located yet."""
-    return LengthLaw(law.n, law.num_strings, law._factors, law.exact)
+    return LengthLaw(law.n, law._factors, law.exact)
 
 
 def _assert_curve_is_per_k(law, kmax):
@@ -393,9 +393,6 @@ def _eager_class_floats(law):
     lp = lp[order]
     mass = np.add.reduceat(np.exp2(lp + lc[order]), starts)
     log2p = lp[starts]
-    if law.num_strings > law._support:
-        log2p = np.append(log2p, -math.inf)
-        mass = np.append(mass, 0.0)
     suffix = np.zeros(len(mass) + 1)
     suffix[:-1] = mass[::-1].cumsum()[::-1]
     return log2p, suffix
@@ -529,9 +526,10 @@ def _assert_jumps_match_walk(make, exact):
     walked = _walked(make)
     fresh = make()
     nclass = len(walked._starts)
-    for j in range(nclass + 1):
+    for j in range(nclass):
         prev, _, mass_before, _ = walked._class_data(j)
         assert fresh._before(j) == (prev, mass_before)
+    assert fresh._before(nclass) == (walked.num_strings, walked._total_num)
     kmax = walked.num_strings.bit_length()
     for k in range(kmax + 1):
         if exact:
@@ -627,15 +625,29 @@ class TestChunkJump:
     @pytest.mark.parametrize("size", [1, 3])
     @pytest.mark.parametrize("exact", [False, True])
     def test_zero_probability_cells(self, corpus_models, monkeypatch, size, exact):
-        # brute force keeps the 2^n - 1 impossible strings as -inf cells
+        # both builders keep the impossible strings as cells of log2p -inf:
+        # the 2^n - 1 of each deterministic y-string, and on DYADIC those
+        # with an x-symbol c where y = 1
         monkeypatch.setattr(limits, "COUNT_CHUNK", size)
-        model = corpus_models["deterministic"]
-        for word, n in (("01", 6), ("0", 5)):
+        deterministic = corpus_models["deterministic"]
+        builders = (length_law_bruteforce, length_law_typeclass)
+        for model, word, n in ((deterministic, "01", 6), (deterministic, "0", 5),
+                               (DYADIC, "01", 6), (DYADIC, "1", 5)):
             y = y_repeat(model, word, n)
-            law = length_law_bruteforce(model, y, exact=exact)
-            assert law.log2p[-1] == -math.inf
-            _assert_jumps_match_walk(
-                lambda: length_law_bruteforce(model, y, exact=exact), exact)
+            brute, typeclass = (build(model, y, exact=exact) for build in builders)
+            assert brute.log2p[-1] == typeclass.log2p[-1] == -math.inf
+            assert brute.num_classes == typeclass.num_classes
+            assert brute.counts == typeclass.counts
+            assert brute.log2p.tobytes() == typeclass.log2p.tobytes()
+            # a type-class mass is exp2(log2p + log2 count), which rounds
+            # where a count is no power of two; the -inf class has none
+            assert brute.suffix_mass[-2] == typeclass.suffix_mass[-2] == 0.0
+            np.testing.assert_allclose(brute.suffix_mass, typeclass.suffix_mass,
+                                       rtol=1e-15, atol=0)
+            if exact:
+                assert brute.probs == typeclass.probs
+            for build in builders:
+                _assert_jumps_match_walk(lambda: build(model, y, exact=exact), exact)
 
 
 @st.composite
@@ -702,7 +714,7 @@ def _assert_window_matches_ranking(make) -> None:
     ranked = make(False)
     for k in range(ranked.num_strings.bit_length() + 1):
         assert _close(make(False).epsilon_star_window(k), ranked.epsilon_star(k)), k
-        if 1 < (b := 1 << k) <= ranked._support:
+        if 1 < (b := 1 << k) <= ranked.num_strings:
             win, j = make(False)._window_class_of_rank(b)
             want = ranked._class_of_rank(b)
             if j is None:

@@ -10,6 +10,7 @@ failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -17,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import ContextManager, Sequence, TextIO
 
 import numpy as np
 
@@ -73,24 +74,26 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _emit(header: Sequence[str], rows: Sequence[Sequence[object]], out: str | None) -> None:
-    sink = open(out, "w", newline="") if out else sys.stdout
+def _emit(header: Sequence[str], rows: Sequence[Sequence[object]], out: TextIO) -> None:
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_fmt(v) for v in row])
+
+
+def _emit_lines(lines: Sequence[str], out: TextIO) -> None:
+    out.write("\n".join(lines) + "\n")
+
+
+def _open_out(path: str | None) -> ContextManager[TextIO]:
+    """The run's output: the ``--out`` file, opened before any work so
+    that a path it cannot write fails first, or stdout."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        w = csv.writer(sink, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-    finally:
-        if out:
-            sink.close()
-
-
-def _emit_lines(lines: Sequence[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def _load(args: argparse.Namespace):
@@ -545,7 +548,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check(args)
-        return _COMMANDS[args.command][0](args)
+        with _open_out(args.out) as args.out:
+            return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

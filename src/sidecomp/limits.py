@@ -21,15 +21,20 @@ Two evaluation tracks coexist:
 
 * float: per-string probabilities as ``log2`` values (never as raw
   doubles, which underflow long before interesting blocklengths) with
-  class counts kept as exact Python integers;
+  exact class counts, computed in int64 when the law's strings fit in
+  it and as Python integers otherwise, and handed on as Python integers;
 * exact: rational per-string probabilities, for small blocklengths,
   used as the ground truth the float track is tested against.  It
   ranks by integer numerators alone; an exact law builds its float
   ``log2p`` and suffix masses only when one is read.
 
 A pair curve asks each law for its overflow at every rank ``2^k`` in
-one monotone pass, and on the exact track sums the weighted curves in
-integers, one row per distinct denominator of weight over law.
+one monotone pass with one step per count chunk, and sums the weighted
+curves: on the float track with one numpy multiply-add per law, on the
+exact track in integers, one row per distinct denominator of weight
+over law.  A rank needs no dominance count to find its chunk when it
+lies within the next chunk's class count of the last chunk produced,
+or past every chunk but the last.
 
 A law ranks its cells only when a query reads the ranking: the pair
 curves, ``info_tail``, ``counts``/``probs`` and the exact track.  The
@@ -65,7 +70,7 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -174,7 +179,7 @@ class _Split(NamedTuple):
     so the cells of one ``a`` ranked above any class form a prefix of
     ``i``."""
 
-    counts: np.ndarray          # string count of each a (Python ints)
+    counts: np.ndarray          # string count of each a, in the law's count dtype
     last_cum: np.ndarray        # last factor's cumulative counts in rank order,
                                 # from 0; int64 when they fit
     # float track
@@ -217,12 +222,13 @@ class LengthLaw:
     :meth:`rate_point_window`) never build it.  Exact class counts are
     produced ``COUNT_CHUNK`` classes at a time, only when a query needs
     them; the law keeps the cumulative count at the end of every chunk
-    it produced or located, and the last chunk it produced.  A chunk's
-    base is an exact dominance count over the last factor, so reaching
-    a chunk never produces the chunks before it.  Strings of
-    probability zero are cells like any other (``log2p`` -inf,
-    numerator 0): they rank last, as one class, so ``counts`` sums to
-    ``num_strings``, the number of source strings.
+    it produced or located, and the last chunk it produced.  Reaching a
+    chunk never produces the chunks before it: :meth:`_chunk_of_rank`
+    finds it from the last chunk's end where class counts suffice, and
+    otherwise from exact dominance counts over the last factor.
+    Strings of probability zero are cells like any other (``log2p``
+    -inf, numerator 0): they rank last, as one class, so ``counts``
+    sums to ``num_strings``, the number of source strings.
 
     Threads may share a law (the fixed-y point queries hand one to every
     caller): each cache is stored in one assignment once it is whole, and
@@ -232,6 +238,9 @@ class LengthLaw:
     def __init__(self, n: int, factors: list[_Factor], exact: bool) -> None:
         self.n = n
         self.num_strings = math.prod(sum(f.counts.tolist()) for f in factors)
+        # exact counts in int64 when the law's strings fit in it: no count
+        # or running count exceeds num_strings
+        self._ints = np.int64 if self.num_strings.bit_length() < 64 else object
         self.exact = exact
         self._factors = factors
         self._shape = tuple(len(f.counts) for f in factors)
@@ -315,7 +324,8 @@ class LengthLaw:
         first = int(starts[0])
         heads = starts[:COUNT_CHUNK] - first
         cells = np.unravel_index(self._order[first:end], self._shape)
-        counts = reduce(operator.mul, [f.counts[i] for f, i in zip(self._factors, cells)])
+        counts = reduce(operator.mul, [f.counts.astype(self._ints, copy=False)[i]
+                                       for f, i in zip(self._factors, cells)])
         class_counts = np.add.reduceat(counts, heads).tolist()
         base, base_mass = self._end(c - 1) if c else (0, 0)
         cum = list(accumulate(class_counts, initial=base))
@@ -362,16 +372,17 @@ class LengthLaw:
     def _count(self, lengths: Sequence[int] | np.ndarray) -> int:
         """Exact count of the strings in the cells ``(a, i < lengths[a])``."""
         s = self._split_tables()
-        return sum(map(operator.mul, s.counts, s.last_cum[lengths].tolist()))
+        return sum(map(operator.mul, s.counts.tolist(), s.last_cum[lengths].tolist()))
 
     def _split_tables(self) -> _Split:
         """The (a, i) tables of :meth:`_before` and the float point
         queries, built on first use; the exact track's carry no floats."""
         if self._split is None:
             *rest, last = self._factors
-            counts, nums = np.ones(1, dtype=object), [1]
+            counts, nums = np.ones(1, dtype=self._ints), [1]
             if rest:
-                counts = _outer([f.counts for f in rest], np.multiply)
+                counts = _outer([f.counts.astype(self._ints, copy=False) for f in rest],
+                                np.multiply)
             if self.exact:
                 keys = last.nums.tolist()
                 order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
@@ -405,15 +416,27 @@ class LengthLaw:
                     map(operator.mul, last.counts[order].tolist(), last_nums), initial=0)))
         return self._split
 
-    def _class_of_rank(self, b: int) -> int:
-        """Index of the class holding rank ``b``, 1 < b <= num_strings."""
-        last = self._last
-        if last is not None and last[1].cum[0] < b <= last[1].cum[-1]:
-            c = last[0]
-        else:
-            chunks = range(-(-len(self._ranked()) // COUNT_CHUNK))
-            c = bisect_left(chunks, b, key=lambda c: self._end(c)[0])
-        return c * COUNT_CHUNK + bisect_left(self._chunk(c).cum, b, 1) - 1
+    def _chunk_of_rank(self, b: int) -> int:
+        """Index of the chunk holding rank ``b``, 1 < b <= num_strings.
+
+        The search starts past the last chunk produced when ``b`` ranks
+        after it.  Every class holds at least one string, so a rank
+        within as many strings of that start as the next chunk has
+        classes lies in that chunk, and one past every other chunk lies
+        in the last; only otherwise are chunk ends bisected, by
+        :meth:`_end`'s exact dominance counts.
+        """
+        c, base, last = 0, 0, self._last
+        if last is not None and last[1].cum[0] < b:
+            if b <= last[1].cum[-1]:
+                return last[0]
+            c, base = last[0] + 1, last[1].cum[-1]
+        classes = len(self._ranked())
+        if b <= base + min(COUNT_CHUNK, classes - c * COUNT_CHUNK):
+            return c
+        # over every chunk, so that later ranks meet the ends found before
+        return bisect_left(range(-(-classes // COUNT_CHUNK) - 1), b,
+                           key=lambda c: self._end(c)[0])
 
     def _class_data(self, j: int) -> tuple[int, int, int, int]:
         """Cumulative count before and through class ``j``; on the exact
@@ -637,43 +660,35 @@ class LengthLaw:
         self._require_exact()
         return Fraction(self._excess_at_ranks([b], exact=True)[0], self._den)
 
-    def _excess_at_ranks(self, ranks: Iterable[int], exact: bool) -> list:
+    def _excess_at_ranks(self, ranks: Sequence[int], exact: bool) -> list:
         """P[rank >= b] for each of the ascending ``ranks``: floats, or
         with ``exact`` integer numerators over the law's denominator.
 
-        One monotone pass locates every rank: the chunk that held the
-        last rank is bisected from its position while it holds the
-        next, and :meth:`_class_of_rank` runs only when the chunk
-        changes.  The float track then reads the located classes'
-        ``log2p`` and tail masses with one gather each.
+        One monotone pass, one step per chunk: :meth:`_chunk_of_rank`
+        finds the chunk of the first rank not yet placed, and every rank
+        up to the chunk's end is placed in it at once.  The float track
+        reads those classes' ``log2p`` and tail masses with one gather
+        each.
         """
-        out: list = []
-        located = []        # float track: (index in out, class, strings to its end)
-        ch = None
-        for b in ranks:
-            if b <= 1:
-                out.append(self._total_num if exact else self.total_mass())
-                continue
-            if b > self.num_strings:
-                out.append(0 if exact else 0.0)
-                continue
-            if ch is None or b > ch.cum[-1]:
-                c, i = divmod(self._class_of_rank(b), COUNT_CHUNK)
-                ch = self._chunk(c)
-            else:
-                i = bisect_left(ch.cum, b, i + 1) - 1
+        lo = bisect_right(ranks, 1)
+        hi = bisect_right(ranks, self.num_strings, lo)
+        out = [self._total_num if exact else self.total_mass()] * lo
+        while len(out) < hi:
+            c = self._chunk_of_rank(ranks[len(out)])
+            ch = self._chunk(c)
+            cum = ch.cum
+            bs = ranks[len(out):bisect_right(ranks, cum[-1], len(out), hi)]
+            js = [bisect_left(cum, b, 1) - 1 for b in bs]
             if exact:
-                out.append(self._total_num - ch.mass[i] - ch.nums[i] * (b - 1 - ch.cum[i]))
-            else:
-                located.append((len(out), c * COUNT_CHUNK + i, ch.cum[i + 1] - b + 1))
-                out.append(None)
-        if located:
-            at, js, ds = zip(*located)
+                out += [self._total_num - ch.mass[i] - ch.nums[i] * (b - 1 - cum[i])
+                        for i, b in zip(js, bs)]
+                continue
             log2p, suffix = self._class_floats()
-            js = np.array(js)
-            for a, tail, d, lp in zip(at, suffix[js + 1].tolist(), ds, log2p[js].tolist()):
-                out[a] = _excess_in_class(tail, d, lp)
-        return out
+            at, first = np.array(js), c * COUNT_CHUNK
+            # _excess_in_class; a class of log2p -inf adds 2.0 ** -inf = 0.0
+            out += [tail + 2.0 ** (math.log2(cum[i + 1] - b + 1) + lp) for i, b, tail, lp
+                    in zip(js, bs, suffix[first + 1:][at].tolist(), log2p[first:][at].tolist())]
+        return out + [0 if exact else 0.0] * (len(ranks) - hi)
 
     def epsilon_star(self, k: int) -> float:
         """Overflow probability of the optimal code at k bits."""
@@ -909,10 +924,9 @@ def _typeclass_law(
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     cells = 1  # type classes of c positions over a support of s symbols, and a zero cell
-    for row, c in zip(model.p_x_given_y, composition):
+    for s, c in zip(model.support_sizes, composition):
         if c:
-            s = sum(p > 0 for p in row)
-            cells *= math.comb(c + s - 1, s - 1) + (s < len(row))
+            cells *= math.comb(c + s - 1, s - 1) + (s < len(model.x_alphabet))
     if cells > cap:
         raise GuardExceededError(
             f"type-class count exceeds cap {cap} at composition {tuple(composition)}"
@@ -1230,11 +1244,10 @@ def _pair_curve_of_route(model: Model, n: int, route: str, exact: bool) -> tuple
     laws = _pair_laws(model, n, route, exact)
     if exact:
         return tuple(_weighted_sum(laws, ranks))
-    total = [0.0] * len(ranks)
+    total = np.zeros(len(ranks))
     for w, law in laws:
-        for k, v in enumerate(law._excess_at_ranks(ranks, exact=False)):
-            total[k] += w * v
-    return tuple(total)
+        total += w * np.array(law._excess_at_ranks(ranks, exact=False))
+    return tuple(total.tolist())
 
 
 def _weighted_sum(

@@ -209,6 +209,11 @@ class CondIidModel:
             return np.log2(self.cond_f)
 
     @cached_property
+    def support_sizes(self) -> tuple[int, ...]:
+        """Positive entries of each conditional row."""
+        return tuple(sum(p > 0 for p in row) for row in self.p_x_given_y)
+
+    @cached_property
     def p_y_f(self) -> np.ndarray:
         if self.p_y is None:
             raise ValueError("model has no side-information marginal p_y")
@@ -668,7 +673,7 @@ def load_model(path: str | Path) -> Model:
     """Load and structurally parse a model file (no stochastic checks)."""
     try:
         doc = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file {path} is not valid JSON: {exc}") from exc

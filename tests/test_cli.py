@@ -476,3 +476,30 @@ class TestOptionsPerRun:
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err == f"usage error: {message}\n"
+
+
+class TestOutSink:
+    @pytest.mark.parametrize("argv, dest, reason", [
+        (["figure1", "--model", FIG1, "--n", "3", "--eps", "0.1"],
+         "missing/x.csv", "No such file or directory"),
+        (["limits", "--model", FIG1, "--n", "4", "--k", "2"], "", "Is a directory"),
+    ])
+    def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                  argv, dest, reason):
+        def no_work(*_):
+            raise AssertionError("the model was loaded")
+
+        monkeypatch.setattr("sidecomp.cli.load_model", no_work)
+        path = str(tmp_path / dest) if dest else str(tmp_path)
+        code, out, err = run(capsys, argv + ["--out", path])
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
+def test_non_utf8_model_is_model_error(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["limits", "--model", str(path), "--n", "4", "--k", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"model error: cannot read model file {path}: 'utf-8' codec")
+    assert len(err.splitlines()) == 1

@@ -5,8 +5,9 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -522,7 +523,10 @@ def _walked(make):
 
 def _assert_jumps_match_walk(make, exact):
     """Every count a fresh law jumps to, and every query a fresh law
-    answers, equals what the law that walked all its chunks gives."""
+    answers, equals what the law that walked all its chunks gives:
+    floats ``.hex()``-equal, exact values ``==``.  Every rank is asked
+    of a law of at most 4096 strings, and the ranks next to each 2^k
+    of a larger one."""
     walked = _walked(make)
     fresh = make()
     nclass = len(walked._starts)
@@ -535,15 +539,20 @@ def _assert_jumps_match_walk(make, exact):
         if exact:
             assert make().epsilon_star_exact(k) == walked.epsilon_star_exact(k)
         else:
-            assert make().epsilon_star(k) == walked.epsilon_star(k)
-    for b in range(1, walked.num_strings + 2):
+            assert make().epsilon_star(k).hex() == walked.epsilon_star(k).hex()
+    ranks = range(1, walked.num_strings + 2)
+    if walked.num_strings > 1 << 12:
+        ranks = [(1 << k) + d for k in range(kmax + 1) for d in (-1, 1)]
+    for b in ranks:
         if exact:
             assert make().excess_at_rank_exact(b) == walked.excess_at_rank_exact(b)
         else:
-            assert make().excess_at_rank(b) == walked.excess_at_rank(b)
+            assert make().excess_at_rank(b).hex() == walked.excess_at_rank(b).hex()
     if not exact:
         for eps in (0.05, 0.3, 0.7):
-            assert make().rate_point(eps) == walked.rate_point(eps)
+            got, want = make().rate_point(eps), walked.rate_point(eps)
+            assert (got.k, got.eps_at_k.hex(), got.eps_at_k_plus_1.hex()) == (
+                want.k, want.eps_at_k.hex(), want.eps_at_k_plus_1.hex())
 
 
 DYADIC = model_from_dict({
@@ -555,7 +564,83 @@ DYADIC = model_from_dict({
 })
 
 
+def _comb_counts(model, y):
+    """Class counts of the law given ``y`` for a model with binary rows,
+    in pure Python: per type class a product of ``math.comb``, summed
+    over the type classes of equal exact probability, most probable
+    first."""
+    comp = y.counts()
+    classes = {}
+    for ks in product(*(range(c + 1) for c in comp)):
+        p = math.prod(row[0] ** (c - k) * row[1] ** k
+                      for row, c, k in zip(model.p_x_given_y, comp, ks))
+        count = math.prod(math.comb(c, k) for c, k in zip(comp, ks))
+        classes[p] = classes.get(p, 0) + count
+    return [classes[p] for p in sorted(classes, reverse=True)]
+
+
+class TestIntCounts:
+    # fig1 given 001... has 2^n strings: they fit in int64 at n = 62, not at 63
+    @pytest.mark.parametrize("n", [62, 63])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_counts_either_side_of_int64(self, fig1, n, exact):
+        y = y_repeat(fig1, "001", n)
+        law = length_law_typeclass(fig1, y, exact=exact)
+        assert law._ints is (np.int64 if n == 62 else object)
+        want = _comb_counts(fig1, y)
+        counts, cum = law.counts, law.cum_counts
+        assert all(type(v) is int for v in counts + cum)
+        assert counts == want
+        assert cum == list(accumulate(want))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("n", [62, 63])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_jumps_match_walk_either_side_of_int64(self, fig1, monkeypatch, size, n, exact):
+        monkeypatch.setattr(limits, "COUNT_CHUNK", size)
+        y = y_repeat(fig1, "001", n)
+        _assert_jumps_match_walk(lambda: length_law_typeclass(fig1, y, exact=exact), exact)
+
+
 class TestChunkJump:
+    def test_pair_curve_counts_no_dominance(self, fig1, monkeypatch):
+        # every fig1 law at n = 150 has at most two chunks: a rank lies in
+        # the first chunk when the first chunk has as many classes, and
+        # past the first chunk's end it lies in the last
+        calls = []
+        prefix_lengths = limits._prefix_lengths
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return prefix_lengths(*args, **kwargs)
+
+        monkeypatch.setattr(limits, "_prefix_lengths", counting)
+        _pair_curve_of_route.cache_clear()
+        rate_star_pair(fig1, 150, 0.1)
+        _pair_curve_of_route.cache_clear()
+        assert not calls
+
+    def test_curve_skips_chunks_without_ranks(self, fig1, monkeypatch):
+        produced = []
+        chunk = LengthLaw._chunk
+
+        def counting(law, c):
+            if law._last is None or law._last[0] != c:
+                produced.append(c)
+            return chunk(law, c)
+
+        y = y_repeat(fig1, "001", 400)
+        walked = _walked(lambda: length_law_typeclass(fig1, y))
+        ends = walked.cum_counts[COUNT_CHUNK - 1::COUNT_CHUNK] + [walked.num_strings]
+        ranks = [1 << k for k in range(402)]
+        holding = sorted({bisect_left(ends, b) for b in ranks if 1 < b <= walked.num_strings})
+        assert len(holding) < len(ends)
+        monkeypatch.setattr(LengthLaw, "_chunk", counting)
+        curve = length_law_typeclass(fig1, y)._excess_at_ranks(ranks, exact=False)
+        assert produced == holding
+        assert [v.hex() for v in curve] == [
+            v.hex() for v in walked._excess_at_ranks(ranks, exact=False)]
+
     def test_deep_rank_produces_one_chunk(self, fig1, monkeypatch):
         produced = []
         chunk = LengthLaw._chunk
@@ -712,11 +797,12 @@ def _assert_window_matches_ranking(make) -> None:
     that only rounding decides.
     """
     ranked = make(False)
+    cum = ranked.cum_counts
     for k in range(ranked.num_strings.bit_length() + 1):
         assert _close(make(False).epsilon_star_window(k), ranked.epsilon_star(k)), k
         if 1 < (b := 1 << k) <= ranked.num_strings:
             win, j = make(False)._window_class_of_rank(b)
-            want = ranked._class_of_rank(b)
+            want = bisect_left(cum, b)
             if j is None:
                 assert ranked.log2p[want] == -math.inf
             else:

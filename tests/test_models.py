@@ -126,6 +126,12 @@ class TestModelIO:
         with pytest.raises(ModelFormatError):
             model_from_dict({"kind": "mystery"})
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ModelFormatError, match="cannot read model file"):
+            load_model(path)
+
     def test_bad_row_sum_fails_validation(self):
         m = model_from_dict({
             "kind": "cond_iid",

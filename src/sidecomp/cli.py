@@ -559,6 +559,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (xl.GuardExceededError, nb.DegenerateModelError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ probability with exact string counts.
 Every law is held in product form (:class:`LengthLaw`): for
 conditionally i.i.d. models one factor per y-symbol, whose cells are
 the type classes of the positions seeing that symbol; the brute-force
-builders enumerate strings one by one into a single flat factor and
-exist as independent oracles (they are also the only exact route for
-Markov models).  The exact brute-force pair curve of a conditionally
-i.i.d. model builds no law: one integer walk over y-prefixes carries
-every string's joint numerator, sorted, and sums the overflows.
+builders enumerate strings into one flat factor, as independent oracles
+and the only exact route for Markov models (a Markov pair sweep takes one
+forward step per y-prefix).  The exact brute-force pair curve of a
+conditionally i.i.d. model builds no law: one integer walk over y-prefixes
+carries every string's joint numerator, sorted, and sums the overflows.
 
 Two evaluation tracks coexist:
 
@@ -830,12 +830,10 @@ def _log2_at_least(p: Fraction, threshold: Fraction) -> bool:
 
 
 def _binomial_row(n: int) -> list[int]:
-    row = [1] * (n + 1)
-    c = 1
-    for i in range(n):
-        c = c * (n - i) // (i + 1)
-        row[i + 1] = c
-    return row
+    half = [1]  # C(n, 0..n/2); the rest mirrors it
+    for i in range(n // 2):
+        half.append(half[-1] * (n - i) // (i + 1))
+    return half + half[::-1][1 - n % 2:]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -971,19 +969,22 @@ def length_law_bruteforce(
         else:
             factor = _flat_factor(_outer([model.cond_log2[yi] for yi in y.indices], np.add))
     else:
-        factor = _markov_flat_factor(_markov_string_probs(model, y, exact), exact)[1]
-        if factor is None:
+        joints = next(_markov_joints(model, [(yt,) for yt in y.indices], exact), None)
+        if joints is None:
             raise ValueError("side-information string has zero probability")
+        factor = _markov_flat_factor(joints, exact)[1]
     return LengthLaw(len(y), [factor], exact)
 
 
-def _markov_string_probs(
-    model: MarkovPairModel, y: SideInfoString, exact: bool
-) -> np.ndarray:
-    """Joint probabilities P(x, y) over all x-strings, y fixed, in product
-    order of x; an object array of ``Fraction`` on the exact track."""
+def _markov_joints(
+    model: MarkovPairModel, choices: Sequence[Sequence[int]], exact: bool
+) -> Iterator[np.ndarray]:
+    """P(x, y) over all x-strings in product order (``Fraction``s on the exact
+    track) for each y-string with t-th symbol in ``choices[t]``, depth first in
+    product order.  A y-prefix filters the initial law's contexts up to the
+    order, then takes one ``_step``; one of probability 0 has no subtree."""
     d = model.order
-    if len(y) < d:
+    if len(choices) < d:
         raise ValueError(f"need blocklength >= markov order {d}")
     if not exact:
         init, trans = model.initial_f, model.transition_f
@@ -991,29 +992,41 @@ def _markov_string_probs(
         raise ValueError("exact Markov enumeration needs an explicit rational initial law")
     else:
         init, trans = (np.array(t, dtype=object) for t in (model.initial, model.transition))
-    ctx = model._head_contexts(y.indices)
-    probs = init[ctx]
-    for yt in y.indices[d:]:
-        s, nxt = model._step(ctx, yt)
-        probs, ctx = (probs[:, None] * trans[ctx][:, s]).ravel(), nxt.ravel()
-    return probs
+    ny, span = len(model.y_alphabet), model.num_pair_symbols
+    # a stacked y-prefix is its parent's state and its last y-symbol
+    stack = [(0, init, np.arange(len(init)), yt) for yt in reversed(choices[0])]
+    while stack:
+        t, probs, ctx, yt = stack.pop()
+        if t < d:  # ascending contexts list their x-heads in product order
+            keep = ctx // span ** (d - 1 - t) % ny == yt
+            probs, ctx = probs[keep], ctx[keep]
+        else:
+            s, nxt = model._step(ctx, yt)
+            probs, ctx = (probs[:, None] * trans[ctx][:, s]).ravel(), nxt.ravel()
+        if not probs.any():
+            continue
+        if t + 1 == len(choices):
+            yield probs
+        else:  # popped in product order
+            stack += [(t + 1, probs, ctx, a) for a in reversed(choices[t + 1])]
 
 
-def _markov_flat_factor(
-    joints: np.ndarray, exact: bool
-) -> tuple[float | Fraction, _Factor | None]:
-    """P(y), and the factor of P(x|y) over every x-string (None when
-    P(y) = 0), from the joint probabilities P(x, y) with y fixed."""
+def _markov_string_probs(
+    model: MarkovPairModel, y: SideInfoString, exact: bool
+) -> np.ndarray:
+    """Joint probabilities P(x, y) over all x-strings, y fixed, in product
+    order of x: the walk along y alone, all zero when P(y) = 0."""
+    zero = np.full(len(model.x_alphabet) ** len(y), Fraction(0) if exact else 0.0)
+    return next(_markov_joints(model, [(yt,) for yt in y.indices], exact), zero)
+
+
+def _markov_flat_factor(joints: np.ndarray, exact: bool) -> tuple[float | Fraction, _Factor]:
+    """P(y) and the factor of P(x|y) from the joints P(x, y), y fixed, P(y) > 0."""
     if exact:
-        prob_y = sum(joints)
-        if prob_y == 0:
-            return prob_y, None
         lcm = math.lcm(*(p.denominator for p in joints))
         nums = [p.numerator * (lcm // p.denominator) for p in joints]
-        return prob_y, _flat_factor(None, nums, sum(nums))
+        return sum(joints), _flat_factor(None, nums, sum(nums))
     total = joints.sum()
-    if total <= 0:
-        return float(total), None
     with np.errstate(divide="ignore"):
         return float(total), _flat_factor(np.log2(joints) - math.log2(total))
 
@@ -1141,9 +1154,9 @@ def _pair_laws(
     ``a`` at count ``c`` is built once and kept only until the last
     composition that uses it has been swept, so at most one per (a, c)
     is held, and none for two y-symbols, where no composition repeats
-    one.  The brute-force laws serve the float pair curves, the Markov
-    pair curves and :func:`check_general_converse`; the exact brute-force
-    pair curve of a conditionally i.i.d. model is
+    one.  The brute-force laws serve the float pair curves, the Markov pair
+    curves (one walk over y-prefixes) and :func:`check_general_converse`;
+    the exact brute-force pair curve of a conditionally i.i.d. model is
     :func:`_bruteforce_pair_curve`, which builds none."""
     ny = len(model.y_alphabet)
     if route == "typeclass":
@@ -1176,19 +1189,16 @@ def _pair_laws(
                     shared.pop(key, None)
         return
     _check_pair_guard(model, n)
-    if isinstance(model, CondIidModel):
-        p_y = [p if exact else float(p) for p in model.require_p_y()]
-    for ys in product(range(ny), repeat=n):
-        y = SideInfoString(model.y_alphabet, ys)
-        if isinstance(model, CondIidModel):
-            w = math.prod(p_y[yi] for yi in ys)
-            if w != 0:
-                yield w, length_law_bruteforce(model, y, exact=exact)
-            continue
-        # one forward enumeration gives both P(y) and the law given y
-        w, factor = _markov_flat_factor(_markov_string_probs(model, y, exact), exact)
-        if factor is not None:
+    if isinstance(model, MarkovPairModel):  # one walk gives both P(y) and the law given y
+        for joints in _markov_joints(model, [range(ny)] * n, exact):
+            w, factor = _markov_flat_factor(joints, exact)
             yield w, LengthLaw(n, [factor], exact)
+        return
+    p_y = [p if exact else float(p) for p in model.require_p_y()]
+    for ys in product(range(ny), repeat=n):
+        w = math.prod(p_y[yi] for yi in ys)
+        if w != 0:
+            yield w, length_law_bruteforce(model, SideInfoString(model.y_alphabet, ys), exact=exact)
 
 
 def _check_pair_guard(model: Model, n: int) -> None:

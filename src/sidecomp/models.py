@@ -143,10 +143,7 @@ class SideInfoString:
 
     def counts(self) -> tuple[int, ...]:
         """Occurrence count of each y-symbol, the string's composition."""
-        out = [0] * len(self.alphabet)
-        for i in self.indices:
-            out[i] += 1
-        return tuple(out)
+        return tuple(map(self.indices.count, range(len(self.alphabet))))
 
 
 @dataclass

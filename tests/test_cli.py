@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sidecomp import limits
 from sidecomp.cli import build_parser, main
 
 from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN
@@ -329,6 +330,32 @@ class TestSolveFailure:
         assert code == 1
         assert out == ""
         assert err == "error: variance rate came out negative\n"
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 8.00 GiB for an array"),
+         "error: out of memory: Unable to allocate 8.00 GiB for an array\n"),
+    ])
+    def test_memory_error_is_one_stderr_line(self, capsys, monkeypatch, exc, line):
+        def exhausted(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr("sidecomp.limits.rate_star_pair", exhausted)
+        code, out, err = run(capsys, ["limits", "--model", FIG1, "--n", "10", "--eps", "0.1"])
+        assert (code, out, err) == (1, "", line)
+
+
+def test_exact_markov_pair_without_initial_law(capsys, monkeypatch):
+    # no option asks the CLI for an exact pair query, so the query is made
+    # exact here; the model starts from its stationary law, not a rational one
+    pair = limits.epsilon_star_pair
+    monkeypatch.setattr(limits, "epsilon_star_pair",
+                        lambda *args, **kwargs: pair(*args, exact=True, **kwargs))
+    code, out, err = run(capsys, ["limits", "--model", MARKOV, "--n", "3", "--k", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: exact Markov enumeration needs an explicit rational initial law\n"
 
 
 class TestParsing:

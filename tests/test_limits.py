@@ -169,17 +169,20 @@ class TestOracleEquivalence:
         m = _markov_small(with_initial=True)
         calls = []
         enumerate_joints = limits._markov_string_probs
+        step = MarkovPairModel._step
 
-        def counting(model, y, exact):
-            calls.append(y.indices)
-            return enumerate_joints(model, y, exact)
+        def counting(model, ctx, y):
+            calls.append(y)
+            return step(model, ctx, y)
 
-        monkeypatch.setattr(limits, "_markov_string_probs", counting)
+        monkeypatch.setattr(MarkovPairModel, "_step", counting)
         _pair_curve_of_route.cache_clear()
         n = 3
         got = epsilon_star_pair(m, n, 1, exact=exact)
-        # one forward enumeration per y-string gives its weight and its law
-        assert sorted(calls) == list(product(range(2), repeat=n))
+        monkeypatch.undo()
+        # one forward step per y-prefix longer than the order gives every
+        # y-string its weight and its law
+        assert len(calls) == sum(2**i for i in range(m.order + 1, n + 1))
         want = 0.0
         for ys in product(range(2), repeat=n):
             y = SideInfoString(m.y_alphabet, ys)
@@ -236,6 +239,154 @@ class TestMarkovForwardKernel:
         for k in range((len(model.x_alphabet) ** n).bit_length() + 1):
             ex = epsilon_star_ref(model, y, k, exact=True)
             assert abs(float(ex) - epsilon_star_ref(model, y, k)) <= 1e-12
+
+
+def _per_y_string_joints(model, ys, exact):
+    """P(x, y) over every x-string by one forward pass of its own, as the
+    brute-force routes enumerated before they walked y-prefixes."""
+    if exact:
+        init, trans = (np.array(t, dtype=object) for t in (model.initial, model.transition))
+    else:
+        init, trans = model.initial_f, model.transition_f
+    ctx = model._head_contexts(ys)
+    probs = init[ctx]
+    for yt in ys[model.order:]:
+        s, nxt = model._step(ctx, yt)
+        probs, ctx = (probs[:, None] * trans[ctx][:, s]).ravel(), nxt.ravel()
+    return probs
+
+
+def _per_y_string_pair_laws(model, n, exact):
+    """The brute-force pair laws with one forward pass per y-string: the
+    loop the y-prefix walk replaced, kept as its reference."""
+    if isinstance(model, CondIidModel):
+        p_y = [p if exact else float(p) for p in model.require_p_y()]
+        lcms = [math.lcm(*(p.denominator for p in row)) for row in model.p_x_given_y]
+        rows = [np.array([int(p * d) for p in row], dtype=object)
+                for row, d in zip(model.p_x_given_y, lcms)]
+    for ys in product(range(len(model.y_alphabet)), repeat=n):
+        if isinstance(model, MarkovPairModel):
+            joints = _per_y_string_joints(model, ys, exact)
+            if not joints.any():
+                continue
+            w, factor = limits._markov_flat_factor(joints, exact)
+        else:
+            w = math.prod(p_y[yi] for yi in ys)
+            if w == 0:
+                continue
+            if exact:
+                nums = limits._outer([rows[yi] for yi in ys], np.multiply).tolist()
+                factor = limits._flat_factor(None, nums, math.prod(lcms[yi] for yi in ys))
+            else:
+                factor = limits._flat_factor(limits._outer([model.cond_log2[yi] for yi in ys],
+                                                           np.add))
+        yield w, LengthLaw(n, [factor], exact)
+
+
+def _summed_pair_curve(laws, n, nx, exact):
+    """The pair curve of ``laws`` summed as ``_pair_curve_of_route`` sums it."""
+    ranks = [1 << k for k in range((nx**n).bit_length() + 1)]
+    if exact:
+        return limits._weighted_sum(laws, ranks)
+    total = np.zeros(len(ranks))
+    for w, law in laws:
+        total += w * np.array(law._excess_at_ranks(ranks, exact=False))
+    return total.tolist()
+
+
+def _assert_pair_walk_matches_per_y_string(model, n, exact):
+    """The walk yields the same weights and factors as the per-y-string
+    loop, in the same order: floats bit for bit, exact ones as integers
+    and ``Fraction``s; so the pair curves are equal too."""
+    got = list(limits._pair_laws(model, n, "bruteforce", exact))
+    want = list(_per_y_string_pair_laws(model, n, exact))
+    assert len(got) == len(want)
+    for (gw, gl), (ww, wl) in zip(got, want):
+        (gf,), (wf,) = gl._factors, wl._factors
+        if exact:
+            assert type(gw) is type(ww) and gw == ww
+            assert gf.nums.tolist() == wf.nums.tolist() and gf.den == wf.den
+        else:
+            assert float(gw).hex() == float(ww).hex()
+            assert gf.lp.tobytes() == wf.lp.tobytes()
+    _pair_curve_of_route.cache_clear()
+    curve = _pair_curve_of_route(model, n, "bruteforce", exact)
+    ref = _summed_pair_curve(want, n, len(model.x_alphabet), exact)
+    if exact:
+        assert list(curve) == ref
+    else:
+        assert [v.hex() for v in curve] == [v.hex() for v in ref]
+
+
+def _assert_joints_match_per_y_string(model, n, exact):
+    """The fixed-y joints are the walk along one y-string, bit for bit;
+    all zero where P(y) = 0, in the track's own type."""
+    for ys in product(range(len(model.y_alphabet)), repeat=n):
+        got = limits._markov_string_probs(model, SideInfoString(model.y_alphabet, ys), exact)
+        want = _per_y_string_joints(model, ys, exact)
+        assert got.dtype == want.dtype and list(map(type, got)) == list(map(type, want))
+        if not want.any():
+            assert not got.any() and len(got) == len(want)
+        elif exact:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+class TestPairWalk:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_markov_small_matches_per_y_string(self, n, exact):
+        m = _markov_small(with_initial=True)
+        _assert_pair_walk_matches_per_y_string(m, n, exact)
+        _assert_joints_match_per_y_string(m, n, exact)
+
+    @given(small_markov_models(), st.data())
+    @settings(max_examples=40)
+    def test_random_markov_matches_per_y_string(self, model, data):
+        n = data.draw(st.integers(model.order, model.order + 3))
+        for exact in (False, True):
+            _assert_pair_walk_matches_per_y_string(model, n, exact)
+            _assert_joints_match_per_y_string(model, n, exact)
+
+    @pytest.mark.parametrize("name", ["copy_chain", "indep_chains", "markov2x2",
+                                      "ymarg_nonmarkov"])
+    def test_corpus_markov_matches_per_y_string(self, corpus_models, name):
+        # float only: the corpus chains start from their stationary law,
+        # which is not rational
+        m = corpus_models[name]
+        n = 1
+        while m.num_pair_symbols**n <= limits.BRUTEFORCE_GUARD:
+            _assert_pair_walk_matches_per_y_string(m, n, False)
+            n += 1
+        assert n == 11
+
+    @pytest.mark.parametrize("name", ["fig1", "skewed34", "nogap", "deterministic"])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_cond_iid_matches_per_y_string(self, corpus_models, name, exact):
+        m = corpus_models[name]
+        for n in range(1, 5):
+            _assert_pair_walk_matches_per_y_string(m, n, exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_zero_probability_y_symbol_has_no_subtree(self, exact):
+        # y-symbol 1 has probability 0: of the 27 y-strings at n = 3, the 8
+        # without it are yielded
+        _assert_pair_walk_matches_per_y_string(DEAD_SYMBOL, 3, exact)
+        assert len(list(limits._pair_laws(DEAD_SYMBOL, 3, "bruteforce", exact))) == 8
+
+    def test_exact_markov_pair_without_initial_law(self):
+        m = _markov_small(with_initial=False)
+        with pytest.raises(ValueError) as ref:
+            epsilon_star_ref(m, y_repeat(m, "01", 2), 1, exact=True)
+        _pair_curve_of_route.cache_clear()
+        with pytest.raises(ValueError) as pair:
+            epsilon_star_pair(m, 3, 1, exact=True)
+        assert str(pair.value) == str(ref.value)
+        # the walk refuses before it yields any law
+        laws = limits._pair_laws(m, 3, "bruteforce", True)
+        with pytest.raises(ValueError, match=f"^{str(ref.value)}$"):
+            next(laws)
 
 
 class TestCurveShape:
@@ -577,6 +728,14 @@ def _comb_counts(model, y):
         count = math.prod(math.comb(c, k) for c, k in zip(comp, ks))
         classes[p] = classes.get(p, 0) + count
     return [classes[p] for p in sorted(classes, reverse=True)]
+
+
+class TestBinomialRow:
+    SIZES = [*range(301), 999, 1000, 2001]
+
+    def test_row_is_comb(self):
+        for n in self.SIZES:
+            assert limits._binomial_row(n) == [math.comb(n, k) for k in range(n + 1)]
 
 
 class TestIntCounts:

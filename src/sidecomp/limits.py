@@ -58,11 +58,15 @@ point bounds what it keeps:
   ``|Y| <= 2``;
 * the fixed-y point queries keep their last law (keyed on model, y,
   route and track), and :func:`codec.build_code` its last
-  codebook (keyed on model and y).  A law of at most ``COUNT_CHUNK``
-  cells, or a codebook of at most ``COUNT_CHUNK`` strings, is held; a
-  larger one only by weak reference, so it is reused while a caller
-  still holds it and nothing larger outlives its query because of the
-  memo.
+  codebook (keyed on model and y).  Held are a law of at most
+  ``COUNT_CHUNK`` cells, a float law answered from level windows whose
+  split tables have at most ``COUNT_CHUNK`` rows (it keeps only those
+  and its last two windows, so the point queries of one y-string build
+  one law, and the read-backs at a rate point's ``k`` and ``k + 1``
+  locate no new window), and a codebook of at most
+  ``COUNT_CHUNK`` strings; any other only by weak reference, so it is
+  reused while a caller still holds it and nothing larger outlives its
+  query because of the memo.
 """
 
 from __future__ import annotations
@@ -254,7 +258,8 @@ class LengthLaw:
         self._ends: dict[int, tuple[int, int]] = {}
         self._last: tuple[int, _Chunk] | None = None
         self._split: _Split | None = None
-        self._window_hit: _Window | None = None
+        # the last two windows _locate found, newest first
+        self._window_hits: tuple[_Window, ...] = ()
         # the ranking, built on first use by _ranked, and the class floats
         self._order = self._starts = self._floats = None
 
@@ -530,13 +535,16 @@ class LengthLaw:
         ``reaches(lengths)`` says whether the cells above a level
         (:meth:`_above`) reach the sought class; ``where(window)`` says
         whether the class lies above (-1), below (1) or in the window
-        (0, with its index).  A float bisection of the level shrinks the
-        window to about ``WINDOW_CELLS`` cells (or to a tie or merge
-        chain of more), which then grows geometrically until ``where``
-        finds the class in it and no class crosses its edges.
+        (0, with its index).  The last two windows found are tried
+        first: a rate point reads two (the crossing and rank ``2^k``),
+        and rank ``2^(k+1)`` lies in one of them.  Otherwise a float
+        bisection of the level shrinks the window to about
+        ``WINDOW_CELLS`` cells (or to a tie or merge chain of more),
+        which then grows geometrically until ``where`` finds the class
+        in it and no class crosses its edges.
         """
-        hit = self._window_hit
-        if hit is not None:
+        hits = self._window_hits
+        for hit in hits:
             move, j = where(hit)
             if not move:
                 return hit, j
@@ -564,7 +572,7 @@ class LengthLaw:
             if win is not None:
                 move, j = where(win)
                 if not move:
-                    self._window_hit = win
+                    self._window_hits = (win, *hits[:1])
                     return win, j
             if move <= 0:
                 hi += step
@@ -1063,11 +1071,12 @@ def _one_chunk(law: LengthLaw) -> bool:
 class _LastBuilt:
     """The last object ``get`` built, for the next call with the same key.
 
-    An object that passes ``small`` is held; any other only by weak
-    reference, so it is reused while a caller still holds it and freed
-    with it otherwise.  The old entry is dropped before a new object is
-    built, and the key and the reference are one tuple, so a racing
-    caller never pairs a key with another key's object.
+    An object that passes ``small`` is held, so ``small`` bounds what the
+    memo keeps alive; any other only by weak reference, so it is reused
+    while a caller still holds it and freed with it otherwise.  The old
+    entry is dropped before a new object is built, and the key and the
+    reference are one tuple, so a racing caller never pairs a key with
+    another key's object.
     """
 
     def __init__(self, small: Callable) -> None:
@@ -1087,8 +1096,11 @@ class _LastBuilt:
         return obj
 
 
-# the last fixed-y law, held while it has at most COUNT_CHUNK cells
-_LAST_REF_LAW = _LastBuilt(_one_chunk)
+# the last fixed-y law, held while it has at most COUNT_CHUNK cells or, on
+# the float track, split-table rows: a window law keeps only those and its
+# last two windows
+_LAST_REF_LAW = _LastBuilt(lambda law: _one_chunk(law) or (
+    not law.exact and math.prod(law._shape[:-1]) + law._shape[-1] <= COUNT_CHUNK))
 
 
 def _ref_law(model: Model, y: SideInfoString, method: str, exact: bool) -> LengthLaw:

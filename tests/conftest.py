@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from sidecomp import codec, limits
 from sidecomp.models import (
     Alphabet,
     CondIidModel,
@@ -36,6 +37,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Each test starts with empty last-law and last-codebook memos (same
+    hold predicates), so an object held after one test never shifts
+    another test's build counts or garbage checks.  Its own patcher, so
+    a test's ``monkeypatch.undo()`` keeps them."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((limits, "_LAST_REF_LAW"), (codec, "_LAST_BOOK")):
+            patch.setattr(module, name, limits._LastBuilt(getattr(module, name)._small))
+        yield
 
 
 # pair chains that ``validate`` rejects: two contexts that alternate

@@ -143,6 +143,22 @@ class TestLimits:
         for r in rows:
             assert float(r[6]) <= 0.1 < float(r[5])
 
+    def test_ref_ks_of_one_y_build_one_law(self, capsys, monkeypatch):
+        # a window law of 80601 cells is held across the three k queries
+        builds = []
+        build = limits.length_law_typeclass
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(limits, "length_law_typeclass", counting)
+        code, out, _ = run(capsys, ["limits", "--model", FIG1, "--n", "600", "--k", "200",
+                                    "300", "400", "--y", "repeat:001", "--scope", "ref"])
+        assert code == 0
+        assert len(rows_of(out)[1]) == 3
+        assert len(builds) == 1
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["limits", "--model", FIG1, "--eps", "0.1"])
         assert code == 1

@@ -35,6 +35,10 @@ CASES = {
         "limits", "--model", _model("fig1"), "--n", "400", "--k", "100", "200", "300",
         "--y", "repeat:001", "--scope", "ref",
     ],
+    "limits_fig1_ref_n600_k": [
+        "limits", "--model", _model("fig1"), "--n", "600", "--k", "200", "300", "400",
+        "--y", "repeat:001", "--scope", "ref",
+    ],
     "limits_nogap_ref_n90_k": [
         "limits", "--model", _model("nogap"), "--n", "90", "--k", "20", "60", "100",
         "--y", "repeat:01", "--scope", "ref",

@@ -1072,6 +1072,10 @@ class TestGuards:
             query(corpus_models["markov2x2"])
 
 
+def _live_laws() -> list:
+    return [o for o in gc.get_objects() if isinstance(o, LengthLaw)]
+
+
 def _rate_bits(rp):
     return rp.k, rp.eps_at_k.hex(), rp.eps_at_k_plus_1.hex()
 
@@ -1175,7 +1179,6 @@ class TestBuildOnce:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(limits, "length_law_bruteforce", counting)
-        monkeypatch.setattr(limits, "_LAST_REF_LAW", limits._LastBuilt(limits._one_chunk))
         for k in range(len(y) + 1):
             assert epsilon_star_ref(m, y, k).hex() == build(m, y).epsilon_star(k).hex()
         assert len(builds) == 1
@@ -1234,6 +1237,23 @@ class TestBuildOnce:
         self._race(queries, want)
         assert limits._ref_law(fig1, y, "auto", False) is held
 
+    def test_racing_callers_share_a_held_window_law(self, fig1):
+        # no caller holds the law between queries: the memo's strong hold
+        # and the law's last two windows are raced, from k* and k*+1 and
+        # from a rank far above that pushes them out of the pair
+        y = y_repeat(fig1, "001", 400)
+        k = length_law_typeclass(fig1, y).rate_point_window(0.1).k
+        queries, want = [], []
+        for _ in range(10):
+            for kk in (k, k + 1, k, k + 1, k - 40):
+                queries.append(lambda kk=kk: epsilon_star_ref(fig1, y, kk).hex())
+                want.append(length_law_typeclass(fig1, y).epsilon_star_window(kk).hex())
+        gc.collect()
+        assert not _live_laws()
+        self._race(queries, want)
+        gc.collect()
+        assert len(_live_laws()) == 1
+
     def test_skewed34_sweep_builds_each_factor_once(self, corpus_models, monkeypatch):
         calls = []
         build = limits._symbol_factor
@@ -1262,9 +1282,35 @@ class TestBuildOnce:
             assert max(held) > 0    # the check sees a factor the sweep keeps
         assert not any(r() is not None for r in seen.values())
 
-    def test_window_law_does_not_outlive_its_query(self, fig1):
-        y = y_repeat(fig1, "001", 400)
-        rate_star_ref(fig1, y, 0.1)
-        epsilon_star_ref(fig1, y, 200)
+    def test_window_law_is_held_and_reads_back_its_windows(self, fig1, monkeypatch):
+        # 321201 cells in split tables of 801 and 401 rows: held, so the
+        # read-backs at k* and k*+1 build no law and locate no window
+        y = y_repeat(fig1, "001", 1200)
+        k = rate_star_ref(fig1, y, 0.1).k
         gc.collect()
-        assert not [o for o in gc.get_objects() if isinstance(o, LengthLaw)]
+        assert len(_live_laws()) == 1
+        want = [length_law_typeclass(fig1, y).epsilon_star_window(kk).hex()
+                for kk in (k, k + 1)]
+        windows = []
+        window = LengthLaw._window
+
+        def counting(law, *args):
+            windows.append(args)
+            return window(law, *args)
+
+        monkeypatch.setattr(LengthLaw, "_window", counting)
+        assert [epsilon_star_ref(fig1, y, kk).hex() for kk in (k, k + 1)] == want
+        assert windows == []
+
+    def test_laws_past_the_hold_rule_do_not_outlive_their_query(self, fig1):
+        # 8192 cells: a float flat law has 8193 split-table rows, and an
+        # exact law ranks its cells, so neither is held
+        y = y_repeat(fig1, "001", 13)
+        assert not limits._one_chunk(length_law_bruteforce(fig1, y))
+        rate_star_ref(fig1, y, 0.1, method="bruteforce")
+        epsilon_star_ref(fig1, y, 6, method="bruteforce")
+        gc.collect()
+        assert not _live_laws()
+        epsilon_star_ref(fig1, y, 6, method="bruteforce", exact=True)
+        gc.collect()
+        assert not _live_laws()

@@ -253,14 +253,14 @@ def markov_bounds(
     sigma2 = float(analysis.sigma2_rate)
     if sigma2 <= 1e-15:
         raise DegenerateModelError("information-density variance rate vanishes")
-    if A <= 0:
-        raise ValueError("the Berry-Esseen constant must be positive")
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"the Berry-Esseen constant must be finite and positive, got {A}")
     sigma = math.sqrt(sigma2)
     a = Q_inv(epsilon)
     pa = phi(a)
     core = h + sigma / math.sqrt(n) * a
     c_m = 2.0 * A * sigma / pa
-    n_ach = 2.0 * A * A / (math.pi * math.e * pa**4)
+    n_ach = _safe_div(2.0 * A * A, math.pi * math.e * pa**4)
     achiev = BoundReport(
         kind="markov_achiev",
         n=n,
@@ -271,7 +271,8 @@ def markov_bounds(
         valid=(0.0 < epsilon < 0.5) and n > n_ach,
     )
     c_mp = sigma * (A + 1.0) / pa
-    n_conv = _safe_div((A + 1.0) ** 2, (a * pa) ** 2)
+    # a square by multiplication overflows to inf, not to an OverflowError
+    n_conv = _safe_div((A + 1.0) * (A + 1.0), (a * pa) ** 2)
     conv = BoundReport(
         kind="markov_converse",
         n=n,

@@ -120,10 +120,12 @@ def _resolve_y_indices(spec: str, alphabet, max_n: int) -> tuple[int, ...]:
             return (word.indices * reps)[:max_n]
         if spec.startswith("file:"):
             path = Path(spec[len("file:"):])
-            if not path.exists():
-                raise UsageError(f"y file not found: {path}")
-            s = SideInfoString.from_labels(alphabet, path.read_text().strip())
-            indices = s.indices
+            try:
+                text = path.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise UsageError(f"--y: cannot read {path}: {reason}") from None
+            indices = SideInfoString.from_labels(alphabet, text.strip()).indices
         else:
             indices = SideInfoString.from_labels(alphabet, spec).indices
     except KeyError as exc:

@@ -13,7 +13,8 @@ conditionally i.i.d. models one factor per y-symbol, whose cells are
 the type classes of the positions seeing that symbol; the brute-force
 builders enumerate strings into one flat factor, as independent oracles
 and the only exact route for Markov models (a Markov pair sweep takes one
-forward step per y-prefix).  The exact brute-force pair curve of a
+``MarkovPairModel._advance`` per y-prefix, the forward step every
+pair-context recursion shares).  The exact brute-force pair curve of a
 conditionally i.i.d. model builds no law: one integer walk over y-prefixes
 carries every string's joint numerator, sorted, and sums the overflows.
 
@@ -285,14 +286,9 @@ class LengthLaw:
             order = np.array(sorted(range(len(keys)), key=keys.__getitem__, reverse=True),
                              dtype=np.intp)
             ranked = nums[order]
-            new_class = (ranked[1:] != ranked[:-1]).astype(bool)
+            starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
         else:
-            lp = _outer([f.lp for f in factors], np.add)
-            order = np.argsort(-lp, kind="stable")
-            lp = lp[order]
-            with np.errstate(invalid="ignore"):
-                new_class = np.abs(np.diff(lp)) > MERGE_TOL
-        starts = np.flatnonzero(np.concatenate(([True], new_class)))
+            order, lp, starts = _classes(_outer([f.lp for f in factors], np.add))
         self._order = order
         if not self.exact:
             self._class_floats(lp, starts)
@@ -501,9 +497,8 @@ class LengthLaw:
         if not len(rows):
             return 0, None
         cols = np.arange(len(rows)) - np.repeat(np.cumsum(widths) - widths - hi_len, widths)
-        lp = s.lp[rows] + s.last_lp[cols]
-        order = np.argsort(-lp, kind="stable")
-        lp, rows, cols = lp[order], rows[order], cols[order]
+        order, lp, starts = _classes(s.lp[rows] + s.last_lp[cols])
+        rows, cols = rows[order], cols[order]
         # the edges must fall between classes, by the ranking's own predicate
         up = hi_len > 0
         if up.any() and not (s.lp[up] + s.last_lp[hi_len[up] - 1]).min() - lp[0] > MERGE_TOL:
@@ -512,7 +507,6 @@ class LengthLaw:
         below = (s.lp[down] + s.last_lp[lo_len[down]]).max() if down.any() else -math.inf
         if not lp[-1] - below > MERGE_TOL:
             return 1, None
-        starts = np.flatnonzero(np.concatenate(([True], np.abs(np.diff(lp)) > MERGE_TOL)))
         ends = np.append(starts[1:], len(lp)) - 1
         # a class's cells of one a are a run of the last factor, in rank
         # order: one product per run, its count off the cumulative counts
@@ -765,6 +759,17 @@ class LengthLaw:
         )
 
 
+def _classes(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable descending order of the cells ``lp``, their sorted
+    ``lp``, and the first position of each class: a class starts wherever
+    sorted neighbours differ by more than ``MERGE_TOL``."""
+    order = np.argsort(-lp, kind="stable")
+    lp = lp[order]
+    with np.errstate(invalid="ignore"):  # -inf cells: their difference is nan
+        new_class = np.abs(np.diff(lp)) > MERGE_TOL
+    return order, lp, np.flatnonzero(np.concatenate(([True], new_class)))
+
+
 def _running_counts(counts: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running totals from 0 of ``counts`` (``lc`` their log2): exact,
     as int64 when the total fits, and as float log2."""
@@ -990,7 +995,7 @@ def _markov_joints(
     """P(x, y) over all x-strings in product order (``Fraction``s on the exact
     track) for each y-string with t-th symbol in ``choices[t]``, depth first in
     product order.  A y-prefix filters the initial law's contexts up to the
-    order, then takes one ``_step``; one of probability 0 has no subtree."""
+    order, then takes one ``_advance``; one of probability 0 has no subtree."""
     d = model.order
     if len(choices) < d:
         raise ValueError(f"need blocklength >= markov order {d}")
@@ -1000,32 +1005,21 @@ def _markov_joints(
         raise ValueError("exact Markov enumeration needs an explicit rational initial law")
     else:
         init, trans = (np.array(t, dtype=object) for t in (model.initial, model.transition))
-    ny, span = len(model.y_alphabet), model.num_pair_symbols
     # a stacked y-prefix is its parent's state and its last y-symbol
     stack = [(0, init, np.arange(len(init)), yt) for yt in reversed(choices[0])]
     while stack:
         t, probs, ctx, yt = stack.pop()
         if t < d:  # ascending contexts list their x-heads in product order
-            keep = ctx // span ** (d - 1 - t) % ny == yt
+            keep = model.pair_split(model._digits[ctx, t])[1] == yt
             probs, ctx = probs[keep], ctx[keep]
         else:
-            s, nxt = model._step(ctx, yt)
-            probs, ctx = (probs[:, None] * trans[ctx][:, s]).ravel(), nxt.ravel()
+            probs, ctx = model._advance(probs, ctx, yt, trans)
         if not probs.any():
             continue
         if t + 1 == len(choices):
             yield probs
         else:  # popped in product order
             stack += [(t + 1, probs, ctx, a) for a in reversed(choices[t + 1])]
-
-
-def _markov_string_probs(
-    model: MarkovPairModel, y: SideInfoString, exact: bool
-) -> np.ndarray:
-    """Joint probabilities P(x, y) over all x-strings, y fixed, in product
-    order of x: the walk along y alone, all zero when P(y) = 0."""
-    zero = np.full(len(model.x_alphabet) ** len(y), Fraction(0) if exact else 0.0)
-    return next(_markov_joints(model, [(yt,) for yt in y.indices], exact), zero)
 
 
 def _markov_flat_factor(joints: np.ndarray, exact: bool) -> tuple[float | Fraction, _Factor]:

@@ -97,9 +97,7 @@ def _f_table(model: MarkovPairModel, y_chain: DerivedYChain) -> np.ndarray:
 
 def _blocks(model: MarkovPairModel, ctx: np.ndarray, s: np.ndarray) -> list[tuple[int, ...]]:
     """The (d+1)-block of each edge: its context's symbols, then ``s``."""
-    S = model.num_pair_symbols
-    head = ctx[:, None] // S ** np.arange(model.order - 1, -1, -1) % S
-    return list(map(tuple, np.column_stack([head, s]).tolist()))
+    return list(map(tuple, np.column_stack([model._digits[ctx], s]).tolist()))
 
 
 def _block_dict(model: MarkovPairModel, f: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -242,8 +240,7 @@ def _walk(
     state do not depend on the block.  Every sampler reads this one walk.
     """
     width = sym.shape[1]
-    contexts = np.arange(model.num_contexts)[:, None]
-    next_base = (model.shift_context(contexts, sym) * width).ravel()
+    next_base = (np.take_along_axis(model._next_context, sym, axis=1) * width).ravel()
     ctx = rng.choice(model.num_contexts, size=trials, p=_initial_context_pmf(model))
     yield ctx
     base = ctx * width
@@ -263,8 +260,7 @@ def _simulate_paths(
     position, table = inverse_cdf_table(model.transition_f)
     walk = _walk(model, position, table, trials, max(n - d, 0), rng)
     sym = np.empty((trials, n), dtype=np.int64)
-    head = np.array([model.context_symbols(c) for c in range(model.num_contexts)])
-    sym[:, :min(d, n)] = head[next(walk)][:, :min(d, n)]
+    sym[:, :min(d, n)] = model._digits[next(walk)][:, :min(d, n)]
     for i, cell in enumerate(walk, d):
         sym[:, i] = table.flat[cell]
     return sym // ny, sym % ny

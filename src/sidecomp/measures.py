@@ -223,21 +223,20 @@ def _y_marginal_log2(
     if len(y) < d:
         raise ValueError(f"need length >= model order {d}")
     nctx = model.num_contexts
-    if x is None:
-        ctx = model._head_contexts(y)
-    else:
-        ctx = np.array([model.context_index(
-            [model.pair_index(a, b) for a, b in zip(x[:d], y[:d])])])
-    alpha = np.bincount(ctx, weights=model.initial_f[ctx], minlength=nctx)
+    xd, yd = model.pair_split(model._digits)
+    head = (yd == y[:d]).all(axis=1)
+    if x is not None:
+        head &= (xd == x[:d]).all(axis=1)
+    alpha = np.where(head, model.initial_f, 0.0)
     every = np.arange(nctx)
+    nx = len(model.x_alphabet)
     total_log = 0.0
     for t in range(d, len(y) + 1):
         if t > d:
-            s, nxt = model._step(every, y[t - 1])
+            weights, nxt = model._advance(alpha, every, y[t - 1], model.transition_f)
             if x is not None:
-                s, nxt = s[x[t - 1]:x[t - 1] + 1], nxt[:, x[t - 1]:x[t - 1] + 1]
-            weights = alpha[:, None] * model.transition_f[:, s]
-            alpha = np.bincount(nxt.ravel(), weights=weights.ravel(), minlength=nctx)
+                weights, nxt = weights[x[t - 1]::nx], nxt[x[t - 1]::nx]
+            alpha = np.bincount(nxt, weights=weights, minlength=nctx)
         scale = alpha.sum()
         if scale <= 0:
             return -math.inf

@@ -297,39 +297,41 @@ class MarkovPairModel:
         """Context after observing pair symbol ``s`` in context ``ctx``."""
         return (ctx * self.num_pair_symbols + s) % self.num_contexts
 
-    def _step(self, ctx: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
-        """The forward step shared by every pair-context recursion.
-
-        For y-symbol ``y`` returns the pair symbols ``s = x·|Y| + y`` over
-        all x and the next context of each context in ``ctx`` under each
-        of them, shape ``(len(ctx), |X|)``; a step's weights are
-        ``table[ctx][:, s]`` of a float or ``Fraction`` transition table.
-        """
-        s = np.arange(len(self.x_alphabet)) * len(self.y_alphabet) + y
-        return s, self.shift_context(ctx[:, None], s)
-
-    def _head_contexts(self, y: Sequence[int]) -> np.ndarray:
-        """Contexts of every x-string paired with the first ``d`` symbols
-        of ``y``, in product order of the x-strings (x_1 slowest)."""
-        ctx = np.zeros(1, dtype=np.int64)
-        for yt in y[: self.order]:
-            ctx = self._step(ctx, yt)[1].ravel()
-        return ctx
-
     @cached_property
-    def _y_context(self) -> np.ndarray:
-        """Index of the y-part of every pair context, in y-context digits."""
-        ny = len(self.y_alphabet)
-        out = np.zeros(1, dtype=np.int64)
-        for _ in range(self.order):
-            out = (out[:, None] * ny + np.arange(self.num_pair_symbols) % ny).ravel()
-        return out
+    def _digits(self) -> np.ndarray:
+        """The pair symbols of every context, oldest first, shape
+        (contexts, order)."""
+        S = self.num_pair_symbols
+        return np.arange(self.num_contexts)[:, None] // S ** np.arange(self.order - 1, -1, -1) % S
 
     @cached_property
     def _next_context(self) -> np.ndarray:
         """Next context of every edge (context, pair symbol)."""
         return self.shift_context(np.arange(self.num_contexts)[:, None],
                                   np.arange(self.num_pair_symbols))
+
+    @cached_property
+    def _y_context(self) -> np.ndarray:
+        """Index of the y-part of every pair context, in y-context digits."""
+        ny = len(self.y_alphabet)
+        return self.pair_split(self._digits)[1] @ ny ** np.arange(self.order - 1, -1, -1)
+
+    @cached_property
+    def _pair_symbols(self) -> np.ndarray:
+        """Row ``y``: the pair symbols ``x·|Y| + y`` over all x."""
+        return self.pair_index(np.arange(len(self.x_alphabet)),
+                               np.arange(len(self.y_alphabet))[:, None])
+
+    def _advance(
+        self, probs: np.ndarray, ctx: np.ndarray, y: int, table: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The forward step of every pair-context recursion: each state
+        ``(probs, ctx)`` followed by each x-symbol under y-symbol ``y``,
+        x fastest, as flat weights ``probs · table[ctx, s]`` (a float or
+        ``Fraction`` transition table) and their next contexts."""
+        s = self._pair_symbols[y]
+        rows = ctx[:, None]
+        return (probs[:, None] * table[rows, s]).ravel(), self._next_context[rows, s].ravel()
 
     @cached_property
     def transition_f(self) -> np.ndarray:

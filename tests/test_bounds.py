@@ -221,6 +221,22 @@ class TestMarkovBounds:
         with pytest.raises(DegenerateModelError):
             markov_bounds(degenerate, 100, 0.1, 1.0)
 
+    @pytest.mark.parametrize("A", [math.nan, math.inf, -math.inf, -1.0])
+    def test_constant_must_be_finite_and_positive(self, corpus_models, A):
+        analysis = markov_rates(corpus_models["markov2x2"])
+        with pytest.raises(ValueError, match="finite and positive"):
+            markov_bounds(analysis, 5, 0.1, A)
+
+    @pytest.mark.parametrize("eps, A, side", [
+        (1e-100, 1.0, 0),  # phi(a)**4 underflows to 0
+        (0.1, 1e200, 1),   # (A + 1)**2 overflows
+        (1e-300, 1e300, 0),
+    ])
+    def test_extreme_inputs_give_an_inf_threshold(self, corpus_models, eps, A, side):
+        analysis = markov_rates(corpus_models["markov2x2"])
+        report = markov_bounds(analysis, 5, eps, A)[side]
+        assert report.n_threshold == math.inf and not report.valid
+
 
 class TestApproximationQuality:
     def test_three_term_tracks_exact_rate(self):

@@ -1,11 +1,17 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
+import shutil
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sidecomp import limits
-from sidecomp.cli import build_parser, main
+from sidecomp.cli import _COMMANDS, build_parser, main
 
 from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN
 
@@ -250,6 +256,25 @@ class TestBounds:
         assert "error" in err
 
 
+    @pytest.mark.parametrize("args", [
+        ["--eps", "1e-100", "--A", "1"],  # phi(a)**4 underflows to 0
+        ["--eps", "0.1", "--A", "1e200"],  # (A + 1)**2 overflows
+    ])
+    def test_extreme_markov_inputs_give_an_inf_threshold(self, capsys, args):
+        code, out, err = run(capsys, ["bounds", "--model", MARKOV, "--n", "5", *args])
+        assert (code, err) == (0, "")
+        _, rows = rows_of(out)
+        assert "inf" in [r[4] for r in rows]
+        assert [r[5] for r in rows] == ["false", "false"]
+
+    @pytest.mark.parametrize("A", ["nan", "inf", "-1.5"])
+    def test_constant_must_be_finite_and_positive(self, capsys, A):
+        code, out, err = run(
+            capsys, ["bounds", "--model", MARKOV, "--n", "5", "--eps", "0.1", "--A", A])
+        assert (code, out) == (1, "")
+        assert err == f"error: the Berry-Esseen constant must be finite and positive, got {A}\n"
+
+
 class TestFigure1:
     def test_columns_and_small_sweep(self, capsys):
         code, out, _ = run(capsys, ["figure1", "--n", "5", "10", "20"])
@@ -395,6 +420,21 @@ class TestParsing:
         assert code == 0
         _, rows = rows_of(out)
         assert rows == [["ref", "2", "1", "0.19"]]
+
+    @pytest.mark.parametrize("kind, reason", [
+        ("directory", "Is a directory"),
+        ("not utf-8", "'utf-8' codec can't decode"),
+    ])
+    def test_unreadable_y_file_is_one_usage_error(self, capsys, tmp_path, kind, reason):
+        path = tmp_path
+        if kind == "not utf-8":
+            path = tmp_path / "y.txt"
+            path.write_bytes(b"\xff\xfe0011")
+        code, out, err = run(
+            capsys, ["limits", "--model", FIG1, "--n", "5", "--k", "3", "--y", f"file:{path}"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: --y: cannot read {path}: {reason}")
+        assert err.count("\n") == 1
 
     def test_y_too_short(self, capsys):
         code, _, err = run(
@@ -546,3 +586,83 @@ def test_non_utf8_model_is_model_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith(f"model error: cannot read model file {path}: 'utf-8' codec")
     assert len(err.splitlines()) == 1
+
+
+# -- every command on hostile values, drawn from the CLI's own tables ---------
+
+NUMBERS = ["0", "-1", "nan", "inf", "1e-300", "1e200", str(10**20), "x"]
+FIG1_TEXT = (MODELS_DIR / "fig1.json").read_text()
+# (values that run, hostile values) per option; paths under the test's
+# directory are written "@/name".  --n and --trials stay at most 8 and 50,
+# so that every run is quick
+VALUES_OF = {
+    "--model": ([str(p) for p in sorted(MODELS_DIR.glob("*.json"))],
+                ["@/not_utf8.txt", "@/truncated.json", "@", "@/missing.json"]),
+    "--n": (["1", "2", "5", "8"], ["0", "-1", "nan", "x"]),
+    "--n-range": (["1:3", "8:8"], ["3:1", "0:2", "x"]),
+    "--eps": (["0.1", "0.4"], NUMBERS),
+    "--k": (["1", "3"], NUMBERS),
+    "--y": (["repeat:01", "0110"], ["repeat:", "z", "file:@", "file:@/missing",
+                                    "file:@/not_utf8.txt"]),
+    "--seed": (["0", "7"], NUMBERS),
+    "--method": (["auto", "bruteforce", "typeclass"], ["x"]),
+    "--A": (["1", "2.5"], NUMBERS),
+    "--out": (["@/out.csv"], ["@", "@/missing/out.csv"]),
+    "--scope": (["ref", "pair", "prefix"], ["x"]),
+    "--corpus": (["@/corpus"], ["@/broken_corpus", "@/empty", "@/missing"]),
+    "--trials": (["1", "50"], ["0", "-1", "nan", "x"]),
+}
+
+
+@pytest.fixture(scope="module")
+def hostile_files(tmp_path_factory):
+    """The files the argvs name, in one directory for the module: a
+    function-scoped ``tmp_path`` would be shared by every example."""
+    root = tmp_path_factory.mktemp("hostile")
+    (root / "not_utf8.txt").write_bytes(b"\xff\xfe0011")
+    (root / "truncated.json").write_text(FIG1_TEXT[:len(FIG1_TEXT) // 2])
+    for corpus, model in (("corpus", MARKOV), ("broken_corpus", root / "truncated.json")):
+        (root / corpus).mkdir()
+        shutil.copy(model, root / corpus)
+    (root / "empty").mkdir()
+    return root
+
+
+@st.composite
+def hostile_argvs(draw):
+    """A command with some of the options it declares (``--model`` and
+    ``--n`` always, ``--trials`` for ``markov``); each value is hostile one
+    time in four."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag in _COMMANDS[command][1]:
+        if (flag in ("--model", "--n") or (flag, command) == ("--trials", "markov")
+                or draw(st.booleans())):
+            runs, hostile = VALUES_OF[flag]
+            many = flag in ("--n", "--eps", "--k")
+            argv.append(flag)
+            for _ in range(draw(st.integers(1, 2)) if many else 1):
+                argv.append(draw(st.sampled_from(hostile if draw(st.integers(0, 3)) == 0
+                                                 else runs)))
+    return argv
+
+
+class TestHostileArgv:
+    @given(argv=hostile_argvs())
+    @settings(max_examples=150)
+    @example(argv=["bounds", "--model", MARKOV, "--n", "5", "--eps", "1e-100", "--A", "1"])
+    @example(argv=["bounds", "--model", MARKOV, "--n", "5", "--eps", "0.1", "--A", "1e200"])
+    @example(argv=["bounds", "--model", MARKOV, "--n", "5", "--eps", "0.1", "--A", "nan"])
+    @example(argv=["limits", "--model", FIG1, "--n", "5", "--k", "3", "--y", "file:@"])
+    def test_every_run_exits_with_a_code_and_one_line_on_failure(self, hostile_files, argv):
+        argv = [a.replace("@", str(hostile_files)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        # a warning is one more stderr line of a real run
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code != 0 and argv[0] not in ("validate", "verify"):
+            assert out.getvalue() == "" and not caught
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

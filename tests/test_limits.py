@@ -168,14 +168,13 @@ class TestOracleEquivalence:
     def test_markov_pair_enumerates_each_y_once(self, monkeypatch, exact):
         m = _markov_small(with_initial=True)
         calls = []
-        enumerate_joints = limits._markov_string_probs
-        step = MarkovPairModel._step
+        step = MarkovPairModel._advance
 
-        def counting(model, ctx, y):
+        def counting(model, probs, ctx, y, table):
             calls.append(y)
-            return step(model, ctx, y)
+            return step(model, probs, ctx, y, table)
 
-        monkeypatch.setattr(MarkovPairModel, "_step", counting)
+        monkeypatch.setattr(MarkovPairModel, "_advance", counting)
         _pair_curve_of_route.cache_clear()
         n = 3
         got = epsilon_star_pair(m, n, 1, exact=exact)
@@ -186,7 +185,7 @@ class TestOracleEquivalence:
         want = 0.0
         for ys in product(range(2), repeat=n):
             y = SideInfoString(m.y_alphabet, ys)
-            want += enumerate_joints(m, y, False).sum() * epsilon_star_ref(m, y, 1)
+            want += _string_joints(m, ys, False).sum() * epsilon_star_ref(m, y, 1)
         assert abs(float(got) - want) <= 1e-12
 
     def test_markov_exact_needs_initial(self):
@@ -225,8 +224,8 @@ class TestMarkovForwardKernel:
         y = SideInfoString(
             model.y_alphabet, tuple(data.draw(st.integers(0, ny - 1)) for _ in range(n))
         )
-        exact = limits._markov_string_probs(model, y, True)
-        flt = limits._markov_string_probs(model, y, False)
+        exact = _string_joints(model, y.indices, True)
+        flt = _string_joints(model, y.indices, False)
         assert len(exact) == len(flt) == len(model.x_alphabet) ** n
         assert max(abs(float(e) - f) for e, f in zip(exact, flt)) <= 1e-12
         # summing out x is the y-marginal's forward pass
@@ -241,18 +240,28 @@ class TestMarkovForwardKernel:
             assert abs(float(ex) - epsilon_star_ref(model, y, k)) <= 1e-12
 
 
+def _string_joints(model, ys, exact):
+    """P(x, y) over all x-strings in product order, y fixed: the y-prefix
+    walk along ``ys`` alone, all zero (in the track's own type) when
+    P(y) = 0."""
+    zero = np.full(len(model.x_alphabet) ** len(ys), Fraction(0) if exact else 0.0)
+    return next(limits._markov_joints(model, [(yt,) for yt in ys], exact), zero)
+
+
 def _per_y_string_joints(model, ys, exact):
     """P(x, y) over every x-string by one forward pass of its own, as the
-    brute-force routes enumerated before they walked y-prefixes."""
+    brute-force routes enumerated before they walked y-prefixes: the
+    public scalar context methods, applied to the x-strings as arrays."""
     if exact:
         init, trans = (np.array(t, dtype=object) for t in (model.initial, model.transition))
     else:
         init, trans = model.initial_f, model.transition_f
-    ctx = model._head_contexts(ys)
+    xs = np.indices((len(model.x_alphabet),) * len(ys)).reshape(len(ys), -1)
+    pair = [model.pair_index(x, yt) for x, yt in zip(xs, ys)]
+    ctx = model.context_index(pair[:model.order])
     probs = init[ctx]
-    for yt in ys[model.order:]:
-        s, nxt = model._step(ctx, yt)
-        probs, ctx = (probs[:, None] * trans[ctx][:, s]).ravel(), nxt.ravel()
+    for s in pair[model.order:]:
+        probs, ctx = probs * trans[ctx, s], model.shift_context(ctx, s)
     return probs
 
 
@@ -322,7 +331,7 @@ def _assert_joints_match_per_y_string(model, n, exact):
     """The fixed-y joints are the walk along one y-string, bit for bit;
     all zero where P(y) = 0, in the track's own type."""
     for ys in product(range(len(model.y_alphabet)), repeat=n):
-        got = limits._markov_string_probs(model, SideInfoString(model.y_alphabet, ys), exact)
+        got = _string_joints(model, ys, exact)
         want = _per_y_string_joints(model, ys, exact)
         assert got.dtype == want.dtype and list(map(type, got)) == list(map(type, want))
         if not want.any():

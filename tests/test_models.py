@@ -1,14 +1,18 @@
+import dataclasses
 import json
+import math
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidecomp import models
+from sidecomp import limits, models
 from sidecomp.markov import markov_rates
+from sidecomp.measures import _y_marginal_log2
 from sidecomp.models import (
     Alphabet,
     CondIidModel,
@@ -28,7 +32,7 @@ from sidecomp.models import (
     validate,
 )
 
-from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN
+from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN, pair_chains
 
 
 class TestParseProbability:
@@ -187,6 +191,65 @@ class TestMarkovStructure:
             assert validate(m).ok
             markov_rates(m)
         assert (tarjan.call_count, digraph.call_count) == (1, 1)
+
+
+class TestContextTables:
+    """The context tables and the forward step against the public scalar
+    methods, which stay their reference."""
+
+    @given(model=pair_chains(max_order=3, pool_size=None, initial=True))
+    @settings(max_examples=60)
+    def test_tables_match_scalar_methods(self, model):
+        ny = len(model.y_alphabet)
+        for c in range(model.num_contexts):
+            assert tuple(model._digits[c].tolist()) == model.context_symbols(c)
+            assert model._next_context[c].tolist() == [
+                model.shift_context(c, s) for s in range(model.num_pair_symbols)]
+            y_ctx = 0
+            for s in model.context_symbols(c):
+                y_ctx = y_ctx * ny + model.pair_split(s)[1]
+            assert model._y_context[c] == y_ctx
+
+    @given(model=pair_chains(max_order=3, pool_size=None), data=st.data())
+    @settings(max_examples=60)
+    def test_advance_matches_scalar_step(self, model, data):
+        nx, ny = len(model.x_alphabet), len(model.y_alphabet)
+        ctx = np.array(data.draw(st.lists(st.integers(0, model.num_contexts - 1),
+                                          min_size=1, max_size=6)))
+        y = data.draw(st.integers(0, ny - 1))
+        floats = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(ctx),
+                                             max_size=len(ctx))))
+        rationals = np.array([Fraction(i + 1, len(ctx) + 2) for i in range(len(ctx))])
+        for probs, table in ((floats, model.transition_f),
+                             (rationals, np.array(model.transition, dtype=object))):
+            weights, nxt = model._advance(probs, ctx, y, table)
+            want = [(probs[i] * table[c, model.pair_index(x, y)],
+                     model.shift_context(int(c), model.pair_index(x, y)))
+                    for i, c in enumerate(ctx) for x in range(nx)]
+            assert nxt.tolist() == [c for _, c in want]
+            assert list(map(type, weights)) == [type(w) for w, _ in want]
+            assert weights.tolist() == [w for w, _ in want]
+
+    @given(model=pair_chains(max_order=3, pool_size=None), data=st.data())
+    @settings(max_examples=60)
+    def test_heads_are_the_contexts_carrying_the_first_symbols(self, model, data):
+        # distinct positive initial weights: a head that takes a wrong
+        # context, or misses one, changes the mass
+        C, d = model.num_contexts, model.order
+        model = dataclasses.replace(
+            model, initial=tuple(Fraction(2 * c + 1, C * C) for c in range(C)))
+        nx, ny = len(model.x_alphabet), len(model.y_alphabet)
+        y = data.draw(st.lists(st.integers(0, ny - 1), min_size=d, max_size=d))
+        x = data.draw(st.lists(st.integers(0, nx - 1), min_size=d, max_size=d))
+        heads = [model.context_index([model.pair_index(a, b) for a, b in zip(xs, y)])
+                 for xs in product(range(nx), repeat=d)]
+        init = model.initial_f
+        own = model.context_index([model.pair_index(a, b) for a, b in zip(x, y)])
+        assert _y_marginal_log2(model, y, x) == math.log2(init[own])
+        assert 2.0 ** _y_marginal_log2(model, y) == pytest.approx(
+            math.fsum(init[heads]), rel=1e-12)
+        walk = limits._markov_joints(model, [(b,) for b in y], True)
+        assert next(walk).tolist() == [model.initial[c] for c in heads]
 
 
 class TestDerivedYChain:

@@ -4,10 +4,15 @@ Each bound has the three-term core
 
     h + sqrt(sigma2 / n) * Q_inv(epsilon) - log2(n) / (2n)
 
-with an explicit O(1/n) correction and an explicit threshold on n
-beyond which it is proven; reports carry value, constants, threshold
-and a validity flag (``n`` strictly above the threshold, epsilon in
-the stated range, and a non-degenerate variance).
+with an explicit O(1/n) correction and an explicit threshold on n.
+A report carries the value, the constants and the threshold, and is
+``valid`` when epsilon lies in the range the bound is proven for and n
+lies strictly above the threshold; the value is reported either way
+(useful for plots, not guaranteed).  The Markov bounds are moreover
+conditional on the caller's Berry-Esseen constant and on a Markov
+side-information marginal.  A variance at most
+``measures.VANISHING_VARIANCE`` gives no report but a
+``DegenerateModelError``.
 
 Rates and corrections are in bits; ``Q`` and ``phi`` are the standard
 normal tail and density.  Entropy and variance inputs come from the
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .measures import h_n_sigma_n, measures, per_y_profile
+from .measures import VANISHING_VARIANCE, MeasureSet, h_n_sigma_n, measures, per_y_profile
 from .models import CondIidModel, SideInfoString
 
 LOG2E = math.log2(math.e)
@@ -66,12 +71,7 @@ def Q_inv(p: float) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound: its value, constants, and provenance.
-
-    ``valid`` is True only when n exceeds the bound's own threshold
-    and epsilon lies in the range the bound is proven for; the value
-    is still reported otherwise (useful for plots, not guaranteed).
-    """
+    """One evaluated bound: its value, constants, and provenance."""
 
     kind: str
     n: int
@@ -93,6 +93,12 @@ def _safe_div(num: float, den: float) -> float:
     return num / den
 
 
+def _report(kind: str, n: int, epsilon: float, value: float, constants: dict[str, float],
+            threshold: float, in_range: bool) -> BoundReport:
+    """The one place a bound's validity is decided (see the module docstring)."""
+    return BoundReport(kind, n, epsilon, value, constants, threshold, in_range and n > threshold)
+
+
 def _ref_inputs(model: CondIidModel, y: SideInfoString) -> tuple[float, float, float]:
     h_n, sigma_n2, degenerate = h_n_sigma_n(model, y)
     if degenerate:
@@ -112,15 +118,9 @@ def ref_converse(model: CondIidModel, y: SideInfoString, epsilon: float) -> Boun
     eta = _safe_div(sigma_n**3 + 6.0 * m3, phi(a) * sigma_n2)
     value = three_term_rate(h_n, sigma_n2, n, epsilon) - eta / n
     threshold = _safe_div((1.0 + 6.0 * m3 / sigma_n**3) ** 2, 4.0 * (a * phi(a)) ** 2)
-    return BoundReport(
-        kind="ref_converse",
-        n=n,
-        epsilon=epsilon,
-        value=value,
-        constants={"h_n": h_n, "sigma_n2": sigma_n2, "m3": m3, "eta": eta},
-        n_threshold=threshold,
-        valid=(0.0 < epsilon < 0.5) and n > threshold,
-    )
+    return _report("ref_converse", n, epsilon, value,
+                   {"h_n": h_n, "sigma_n2": sigma_n2, "m3": m3, "eta": eta},
+                   threshold, 0.0 < epsilon < 0.5)
 
 
 def ref_achievability(
@@ -131,6 +131,7 @@ def ref_achievability(
     ``prefix=True`` gives the prefix-free variant, one extra bit in
     the O(1/n) correction.
     """
+    kind = "ref_achiev_prefix" if prefix else "ref_achiev"
     n = len(y)
     h_n, sigma_n2, m3 = _ref_inputs(model, y)
     sigma_n3 = sigma_n2 * math.sqrt(sigma_n2)
@@ -141,15 +142,7 @@ def ref_achievability(
     constants = {"h_n": h_n, "sigma_n2": sigma_n2, "m3": m3}
     if arg >= 1.0:
         # only possible below the threshold; the correction is undefined
-        return BoundReport(
-            kind="ref_achiev_prefix" if prefix else "ref_achiev",
-            n=n,
-            epsilon=epsilon,
-            value=math.inf,
-            constants=constants,
-            n_threshold=threshold,
-            valid=False,
-        )
+        return _report(kind, n, epsilon, math.inf, constants, threshold, False)
     zeta = 6.0 * m3 / (sigma_n3 * phi(Q_inv(1.0 - arg))) + math.log2(
         LOG2E / math.sqrt(2.0 * math.pi * sigma_n2) + 12.0 * m3 / sigma_n3
     )
@@ -157,22 +150,14 @@ def ref_achievability(
         zeta += 1.0
     value = three_term_rate(h_n, sigma_n2, n, epsilon) + zeta / n
     constants["zeta_n"] = zeta
-    return BoundReport(
-        kind="ref_achiev_prefix" if prefix else "ref_achiev",
-        n=n,
-        epsilon=epsilon,
-        value=value,
-        constants=constants,
-        n_threshold=threshold,
-        valid=(0.0 < epsilon <= 0.5) and n > threshold,
-    )
+    return _report(kind, n, epsilon, value, constants, threshold, 0.0 < epsilon <= 0.5)
 
 
-def _pair_inputs(model: CondIidModel) -> dict[str, float]:
+def _pair_inputs(model: CondIidModel) -> MeasureSet:
     ms = measures(model)
-    if ms.sigma2 <= 1e-15:
+    if ms.sigma2 <= VANISHING_VARIANCE:
         raise DegenerateModelError("pair varentropy vanishes; normal bounds need sigma2 > 0")
-    return ms.as_dict()
+    return ms
 
 
 def pair_achievability(
@@ -183,60 +168,42 @@ def pair_achievability(
     Needs both the varentropy and the average per-symbol varentropy to
     be positive.
     """
+    kind = "pair_achiev_prefix" if prefix else "pair_achiev"
     ms = _pair_inputs(model)
-    sigma2, vbar, psi2, m3, mu3 = (
-        ms["sigma2"], ms["ev"], ms["psi2"], ms["m3"], ms["mu3_pair"],
-    )
-    if vbar <= 1e-15:
+    if ms.ev <= VANISHING_VARIANCE:
         raise DegenerateModelError(
             "average per-symbol varentropy vanishes; pair bound needs ev > 0"
         )
+    sigma2, vbar = ms.sigma2, ms.ev
     a = Q_inv(epsilon)
-    B = _safe_div(mu3, sigma2 * phi(a))
+    B = _safe_div(ms.mu3_pair, sigma2 * phi(a))
     C = math.log2(
-        2.0 / math.sqrt(vbar) + 24.0 * m3 * (2.0 * math.pi) ** 1.5 / vbar**1.5
+        2.0 / math.sqrt(vbar) + 24.0 * ms.m3 * (2.0 * math.pi) ** 1.5 / vbar**1.5
     ) + B
     if prefix:
         C += 1.0
-    value = three_term_rate(ms["h_xy"], sigma2, n, epsilon) + C / n
-    bracket = B * B / (2.0 * math.sqrt(2.0 * math.pi * math.e) * sigma2) + psi2 / (
+    value = three_term_rate(ms.h_xy, sigma2, n, epsilon) + C / n
+    bracket = B * B / (2.0 * math.sqrt(2.0 * math.pi * math.e) * sigma2) + ms.psi2 / (
         (1.0 - 1.0 / (2.0 * math.pi)) ** 2 * vbar * vbar
     )
     threshold = _safe_div(4.0 * sigma2, (B * phi(a)) ** 2) * bracket**2
-    return BoundReport(
-        kind="pair_achiev_prefix" if prefix else "pair_achiev",
-        n=n,
-        epsilon=epsilon,
-        value=value,
-        constants={
-            "h_xy": ms["h_xy"], "sigma2": sigma2, "ev": vbar, "psi2": psi2,
-            "m3": m3, "mu3_pair": mu3, "B": B, "C": C,
-        },
-        n_threshold=threshold,
-        valid=(0.0 < epsilon <= 0.5) and n > threshold,
-    )
+    constants = {"h_xy": ms.h_xy, "sigma2": sigma2, "ev": vbar, "psi2": ms.psi2,
+                 "m3": ms.m3, "mu3_pair": ms.mu3_pair, "B": B, "C": C}
+    return _report(kind, n, epsilon, value, constants, threshold, 0.0 < epsilon <= 0.5)
 
 
 def pair_converse(model: CondIidModel, n: int, epsilon: float) -> BoundReport:
     """Lower bound on the pair-averaged optimal rate (0 < eps < 1/2)."""
     ms = _pair_inputs(model)
-    sigma2, mu3 = ms["sigma2"], ms["mu3_pair"]
-    sigma = math.sqrt(sigma2)
+    sigma = math.sqrt(ms.sigma2)
     a = Q_inv(epsilon)
-    c_prime = _safe_div(mu3 + 2.0 * sigma**3, 2.0 * sigma2 * phi(a))
-    value = three_term_rate(ms["h_xy"], sigma2, n, epsilon) - c_prime / n
-    threshold = _safe_div(c_prime * c_prime, 4.0 * a * a * sigma2)
-    return BoundReport(
-        kind="pair_converse",
-        n=n,
-        epsilon=epsilon,
-        value=value,
-        constants={
-            "h_xy": ms["h_xy"], "sigma2": sigma2, "mu3_pair": mu3, "C_prime": c_prime,
-        },
-        n_threshold=threshold,
-        valid=(0.0 < epsilon < 0.5) and n > threshold,
-    )
+    c_prime = _safe_div(ms.mu3_pair + 2.0 * sigma**3, 2.0 * ms.sigma2 * phi(a))
+    value = three_term_rate(ms.h_xy, ms.sigma2, n, epsilon) - c_prime / n
+    threshold = _safe_div(c_prime * c_prime, 4.0 * a * a * ms.sigma2)
+    constants = {"h_xy": ms.h_xy, "sigma2": ms.sigma2, "mu3_pair": ms.mu3_pair,
+                 "C_prime": c_prime}
+    return _report("pair_converse", n, epsilon, value, constants, threshold,
+                   0.0 < epsilon < 0.5)
 
 
 def markov_bounds(
@@ -246,12 +213,12 @@ def markov_bounds(
 
     ``analysis`` provides ``h_rate`` and ``sigma2_rate``; ``A`` is a
     caller-supplied Berry-Esseen constant for the chain's information
-    density (these bounds are conditional on it).  The achievability
-    correction has no ``-log2(n)/(2n)`` term; for 0 < eps < 1/2.
+    density.  The achievability correction has no ``-log2(n)/(2n)``
+    term; both are for 0 < eps < 1/2.
     """
     h = float(analysis.h_rate)
     sigma2 = float(analysis.sigma2_rate)
-    if sigma2 <= 1e-15:
+    if sigma2 <= VANISHING_VARIANCE:
         raise DegenerateModelError("information-density variance rate vanishes")
     if not 0.0 < A < math.inf:
         raise ValueError(f"the Berry-Esseen constant must be finite and positive, got {A}")
@@ -259,27 +226,16 @@ def markov_bounds(
     a = Q_inv(epsilon)
     pa = phi(a)
     core = h + sigma / math.sqrt(n) * a
+    in_range = 0.0 < epsilon < 0.5
     c_m = 2.0 * A * sigma / pa
     n_ach = _safe_div(2.0 * A * A, math.pi * math.e * pa**4)
-    achiev = BoundReport(
-        kind="markov_achiev",
-        n=n,
-        epsilon=epsilon,
-        value=core + c_m / n,
-        constants={"h_rate": h, "sigma2_rate": sigma2, "A": A, "C_m": c_m},
-        n_threshold=n_ach,
-        valid=(0.0 < epsilon < 0.5) and n > n_ach,
-    )
+    achiev = _report("markov_achiev", n, epsilon, core + c_m / n,
+                     {"h_rate": h, "sigma2_rate": sigma2, "A": A, "C_m": c_m},
+                     n_ach, in_range)
     c_mp = sigma * (A + 1.0) / pa
     # a square by multiplication overflows to inf, not to an OverflowError
     n_conv = _safe_div((A + 1.0) * (A + 1.0), (a * pa) ** 2)
-    conv = BoundReport(
-        kind="markov_converse",
-        n=n,
-        epsilon=epsilon,
-        value=core - math.log2(n) / (2.0 * n) - c_mp / n,
-        constants={"h_rate": h, "sigma2_rate": sigma2, "A": A, "C_m_prime": c_mp},
-        n_threshold=n_conv,
-        valid=(0.0 < epsilon < 0.5) and n > n_conv,
-    )
+    conv = _report("markov_converse", n, epsilon, core - math.log2(n) / (2.0 * n) - c_mp / n,
+                   {"h_rate": h, "sigma2_rate": sigma2, "A": A, "C_m_prime": c_mp},
+                   n_conv, in_range)
     return achiev, conv

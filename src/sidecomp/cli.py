@@ -10,15 +10,16 @@ failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import ContextManager, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -85,15 +86,21 @@ def _emit_lines(lines: Sequence[str], out: TextIO) -> None:
     out.write("\n".join(lines) + "\n")
 
 
-def _open_out(path: str | None) -> ContextManager[TextIO]:
-    """The run's output: the ``--out`` file, opened before any work so
-    that a path it cannot write fails first, or stdout."""
+def _write_out(path: str | None, text: str, mode: str = "w") -> None:
+    """Write a run's output to the ``--out`` file, or to stdout.  Mode
+    ``"a"`` with no text checks, before any work, that the file can be
+    written, and leaves the path as it was."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        sys.stdout.write(text)
+        return
+    created = not os.path.lexists(path)
     try:
-        return open(path, "w", newline="")
+        with open(path, mode, newline="") as f:
+            f.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
+    if created and mode == "a":
+        os.remove(path)
 
 
 def _load(args: argparse.Namespace):
@@ -135,10 +142,6 @@ def _resolve_y_indices(spec: str, alphabet, max_n: int) -> tuple[int, ...]:
     return indices[:max_n]
 
 
-def _y_at(alphabet, base: tuple[int, ...], n: int) -> SideInfoString:
-    return SideInfoString(alphabet, base[:n])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -175,7 +178,7 @@ def cmd_measures(args: argparse.Namespace) -> int:
         m3 = float(msr.per_y_profile(model).m3.max())
         rows = []
         for n in ns:
-            h_n, s2, _ = msr.h_n_sigma_n(model, _y_at(model.y_alphabet, base, n))
+            h_n, s2, _ = msr.h_n_sigma_n(model, SideInfoString(model.y_alphabet, base[:n]))
             rows.append([n, h_n, s2, m3])
         _emit(["n", "h_n", "sigma_n2", "m3"], rows, args.out)
         return EXIT_OK
@@ -205,13 +208,12 @@ def cmd_limits(args: argparse.Namespace) -> int:
     rows: list[list[object]] = []
     if args.k:
         for n in args.n:
+            y = None if base is None else SideInfoString(model.y_alphabet, base[:n])
             for k in args.k:
                 if scope == "ref":
-                    e = xl.epsilon_star_ref(
-                        model, _y_at(model.y_alphabet, base, n), k, method=args.method)
+                    e = xl.epsilon_star_ref(model, y, k, method=args.method)
                 elif scope == "prefix":
-                    e = xl.epsilon_star_prefix(
-                        model, n, k, _y_at(model.y_alphabet, base, n), method=args.method)
+                    e = xl.epsilon_star_prefix(model, n, k, y, method=args.method)
                 else:
                     e = xl.epsilon_star_pair(model, n, k, method=args.method)
                 rows.append([scope, n, k, float(e)])
@@ -223,7 +225,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
         for eps in args.eps:
             if scope == "ref":
                 rp = xl.rate_star_ref(
-                    model, _y_at(model.y_alphabet, base, n), eps, method=args.method)
+                    model, SideInfoString(model.y_alphabet, base[:n]), eps, method=args.method)
             elif scope == "pair":
                 rp = xl.rate_star_pair(model, n, eps, method=args.method)
             else:
@@ -245,7 +247,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise UsageError("bounds needs --n or --n-range")
     if not args.eps:
         raise UsageError("bounds needs --eps")
-    rows = []
+    reports: list[nb.BoundReport] = []
     # Markov bounds read --A and no --y, the others the reverse
     markov = isinstance(model, MarkovPairModel)
     _unread(args, f"bounds on a {model.kind} model", "y" if markov else "A")
@@ -257,25 +259,21 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             an = mk.markov_rates(model)
         for n in args.n:
             for eps in args.eps:
-                ach, conv = nb.markov_bounds(an, n, eps, args.A)
-                rows.append(_bound_row(ach))
-                rows.append(_bound_row(conv))
+                reports += nb.markov_bounds(an, n, eps, args.A)
     elif args.y is not None:
         base = _resolve_y_indices(args.y, model.y_alphabet, max(args.n))
         for n in args.n:
-            y = _y_at(model.y_alphabet, base, n)
+            y = SideInfoString(model.y_alphabet, base[:n])
             for eps in args.eps:
-                rows.append(_bound_row(nb.ref_converse(model, y, eps)))
-                rows.append(_bound_row(nb.ref_achievability(model, y, eps)))
-                rows.append(_bound_row(nb.ref_achievability(model, y, eps, prefix=True)))
+                reports += [nb.ref_converse(model, y, eps), nb.ref_achievability(model, y, eps),
+                            nb.ref_achievability(model, y, eps, prefix=True)]
     else:
         for n in args.n:
             for eps in args.eps:
-                rows.append(_bound_row(nb.pair_converse(model, n, eps)))
-                rows.append(_bound_row(nb.pair_achievability(model, n, eps)))
-                rows.append(_bound_row(nb.pair_achievability(model, n, eps, prefix=True)))
+                reports += [nb.pair_converse(model, n, eps), nb.pair_achievability(model, n, eps),
+                            nb.pair_achievability(model, n, eps, prefix=True)]
     _emit(["kind", "n", "epsilon", "value", "threshold", "valid", "constants"],
-          rows, args.out)
+          [_bound_row(r) for r in reports], args.out)
     return EXIT_OK
 
 
@@ -290,7 +288,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     base = _resolve_y_indices(args.y or "repeat:001", model.y_alphabet, max(ns))
     rows = []
     for n in ns:
-        y = _y_at(model.y_alphabet, base, n)
+        y = SideInfoString(model.y_alphabet, base[:n])
         rp = xl.rate_star_ref(model, y, eps, method=args.method)
         h_n, s2, degenerate = msr.h_n_sigma_n(model, y)
         approx = h_n - math.log2(n) / (2.0 * n)
@@ -550,8 +548,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check(args)
-        with _open_out(args.out) as args.out:
-            return _COMMANDS[args.command][0](args)
+        path, args.out = args.out, io.StringIO()
+        _write_out(path, "", "a")
+        # a run that raises writes nothing; one that returns writes it all
+        code = _COMMANDS[args.command][0](args)
+        _write_out(path, args.out.getvalue())
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -692,22 +692,23 @@ class LengthLaw:
                     in zip(js, bs, suffix[first + 1:][at].tolist(), log2p[first:][at].tolist())]
         return out + [0 if exact else 0.0] * (len(ranks) - hi)
 
-    def epsilon_star(self, k: int) -> float:
-        """Overflow probability of the optimal code at k bits."""
+    def _rank_at_bits(self, k: int) -> int:
+        """The rank ``2^k``, capped past ``num_strings``: every rank there
+        has overflow 0, so a huge k builds no huge integer."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        return self.excess_at_rank(1 << k)
+        return 1 << min(k, self.num_strings.bit_length())
+
+    def epsilon_star(self, k: int) -> float:
+        """Overflow probability of the optimal code at k bits."""
+        return self.excess_at_rank(self._rank_at_bits(k))
 
     def epsilon_star_window(self, k: int) -> float:
         """:meth:`epsilon_star` without the ranking."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return self.excess_at_rank_window(1 << k)
+        return self.excess_at_rank_window(self._rank_at_bits(k))
 
     def epsilon_star_exact(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return self.excess_at_rank_exact(1 << k)
+        return self.excess_at_rank_exact(self._rank_at_bits(k))
 
     def info_tail(self, threshold: float) -> float:
         """P[-log2 P(string) >= threshold]; zero-probability strings carry no mass."""
@@ -1342,8 +1343,8 @@ def epsilon_star_prefix(
     """
     if k < 1:
         raise ValueError("prefix overflow needs k >= 1")
-    num_strings = len(model.x_alphabet) ** n
-    if (1 << (k - 1)) >= num_strings:
+    # 2^(k-1) >= |X|^n, compared without shifting a huge k
+    if k - 1 >= (len(model.x_alphabet) ** n - 1).bit_length():
         return Fraction(0) if exact else 0.0
     if y is None:
         return epsilon_star_pair(model, n, k - 1, method=method, exact=exact)
@@ -1410,9 +1411,7 @@ def check_general_converse(
         laws = list(_pair_laws(model, n, "bruteforce", exact))
         scope = "pair"
     if exact:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        lhs_val: Fraction = _weighted_sum(laws, [1 << k])[0]
+        lhs_val: Fraction = _weighted_sum(laws, [laws[0][1]._rank_at_bits(k)])[0]
     else:
         lhs_val = math.fsum(w * law.epsilon_star(k) for w, law in laws)
     entries = []

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import inverse_cdf_table
-from .models import DerivedYChain, MarkovPairModel, _context_matrix, derive_y_chain
+from .measures import VANISHING_VARIANCE, inverse_cdf_table
+from .models import MARKOVIANITY_TOL, DerivedYChain, MarkovPairModel, _context_matrix, derive_y_chain
 
 _STATIONARY_TOL = 1e-10
 _ROW_SUM_TOL = 1e-12
@@ -181,7 +181,7 @@ def markov_rates(model: MarkovPairModel) -> MarkovAnalysis:
     if model._structure[1] != 1:
         raise ValueError("pair context chain is periodic")
     y_chain = derive_y_chain(model)
-    if y_chain.markovianity_defect > 1e-9:
+    if y_chain.markovianity_defect > MARKOVIANITY_TOL:
         warnings.warn(
             "side-information marginal is not Markov at this order "
             f"(defect {y_chain.markovianity_defect:.3g}); rates describe "
@@ -349,7 +349,7 @@ def berry_esseen_probe(
     """Kolmogorov distance to the Gaussian across a grid of lengths."""
     analysis = markov_rates(model)
     h, s2 = analysis.h_rate, analysis.sigma2_rate
-    if s2 <= 1e-15:
+    if s2 <= VANISHING_VARIANCE:
         raise ValueError("variance rate is degenerate; nothing to normalize")
     seeds = np.random.SeedSequence(seed).generate_state(len(n_grid))
     rows = []

@@ -27,6 +27,9 @@ import numpy as np
 
 from .models import CondIidModel, MarkovPairModel, Model, SideInfoString
 
+# a variance at most this is zero: no normal approximation applies
+VANISHING_VARIANCE = 1e-15
+
 
 @dataclass(frozen=True)
 class PerYProfile:
@@ -152,7 +155,7 @@ def h_n_sigma_n(model: CondIidModel, y: SideInfoString) -> tuple[float, float, b
     n = len(y)
     h_n = math.fsum(c * prof.h[a] for a, c in enumerate(counts) if c) / n
     sigma_n2 = math.fsum(c * prof.v[a] for a, c in enumerate(counts) if c) / n
-    return h_n, sigma_n2, sigma_n2 <= 1e-15
+    return h_n, sigma_n2, sigma_n2 <= VANISHING_VARIANCE
 
 
 def m3_and_mu3(model: CondIidModel) -> tuple[float, float]:

@@ -24,6 +24,7 @@ is the most significant digit.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +39,12 @@ class ModelFormatError(ValueError):
 
 
 ROW_SUM_TOL = Fraction(1, 10**12)
+# the digit limit Python puts on integer strings; a decimal exponent
+# beyond it would make Fraction build an integer of that many digits
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# a side-information marginal whose Markovianity defect exceeds this is not Markov
+MARKOVIANITY_TOL = 1e-9
 
 
 def parse_probability(text: object) -> Fraction:
@@ -52,6 +59,11 @@ def parse_probability(text: object) -> Fraction:
     if isinstance(text, int):
         value = Fraction(text)
     elif isinstance(text, str):
+        exponent = _EXPONENT.search(text)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
+            raise ModelFormatError(f"probability {text!r} has a decimal exponent "
+                                   f"beyond {_MAX_EXPONENT} in magnitude")
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -379,7 +391,7 @@ class MarkovPairModel:
         if report.ok:
             derived = derive_y_chain(self)
             report.details["markovianity_defect"] = derived.markovianity_defect
-            if derived.markovianity_defect > 1e-9:
+            if derived.markovianity_defect > MARKOVIANITY_TOL:
                 report.warnings.append(
                     "side-information marginal is not Markov of the model order "
                     f"(defect {derived.markovianity_defect:.3g}); "
@@ -674,7 +686,7 @@ def load_model(path: str | Path) -> Model:
         doc = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer literal past Python's digit limit
         raise ModelFormatError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(doc)
 

@@ -17,6 +17,20 @@ from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN
 
 FIG1 = str(MODELS_DIR / "fig1.json")
 MARKOV = str(MODELS_DIR / "markov2x2.json")
+FIG1_TEXT = (MODELS_DIR / "fig1.json").read_text()
+# model files with a number past Python's 4300-digit limit: a decimal
+# exponent, and a JSON integer literal
+HUGE_EXPONENT = FIG1_TEXT.replace('"0.1"', '"1e-1000000"', 1)
+LONG_LITERAL = FIG1_TEXT.replace('"2/3"', "1" * 5000, 1)
+# fixed-y eps* queries at a k whose 2^k has too many digits to build
+HUGE_K = [["limits", "--model", model, "--n", "5", "--k", str(10**20), "--y", "01010",
+           "--scope", scope] for model in (FIG1, MARKOV) for scope in ("ref", "prefix")]
+# runs that fail after --out was checked: a usage error, a guard, a missing p_y
+OUT_FAILURES = [
+    ["limits", "--model", FIG1, "--n", "5", "--eps", "0.1", "--y", "01010", "--scope", "prefix"],
+    ["limits", "--model", MARKOV, "--n", "40", "--eps", "0.1"],
+    ["measures", "--model", str(MODELS_DIR / "refonly2x2.json")],
+]
 
 
 def run(capsys, argv):
@@ -49,6 +63,17 @@ class TestValidate:
         assert code == 2
         assert out.startswith(f"INVALID {bad}")
         assert "valid: no" in out.splitlines()
+
+    @pytest.mark.parametrize("text", [HUGE_EXPONENT, LONG_LITERAL])
+    def test_oversized_number_is_invalid(self, capsys, tmp_path, text):
+        path, report = tmp_path / "model.json", tmp_path / "report.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, ["validate", "--model", str(path), "--out", str(report)])
+        assert (code, out, err) == (2, "", "")
+        assert report.read_text().startswith(f"INVALID {path}: ")
+        code, out, err = run(capsys, ["limits", "--model", str(path), "--n", "2", "--k", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("model error: ") and err.count("\n") == 1
 
     def test_unreadable_model(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"
@@ -164,6 +189,12 @@ class TestLimits:
         assert code == 0
         assert len(rows_of(out)[1]) == 3
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", HUGE_K)
+    def test_huge_k_answers_zero(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert rows_of(out)[1] == [[argv[-1], "5", str(10**20), "0"]]
 
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["limits", "--model", FIG1, "--eps", "0.1"])
@@ -578,6 +609,16 @@ class TestOutSink:
         assert (code, out) == (1, "")
         assert err == f"error: cannot write --out {path}: {reason}\n"
 
+    @pytest.mark.parametrize("argv", OUT_FAILURES)
+    def test_failed_run_leaves_out_as_it_was(self, capsys, tmp_path, argv):
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_bytes(b"an earlier,result\r\n")
+        for path in (kept, fresh):
+            code, out, err = run(capsys, argv + ["--out", str(path)])
+            assert (code, out) == (1, "") and err.count("\n") == 1
+        assert kept.read_bytes() == b"an earlier,result\r\n"
+        assert not fresh.exists()
+
 
 def test_non_utf8_model_is_model_error(capsys, tmp_path):
     path = tmp_path / "model.json"
@@ -591,13 +632,13 @@ def test_non_utf8_model_is_model_error(capsys, tmp_path):
 # -- every command on hostile values, drawn from the CLI's own tables ---------
 
 NUMBERS = ["0", "-1", "nan", "inf", "1e-300", "1e200", str(10**20), "x"]
-FIG1_TEXT = (MODELS_DIR / "fig1.json").read_text()
 # (values that run, hostile values) per option; paths under the test's
 # directory are written "@/name".  --n and --trials stay at most 8 and 50,
 # so that every run is quick
 VALUES_OF = {
     "--model": ([str(p) for p in sorted(MODELS_DIR.glob("*.json"))],
-                ["@/not_utf8.txt", "@/truncated.json", "@", "@/missing.json"]),
+                ["@/not_utf8.txt", "@/truncated.json", "@", "@/missing.json",
+                 "@/huge_exponent.json", "@/long_literal.json"]),
     "--n": (["1", "2", "5", "8"], ["0", "-1", "nan", "x"]),
     "--n-range": (["1:3", "8:8"], ["3:1", "0:2", "x"]),
     "--eps": (["0.1", "0.4"], NUMBERS),
@@ -621,6 +662,8 @@ def hostile_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("hostile")
     (root / "not_utf8.txt").write_bytes(b"\xff\xfe0011")
     (root / "truncated.json").write_text(FIG1_TEXT[:len(FIG1_TEXT) // 2])
+    (root / "huge_exponent.json").write_text(HUGE_EXPONENT)
+    (root / "long_literal.json").write_text(LONG_LITERAL)
     for corpus, model in (("corpus", MARKOV), ("broken_corpus", root / "truncated.json")):
         (root / corpus).mkdir()
         shutil.copy(model, root / corpus)
@@ -631,20 +674,26 @@ def hostile_files(tmp_path_factory):
 @st.composite
 def hostile_argvs(draw):
     """A command with some of the options it declares (``--model`` and
-    ``--n`` always, ``--trials`` for ``markov``); each value is hostile one
-    time in four."""
+    ``--n`` always, ``--trials`` for ``markov``); at most one option has a
+    hostile value, its first, so that the run gets past every other check
+    and takes that value into the library."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = [flag for flag in _COMMANDS[command][1]
+             if flag in ("--model", "--n") or (flag, command) == ("--trials", "markov")
+             or draw(st.booleans())]
+    hostile_flag = draw(st.sampled_from([None, *flags]))
     argv = [command]
-    for flag in _COMMANDS[command][1]:
-        if (flag in ("--model", "--n") or (flag, command) == ("--trials", "markov")
-                or draw(st.booleans())):
-            runs, hostile = VALUES_OF[flag]
-            many = flag in ("--n", "--eps", "--k")
-            argv.append(flag)
-            for _ in range(draw(st.integers(1, 2)) if many else 1):
-                argv.append(draw(st.sampled_from(hostile if draw(st.integers(0, 3)) == 0
-                                                 else runs)))
+    for flag in flags:
+        runs, hostile = VALUES_OF[flag]
+        count = draw(st.integers(1, 2)) if flag in ("--n", "--eps", "--k") else 1
+        argv.append(flag)
+        for i in range(count):
+            argv.append(draw(st.sampled_from(hostile if flag == hostile_flag and i == 0
+                                             else runs)))
     return argv
+
+
+OUT_BEFORE = "an earlier,result\r\n"
 
 
 class TestHostileArgv:
@@ -654,8 +703,19 @@ class TestHostileArgv:
     @example(argv=["bounds", "--model", MARKOV, "--n", "5", "--eps", "0.1", "--A", "1e200"])
     @example(argv=["bounds", "--model", MARKOV, "--n", "5", "--eps", "0.1", "--A", "nan"])
     @example(argv=["limits", "--model", FIG1, "--n", "5", "--k", "3", "--y", "file:@"])
+    @example(argv=HUGE_K[0])
+    @example(argv=HUGE_K[1])
+    @example(argv=HUGE_K[2])
+    @example(argv=HUGE_K[3])
+    @example(argv=["validate", "--model", "@/huge_exponent.json"])
+    @example(argv=["limits", "--model", "@/long_literal.json", "--n", "2", "--k", "1"])
+    @example(argv=OUT_FAILURES[0] + ["--out", "@/out.csv"])
+    @example(argv=OUT_FAILURES[1] + ["--out", "@/out.csv"])
+    @example(argv=OUT_FAILURES[2] + ["--out", "@/out.csv"])
     def test_every_run_exits_with_a_code_and_one_line_on_failure(self, hostile_files, argv):
         argv = [a.replace("@", str(hostile_files)) for a in argv]
+        out_csv = hostile_files / "out.csv"
+        out_csv.write_bytes(OUT_BEFORE.encode())
         out, err = io.StringIO(), io.StringIO()
         # a warning is one more stderr line of a real run
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -666,3 +726,4 @@ class TestHostileArgv:
         if code != 0 and argv[0] not in ("validate", "verify"):
             assert out.getvalue() == "" and not caught
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert out_csv.read_bytes() == OUT_BEFORE.encode()

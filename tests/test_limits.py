@@ -427,6 +427,31 @@ class TestCurveShape:
             assert epsilon_star_pair(fig1, n, k, exact=True) == total
 
 
+class TestHugeK:
+    """A rank past every string has overflow 0, so ``k = 10**20`` answers
+    0 without building ``2**k``."""
+
+    K = 10**20
+
+    def test_law_queries(self, fig1):
+        y = y_repeat(fig1, "01", 5)
+        law = length_law_typeclass(fig1, y)
+        for got in (law.epsilon_star(self.K), law.epsilon_star_window(self.K)):
+            assert type(got) is float and got == 0.0
+        exact = length_law_typeclass(fig1, y, exact=True).epsilon_star_exact(self.K)
+        assert type(exact) is Fraction and exact == 0
+        for query in (law.epsilon_star, law.epsilon_star_window, law.epsilon_star_exact):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                query(-1)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_prefix_queries(self, fig1, exact):
+        y = y_repeat(fig1, "01", 5)
+        for got in (epsilon_star_prefix(fig1, 5, self.K, y, exact=exact),
+                    epsilon_star_prefix(fig1, 5, self.K, exact=exact)):
+            assert got == 0 and type(got) is (Fraction if exact else float)
+
+
 class TestRatePoints:
     def test_bracketing_invariant(self, fig1):
         y = y_repeat(fig1, "001", 20)

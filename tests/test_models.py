@@ -60,6 +60,13 @@ class TestParseProbability:
         with pytest.raises(ModelFormatError):
             parse_probability("-1/2")
 
+    def test_huge_decimal_exponent_rejected(self):
+        # Fraction would build a denominator of a million digits; the
+        # bound is Python's own digit limit on integer strings
+        with pytest.raises(ModelFormatError, match="decimal exponent beyond 4300"):
+            parse_probability("1e-1000000")
+        assert parse_probability("1e-4300") == Fraction(1, 10**4300)
+
     def test_garbage(self):
         with pytest.raises(ModelFormatError):
             parse_probability("one half")
@@ -134,6 +141,13 @@ class TestModelIO:
         path = tmp_path / "model.json"
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ModelFormatError, match="cannot read model file"):
+            load_model(path)
+
+    def test_integer_literal_past_the_digit_limit(self, tmp_path):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        path = tmp_path / "model.json"
+        path.write_text('{"kind": "cond_iid", "p_y": [' + "1" * 5000 + "]}")
+        with pytest.raises(ModelFormatError, match="is not valid JSON: Exceeds the limit"):
             load_model(path)
 
     def test_bad_row_sum_fails_validation(self):

@@ -84,6 +84,8 @@ class BoundReport:
 
 def three_term_rate(h: float, sigma2: float, n: int, epsilon: float) -> float:
     """The shared normal-approximation core, in bits per symbol."""
+    if n < 1:
+        raise ValueError("blocklength must be >= 1")
     return h + math.sqrt(sigma2 / n) * Q_inv(epsilon) - math.log2(n) / (2.0 * n)
 
 
@@ -186,7 +188,8 @@ def pair_achievability(
     bracket = B * B / (2.0 * math.sqrt(2.0 * math.pi * math.e) * sigma2) + ms.psi2 / (
         (1.0 - 1.0 / (2.0 * math.pi)) ** 2 * vbar * vbar
     )
-    threshold = _safe_div(4.0 * sigma2, (B * phi(a)) ** 2) * bracket**2
+    # a square by multiplication overflows to inf, not to an OverflowError
+    threshold = _safe_div(4.0 * sigma2, (B * phi(a)) ** 2) * (bracket * bracket)
     constants = {"h_xy": ms.h_xy, "sigma2": sigma2, "ev": vbar, "psi2": ms.psi2,
                  "m3": ms.m3, "mu3_pair": ms.mu3_pair, "B": B, "C": C}
     return _report(kind, n, epsilon, value, constants, threshold, 0.0 < epsilon <= 0.5)

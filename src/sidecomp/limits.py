@@ -15,8 +15,8 @@ builders enumerate strings into one flat factor, as independent oracles
 and the only exact route for Markov models (a Markov pair sweep takes one
 ``MarkovPairModel._advance`` per y-prefix, the forward step every
 pair-context recursion shares).  The exact brute-force pair curve of a
-conditionally i.i.d. model builds no law: one integer walk over y-prefixes
-carries every string's joint numerator, sorted, and sums the overflows.
+conditionally i.i.d. model builds no law: it sorts each y-string's integer
+conditional numerators in numpy blocks and weights its overflows by P(y).
 
 Two evaluation tracks coexist:
 
@@ -830,13 +830,14 @@ def _prefix_lengths(
 
 
 def _log2_at_least(p: Fraction, threshold: Fraction) -> bool:
-    """Whether -log2(p) >= threshold, exactly, for rational threshold."""
-    # -log2 p >= t  <=>  p <= 2^-t  <=>  p^q <= 2^-tq with t = num/den
+    """Whether -log2(p) >= threshold, i.e. p <= 2^-threshold, exactly, for p > 0."""
+    # p <= 2^-t  <=>  p^den·2^num <= 1 with t = num/den; a power of two
+    # past the bit length of the other side decides it unbuilt
     num, den = threshold.numerator, threshold.denominator
     lhs = p**den
     if num >= 0:
-        return lhs * (1 << num) <= 1
-    return lhs <= (1 << -num)
+        return num < lhs.denominator.bit_length() and lhs * (1 << num) <= 1
+    return -num >= lhs.numerator.bit_length() or lhs <= (1 << -num)
 
 
 # ---------------------------------------------------------------------------
@@ -1219,38 +1220,44 @@ def _bruteforce_pair_curve(model: CondIidModel, n: int, ranks: Sequence[int]) ->
     """Exact pair overflow at each of the ascending ``ranks``, by
     enumerating every y-string and every x-string, with no law.
 
-    The y-strings are walked depth first in product order.  A y-prefix of
-    length ``i`` carries the joint numerators ``p_y(y)·P(x|y)`` of its
-    x-prefixes over ``(D·L)^i``, ``D`` and ``L`` the lcms of the ``p_y``
-    and of the row denominators, in descending order; a child's list is
-    ``|X|`` scaled copies of it, descending runs that one sort merges.  A
-    y-symbol of zero probability has no subtree.  Given a full y-string,
-    the overflow at rank ``b`` is the total minus the ``b - 1`` largest
-    numerators, however ties are ordered; every y-string adds it into
-    one integer row.
+    At rank ``b <= |X|^n`` it is ``Σ_y pn(y)·S_y(b) / (D·L)^n``, ``D`` and
+    ``L`` the lcms of the ``p_y`` and of the row denominators: ``pn(y)`` is
+    y's ``p_y`` numerator over ``D^n``, ``S_y(b)`` the sum of the
+    ``|X|^n - b + 1`` smallest numerators ``v(x|y)`` over ``L^n``.  A block
+    is a y-head times every y-tail, one row of ``v(x|y)`` per y-string and
+    at most ``max(COUNT_CHUNK, |X|^n)`` cells; rows are sorted and summed
+    in int64 when the largest row sum to the ``n`` (a bound on every value
+    and partial sum) fits, as Python integers otherwise.
     """
     _check_pair_guard(model, n)
     p_y = model.require_p_y()
     d = math.lcm(*(p.denominator for p in p_y))
     l = math.lcm(*(q.denominator for row in model.p_x_given_y for q in row))
-    # per y-symbol of positive probability, the scale of each x-symbol
-    steps = [[p.numerator * (d // p.denominator) * q.numerator * (l // q.denominator)
-              for q in row] for p, row in zip(p_y, model.p_x_given_y) if p]
-    row = [0] * len(ranks)
-    stack = [(n, [1])]      # (positions left, numerators of a y-prefix)
-    while stack:
-        left, nums = stack.pop()
-        if left:
-            stack += [(left - 1, sorted([v * c for c in scales for v in nums], reverse=True))
-                      for scales in reversed(steps)]
-            continue
-        rest, start = sum(nums), 0
-        for k, b in enumerate(ranks):
-            rest -= sum(nums[start:b - 1])
-            start = b - 1
-            row[k] += rest
-    den = (d * l) ** n
-    return [Fraction(v, den) for v in row]
+    live = [a for a, p in enumerate(p_y) if p]
+    qn = [[q.numerator * (l // q.denominator) for q in model.p_x_given_y[a]] for a in live]
+    qn = np.array(qn, np.int64 if max(map(sum, qn)) ** n < 1 << 63 else object)
+    pn = [p_y[a].numerator * (d // p_y[a].denominator) for a in live]
+    ny, strings = len(live), qn.shape[1] ** n
+    cols = [strings - b for b in ranks if b <= strings]
+    r = next(r for r in range(n, -1, -1) if ny**r * strings <= max(COUNT_CHUNK, strings))
+    one = np.ones((), qn.dtype)
+    tail_ys = list(product(range(ny), repeat=r))    # one row per y-tail, in product order
+    tails = np.array([reduce(np.multiply.outer, (qn[a] for a in t), one).ravel() for t in tail_ys])
+    tail_pn = np.array([math.prod(pn[a] for a in t) for t in tail_ys], object)
+    row = np.zeros(len(cols), object)
+    for head in product(range(ny), repeat=n - r):
+        heads = reduce(np.multiply.outer, (qn[a] for a in head), one)
+        block = np.multiply.outer(tails, heads).reshape(len(tails), -1)
+        if qn.dtype == object:  # float keys presort each row, so the exact sort is about one pass
+            keys = np.multiply.outer(np.asarray(tails / l**r, float),
+                                     np.asarray(heads / l ** (n - r), float)).reshape(block.shape)
+            rows = np.take_along_axis(block, np.argsort(keys), 1).tolist()
+            sums = [list(accumulate(sorted(v))) for v in rows]
+            sums = np.array([[s[c] for c in cols] for s in sums], object)
+        else:
+            sums = np.cumsum(np.sort(block), axis=1)[:, cols]
+        row += math.prod(pn[a] for a in head) * (tail_pn @ sums)
+    return [Fraction(v, (d * l) ** n) for v in row] + [Fraction(0)] * (len(ranks) - len(cols))
 
 
 @lru_cache(maxsize=128)
@@ -1292,6 +1299,8 @@ def _pair_curve(model: Model, n: int, method: str, exact: bool) -> tuple:
     Memoized per (model, n, route, track): models are frozen, so a
     sweep of per-k point queries costs one sweep.
     """
+    if n < 1:
+        raise ValueError("blocklength must be >= 1")
     strings = (len(model.x_alphabet) * len(model.y_alphabet)) ** n
     return _pair_curve_of_route(model, n, _route(model, strings, method), exact)
 
@@ -1343,6 +1352,8 @@ def epsilon_star_prefix(
     """
     if k < 1:
         raise ValueError("prefix overflow needs k >= 1")
+    if n < 1:
+        raise ValueError("blocklength must be >= 1")
     # 2^(k-1) >= |X|^n, compared without shifting a huge k
     if k - 1 >= (len(model.x_alphabet) ** n - 1).bit_length():
         return Fraction(0) if exact else 0.0
@@ -1419,13 +1430,15 @@ def check_general_converse(
         if tau <= 0:
             raise ValueError("slacks must be positive")
         if exact:
+            if not math.isfinite(tau):
+                raise ValueError("exact slacks must be finite")
             ftau = Fraction(tau)
             thresh = Fraction(k) + ftau
             tail: Fraction = sum(
                 (w * law.info_tail_exact(thresh) for w, law in laws), Fraction(0)
             )
             gap = tail - lhs_val
-            ok = gap <= 0 or _pow2_at_most(gap, ftau)
+            ok = gap <= 0 or _log2_at_least(gap, ftau)
             entries.append(
                 ConverseEntry(float(tau), float(tail), float(tail) - 2.0 ** float(-tau), ok)
             )
@@ -1434,9 +1447,3 @@ def check_general_converse(
             rhs = tail_f - 2.0**-tau
             entries.append(ConverseEntry(float(tau), tail_f, rhs, lhs_val >= rhs - 1e-12))
     return ConverseCheck(n=int(n), k=k, scope=scope, lhs=float(lhs_val), entries=tuple(entries))
-
-
-def _pow2_at_most(gap: Fraction, tau: Fraction) -> bool:
-    """Whether gap <= 2^-tau, exactly, for rational tau > 0 and gap > 0."""
-    num, den = tau.numerator, tau.denominator
-    return gap**den * (1 << num) <= 1

@@ -173,6 +173,19 @@ class TestPairBounds:
             pair_achievability(m, 100, 0.1)
         assert pair_converse(m, 100, 0.1).value > 0
 
+    @pytest.mark.parametrize("bound", [pair_achievability, pair_converse])
+    def test_blocklength_below_one_raises(self, fig1, bound):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^blocklength must be >= 1$"):
+                bound(fig1, n, 0.1)
+
+    @pytest.mark.parametrize("prefix", [False, True])
+    def test_tiny_epsilon_gives_an_inf_threshold(self, fig1, prefix):
+        # B squared is finite near 1e197; its square again overflows to inf
+        report = pair_achievability(fig1, 5, 1e-100, prefix=prefix)
+        assert report.n_threshold == math.inf and not report.valid
+        assert math.isfinite(report.value)
+
 
 class TestMarkovBounds:
     def test_term_structure(self, corpus_models):

@@ -641,7 +641,7 @@ VALUES_OF = {
                  "@/huge_exponent.json", "@/long_literal.json"]),
     "--n": (["1", "2", "5", "8"], ["0", "-1", "nan", "x"]),
     "--n-range": (["1:3", "8:8"], ["3:1", "0:2", "x"]),
-    "--eps": (["0.1", "0.4"], NUMBERS),
+    "--eps": (["0.1", "0.4"], NUMBERS + ["1e-100"]),
     "--k": (["1", "3"], NUMBERS),
     "--y": (["repeat:01", "0110"], ["repeat:", "z", "file:@", "file:@/missing",
                                     "file:@/not_utf8.txt"]),
@@ -700,6 +700,7 @@ class TestHostileArgv:
     @given(argv=hostile_argvs())
     @settings(max_examples=150)
     @example(argv=["bounds", "--model", MARKOV, "--n", "5", "--eps", "1e-100", "--A", "1"])
+    @example(argv=["bounds", "--model", FIG1, "--n", "5", "--eps", "1e-100"])
     @example(argv=["bounds", "--model", MARKOV, "--n", "5", "--eps", "0.1", "--A", "1e200"])
     @example(argv=["bounds", "--model", MARKOV, "--n", "5", "--eps", "0.1", "--A", "nan"])
     @example(argv=["limits", "--model", FIG1, "--n", "5", "--k", "3", "--y", "file:@"])

@@ -91,6 +91,15 @@ def _reference_pair_curve(laws, kmax, exact):
     return total
 
 
+def _assert_walk_is_typeclass(model, n):
+    """The exact brute-force pair curve equals the type-class one as Fractions."""
+    _pair_curve_of_route.cache_clear()
+    walk = limits._pair_curve(model, n, "bruteforce", exact=True)
+    assert all(type(v) is Fraction for v in walk)
+    assert walk == limits._pair_curve(model, n, "typeclass", exact=True)
+    _pair_curve_of_route.cache_clear()
+
+
 def _assert_pair_curve_matches_per_k(model, n, route, exact):
     """Every law's one-pass curve, and the pair curve summed from them,
     equal the per-k queries."""
@@ -513,6 +522,28 @@ class TestGeneralConverse:
             want = sum((w * law.epsilon_star_exact(k) for w, law in laws), Fraction(0))
             assert check_general_converse(model, k, [1, 2], n=3, exact=True).lhs == float(want)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_exact_tau_must_be_finite(self, fig1, tau):
+        with pytest.raises(ValueError, match="^exact slacks must be finite$"):
+            check_general_converse(fig1, 1, [tau], y=y_repeat(fig1, "001", 3), exact=True)
+
+    def test_exact_huge_tau(self, fig1):
+        check = check_general_converse(fig1, 1, [1e300], y=y_repeat(fig1, "001", 3), exact=True)
+        assert check.ok and check.entries[0].info_tail == 0.0
+
+    @pytest.mark.parametrize("scope", ["ref", "pair"])
+    def test_exact_huge_k(self, fig1, scope):
+        where = {"y": y_repeat(fig1, "001", 3)} if scope == "ref" else {"n": 2}
+        check = check_general_converse(fig1, 10**20, [1.0], exact=True, **where)
+        assert check.ok and check.lhs == 0.0 and check.entries[0].info_tail == 0.0
+
+    def test_log2_at_least_far_thresholds(self):
+        # p <= 2^-t decided by bit lengths when 2^|t| would be huge, and
+        # exactly near the boundary
+        for t, want in ((10**20, False), (-10**20, True), (Fraction(3, 2), True),
+                        (Fraction(8, 5), False), (-1, True), (1, True), (2, False)):
+            assert limits._log2_at_least(Fraction(1, 3), Fraction(t)) is want
+
     def test_float_track(self, fig1):
         y = y_repeat(fig1, "001", 6)
         assert check_general_converse(fig1, 2, [0.5, 1.5, 3], y=y).ok
@@ -643,7 +674,7 @@ class TestOnePassCurve:
             constructed.clear()
             limits._pair_curve(model, n, route, exact=True)
             if route == "bruteforce" and isinstance(model, CondIidModel):
-                # the integer walk over y-prefixes builds no law at all
+                # the brute-force block sweep builds no law at all
                 assert not calls and not constructed
                 continue
             assert built
@@ -657,11 +688,7 @@ class TestOnePassCurve:
             if not isinstance(model, CondIidModel) or model.p_y is None:
                 continue
             joint = len(model.x_alphabet) * len(model.y_alphabet)
-            n = max(n for n in range(1, 17) if joint**n <= 1 << 16)
-            _pair_curve_of_route.cache_clear()
-            walk = limits._pair_curve(model, n, "bruteforce", exact=True)
-            assert walk == limits._pair_curve(model, n, "typeclass", exact=True), name
-        _pair_curve_of_route.cache_clear()
+            _assert_walk_is_typeclass(model, max(n for n in range(1, 17) if joint**n <= 1 << 16))
 
     def test_bruteforce_walk_with_zeros(self):
         # a y-symbol of zero probability and a zero conditional entry
@@ -678,6 +705,51 @@ class TestOnePassCurve:
             assert list(walk) == _reference_pair_curve(laws, kmax, True)
             assert walk == limits._pair_curve(model, n, "typeclass", exact=True)
         _pair_curve_of_route.cache_clear()
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_bruteforce_walk_int64_and_object_rows(self, n):
+        # every row sums to 997/997: 997^6 < 2^63 <= 997^7, so the rows are
+        # sorted in int64 at n = 6 and as Python integers at n = 7
+        assert 997**6 < 1 << 63 <= 997**7
+        _assert_walk_is_typeclass(PRIME_2X2, n)
+
+    @pytest.mark.parametrize("rows, n", [
+        # rows summing to 1 - 10^-13, over L = 10^13
+        pytest.param([["1/2", "4999999999999/10000000000000"], ["1/4", "3/4"]], 1,
+                     id="sum-below-one-n1"),
+        pytest.param([["1/2", "4999999999999/10000000000000"], ["1/4", "3/4"]], 3,
+                     id="sum-below-one-n3"),
+        # L = 2^63 - 1 fits int64 but the first row sums to 2^63 / L: only
+        # the row-sum bound sees that the int64 sum would wrap
+        pytest.param([[f"{2**62}/{2**63 - 1}", f"{2**62}/{2**63 - 1}"], ["1/7", "6/7"]], 1,
+                     id="sum-past-2^63"),
+        # numerators past the float range, L = 10^200
+        pytest.param([["1/2", f"{10**200 // 2 - 1}/{10**200}"], ["1/4", "3/4"]], 2,
+                     id="past-float-range"),
+    ])
+    def test_bruteforce_walk_rows_off_one(self, rows, n):
+        model = model_from_dict({
+            "kind": "cond_iid", "x_alphabet": ["a", "b"], "y_alphabet": ["0", "1"],
+            "p_x_given_y": rows, "p_y": ["1/3", "2/3"],
+        })
+        assert model.validate().ok
+        _assert_walk_is_typeclass(model, n)
+
+    def test_bruteforce_walk_row_wider_than_a_block(self):
+        # one y-symbol: its one row holds 2^13 = 8192 > COUNT_CHUNK cells
+        model = model_from_dict({
+            "kind": "cond_iid", "x_alphabet": ["a", "b"], "y_alphabet": ["0"],
+            "p_x_given_y": [["1/3", "2/3"]], "p_y": ["1"],
+        })
+        assert 2**13 > COUNT_CHUNK
+        _assert_walk_is_typeclass(model, 13)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_bruteforce_walk_any_block_size(self, monkeypatch, chunk):
+        # smaller blocks move the split between y-heads and y-tails
+        monkeypatch.setattr(limits, "COUNT_CHUNK", chunk)
+        for model, n in ((DEAD_SYMBOL, 4), (PRIME_2X2, 7), (PRIME_2X2, 5)):
+            _assert_walk_is_typeclass(model, n)
 
     def test_deferred_floats_match_eager_build(self, corpus_models):
         cases = [(corpus_models["fig1"], "001", 9), (corpus_models["deterministic"], "01", 6),
@@ -1090,6 +1162,19 @@ class TestGuards:
         with pytest.raises(GuardExceededError):
             epsilon_star_pair(fig1, 11, 1, method="bruteforce", exact=True)
 
+    @pytest.mark.parametrize("query", [
+        lambda m: rate_star_pair(m, -1, 0.1),
+        lambda m: epsilon_star_pair(m, -1, 1),
+        lambda m: epsilon_star_pair(m, 0, 1),
+        lambda m: epsilon_star_pair(m, 0, 1, method="bruteforce", exact=True),
+        lambda m: epsilon_star_prefix(m, 0, 2, exact=True),
+        lambda m: epsilon_star_prefix(m, -1, 1),
+    ])
+    def test_pair_blocklength_below_one_raises(self, fig1, query):
+        _pair_curve_of_route.cache_clear()
+        with pytest.raises(ValueError, match="^blocklength must be >= 1$"):
+            query(fig1)
+
     def test_class_cap(self, fig1):
         with pytest.raises(GuardExceededError):
             length_law_typeclass(fig1, (2000, 1000), class_cap=2001 * 1001 - 1)
@@ -1148,6 +1233,14 @@ DEAD_SYMBOL = model_from_dict({
     "kind": "cond_iid", "x_alphabet": ["a", "b", "c"], "y_alphabet": ["0", "1", "2"],
     "p_x_given_y": [["1/2", "0", "1/2"], ["1/6", "1/3", "1/2"], ["1/3", "1/3", "1/3"]],
     "p_y": ["2/5", "0", "3/5"],
+})
+
+
+# a 2x2 model over the prime 997, as perfbench draws them
+PRIME_2X2 = model_from_dict({
+    "kind": "cond_iid", "x_alphabet": ["0", "1"], "y_alphabet": ["0", "1"],
+    "p_x_given_y": [["311/997", "686/997"], ["904/997", "93/997"]],
+    "p_y": ["420/997", "577/997"],
 })
 
 

@@ -12,11 +12,15 @@ Every law is held in product form (:class:`LengthLaw`): for
 conditionally i.i.d. models one factor per y-symbol, whose cells are
 the type classes of the positions seeing that symbol; the brute-force
 builders enumerate strings into one flat factor, as independent oracles
-and the only exact route for Markov models (a Markov pair sweep takes one
-``MarkovPairModel._advance`` per y-prefix, the forward step every
-pair-context recursion shares).  The exact brute-force pair curve of a
-conditionally i.i.d. model builds no law: it sorts each y-string's integer
-conditional numerators in numpy blocks and weights its overflows by P(y).
+and the only exact route for Markov models.  Markov enumerations walk
+y-prefixes breadth first in bounded blocks, one
+``MarkovPairModel._advance`` (the forward step every pair-context
+recursion shares) per depth for all y-prefixes of a block.  The
+brute-force pair curves build no law, except the exact Markov one: the
+float curve ranks each y-string's ``log2 P(x|y)`` on its own row of a
+numpy block, with the float operations of that y-string's law, and the
+exact curve of a conditionally i.i.d. model sorts each y-string's integer
+conditional numerators in blocks and weights its overflows by P(y).
 
 Two evaluation tracks coexist:
 
@@ -77,6 +81,7 @@ import operator
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, product
@@ -128,6 +133,13 @@ def _floor_exp2(t: float) -> int:
     if e >= 52:
         return scaled << (e - 52)
     return scaled >> (52 - e)
+
+
+def _fits(base: int, n: int, limit: int) -> bool:
+    """Whether ``base ** n <= limit`` for ``base >= 1``; the power is
+    built only for ``n`` below the bit length of ``limit``, since past it
+    ``2 ** n`` alone exceeds ``limit``."""
+    return base == 1 or (n < limit.bit_length() and base**n <= limit)
 
 
 @dataclass(frozen=True)
@@ -656,7 +668,7 @@ class LengthLaw:
         if j is None:
             return 0.0
         tail = self._class_tail(win, j)
-        return _excess_in_class(tail, win.cum[j] - b + 1, win.tops[j])
+        return _excess_in_classes([tail], [win.cum[j] - b + 1], [win.tops[j]])[0]
 
     def excess_at_rank_exact(self, b: int) -> Fraction:
         self._require_exact()
@@ -687,9 +699,9 @@ class LengthLaw:
                 continue
             log2p, suffix = self._class_floats()
             at, first = np.array(js), c * COUNT_CHUNK
-            # _excess_in_class; a class of log2p -inf adds 2.0 ** -inf = 0.0
-            out += [tail + 2.0 ** (math.log2(cum[i + 1] - b + 1) + lp) for i, b, tail, lp
-                    in zip(js, bs, suffix[first + 1:][at].tolist(), log2p[first:][at].tolist())]
+            out += _excess_in_classes(suffix[first + 1:][at].tolist(),
+                                      [cum[i + 1] - b + 1 for i, b in zip(js, bs)],
+                                      log2p[first:][at].tolist())
         return out + [0 if exact else 0.0] * (len(ranks) - hi)
 
     def _rank_at_bits(self, k: int) -> int:
@@ -761,14 +773,18 @@ class LengthLaw:
 
 
 def _classes(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stable descending order of the cells ``lp``, their sorted
-    ``lp``, and the first position of each class: a class starts wherever
+    """The stable descending order of the cells ``lp`` along its last
+    axis, their sorted ``lp``, and the flat position of each class's
+    first cell: a class starts at the head of each row and wherever
     sorted neighbours differ by more than ``MERGE_TOL``."""
-    order = np.argsort(-lp, kind="stable")
-    lp = lp[order]
+    order = np.argsort(-lp, axis=-1, kind="stable")
+    # one fancy index gathers one row for less than take_along_axis
+    lp = lp[order] if lp.ndim == 1 else np.take_along_axis(lp, order, -1)
+    heads = np.empty(lp.shape, dtype=bool)
+    heads[..., 0] = True
     with np.errstate(invalid="ignore"):  # -inf cells: their difference is nan
-        new_class = np.abs(np.diff(lp)) > MERGE_TOL
-    return order, lp, np.flatnonzero(np.concatenate(([True], new_class)))
+        np.greater(np.abs(np.diff(lp)), MERGE_TOL, out=heads[..., 1:])
+    return order, lp, np.flatnonzero(heads)
 
 
 def _running_counts(counts: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -787,12 +803,14 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must lie in (0, 1)")
 
 
-def _excess_in_class(tail: float, d: int, lp: float) -> float:
-    """Overflow at the rank ``d`` strings before the end of a class of
-    log2p ``lp``, followed by mass ``tail``."""
-    if d > 0 and lp > -math.inf:
-        tail += 2.0 ** (math.log2(d) + lp)
-    return tail
+def _excess_in_classes(
+    tails: Iterable[float], ds: Iterable[int], lps: Iterable[float]
+) -> list[float]:
+    """Overflow at the rank ``d >= 1`` strings before the end of a class
+    of log2p ``lp``, followed by mass ``tail``, for each ``(tail, d, lp)``:
+    the one float formula of every overflow (a class of log2p -inf adds
+    ``2.0 ** -inf = 0.0``)."""
+    return [tail + 2.0 ** (math.log2(d) + lp) for tail, d, lp in zip(tails, ds, lps)]
 
 
 def _crossing_rank(prev_cum: int, cum: int, lp: float, room: float) -> int:
@@ -831,13 +849,27 @@ def _prefix_lengths(
 
 def _log2_at_least(p: Fraction, threshold: Fraction) -> bool:
     """Whether -log2(p) >= threshold, i.e. p <= 2^-threshold, exactly, for p > 0."""
-    # p <= 2^-t  <=>  p^den·2^num <= 1 with t = num/den; a power of two
-    # past the bit length of the other side decides it unbuilt
     num, den = threshold.numerator, threshold.denominator
-    lhs = p**den
-    if num >= 0:
-        return num < lhs.denominator.bit_length() and lhs * (1 << num) <= 1
-    return -num >= lhs.numerator.bit_length() or lhs <= (1 << -num)
+    if den == 1:
+        # p·2^num <= 1; a power of two past the bit length of the other
+        # side decides it unbuilt
+        if num >= 0:
+            return num < p.denominator.bit_length() and p * (1 << num) <= 1
+        return -num >= p.numerator.bit_length() or p <= (1 << -num)
+    # 2^(num/den) is irrational, so p differs from it and the sign of
+    # den·ln p + num·ln 2 decides; each Decimal step is rounded to
+    # within half a unit in the last of ``prec`` digits, so the value
+    # lies within the bound below of the exact one
+    prec = 32
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            ln_a, ln_b = Decimal(p.numerator).ln(), Decimal(p.denominator).ln()
+            value = den * (ln_a - ln_b) + num * Decimal(2).ln()
+            bound = 4 * ctx.power(10, 1 - prec) * (den * (ln_a + ln_b) + abs(num))
+            if abs(value) > bound:
+                return value < 0
+        prec *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -930,19 +962,27 @@ def _typeclass_law(
 ) -> LengthLaw:
     """:func:`length_law_typeclass` of a composition, with ``factor(a, c)``
     the factor of ``c`` positions that all see y-symbol ``a``; refused
-    before any factor is built when its cells exceed ``cap``."""
+    before any factor is built when its cells, or the 64-bit words of its
+    factors' exact counts, exceed ``cap``."""
     if len(composition) != len(model.y_alphabet):
         raise ValueError("composition needs one count per y-symbol")
     n = sum(composition)
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     cells = 1  # type classes of c positions over a support of s symbols, and a zero cell
+    words = 0  # 64-bit words of the factors' exact counts, each below s^c
     for s, c in zip(model.support_sizes, composition):
         if c:
-            cells *= math.comb(c + s - 1, s - 1) + (s < len(model.x_alphabet))
+            size = math.comb(c + s - 1, s - 1) + (s < len(model.x_alphabet))
+            cells *= size
+            words += size * (c * (s - 1).bit_length() // 64 + 1)
     if cells > cap:
         raise GuardExceededError(
             f"type-class count exceeds cap {cap} at composition {tuple(composition)}"
+        )
+    if words > cap:
+        raise GuardExceededError(
+            f"type-class counts exceed cap {cap} words at composition {tuple(composition)}"
         )
     factors = [factor(a, c) for a, c in enumerate(composition) if c]
     return LengthLaw(n, factors, exact)
@@ -975,9 +1015,9 @@ def length_law_bruteforce(
     Independent of the type-class path; the only exact route for
     Markov models.  Guarded at ``|X|^n <= guard``.
     """
-    num_strings = len(model.x_alphabet) ** len(y)
-    if num_strings > guard:
-        raise GuardExceededError(f"brute force needs |X|^n <= {guard}, got {num_strings}")
+    if not _fits(len(model.x_alphabet), len(y), guard):
+        raise GuardExceededError(
+            f"brute force needs |X|^n <= {guard}, got {len(model.x_alphabet)}^{len(y)}")
     if isinstance(model, CondIidModel):
         if exact:
             factor = _flat_factor(None, *_bruteforce_cond_iid_exact(model, y))
@@ -991,13 +1031,48 @@ def length_law_bruteforce(
     return LengthLaw(len(y), [factor], exact)
 
 
-def _markov_joints(
+def _walk(choices: Sequence[Sequence[int]], nx: int, step: Callable, root: tuple) -> Iterator[tuple]:
+    """Breadth first over the y-strings with t-th symbol in ``choices[t]``,
+    in blocks of at most ``max(COUNT_CHUNK, |X|^n)`` cells at depth n.
+
+    A state is a tuple of arrays with one row per y-prefix, in product
+    order; ``step(t, state)`` extends every prefix by each symbol of
+    ``choices[t]`` and drops those of probability 0.  Prefixes whose
+    y-strings fit in one block are stepped together to the end, one step
+    per depth; a lone prefix whose y-strings do not is stepped once, and
+    its children go on together or one by one, so no prefix is stepped
+    twice.  Yields the nonempty states at depth n, in product order.
+    """
+    n = len(choices)
+    limit = max(COUNT_CHUNK, nx**n)
+    # cells at depth n under one y-prefix of each length
+    fan = list(accumulate(map(len, reversed(choices)), operator.mul, initial=nx**n))[::-1]
+
+    def blocks(t: int, state: tuple) -> Iterator[tuple]:
+        rows = len(state[0])
+        if rows * fan[t] > limit:
+            if rows > 1:
+                for i in range(rows):
+                    yield from blocks(t, tuple(a[i:i + 1] for a in state))
+            else:
+                yield from blocks(t + 1, step(t, state))
+            return
+        while len(state[0]) and t < n:
+            state, t = step(t, state), t + 1
+        if len(state[0]):
+            yield state
+
+    return blocks(0, root)
+
+
+def _markov_blocks(
     model: MarkovPairModel, choices: Sequence[Sequence[int]], exact: bool
 ) -> Iterator[np.ndarray]:
-    """P(x, y) over all x-strings in product order (``Fraction``s on the exact
-    track) for each y-string with t-th symbol in ``choices[t]``, depth first in
-    product order.  A y-prefix filters the initial law's contexts up to the
-    order, then takes one ``_advance``; one of probability 0 has no subtree."""
+    """P(x, y) (``Fraction``s on the exact track) in blocks of :func:`_walk`:
+    one row per y-string of positive probability with t-th symbol in
+    ``choices[t]``, over all x-strings in product order.  At a depth up to
+    the order a y-prefix keeps the initial law's contexts that match it;
+    past it, one ``_advance`` takes every y-prefix of a block at once."""
     d = model.order
     if len(choices) < d:
         raise ValueError(f"need blocklength >= markov order {d}")
@@ -1007,21 +1082,33 @@ def _markov_joints(
         raise ValueError("exact Markov enumeration needs an explicit rational initial law")
     else:
         init, trans = (np.array(t, dtype=object) for t in (model.initial, model.transition))
-    # a stacked y-prefix is its parent's state and its last y-symbol
-    stack = [(0, init, np.arange(len(init)), yt) for yt in reversed(choices[0])]
-    while stack:
-        t, probs, ctx, yt = stack.pop()
+
+    def step(t: int, state: tuple) -> tuple:
+        probs, ctx = state
+        ys = np.asarray(choices[t])
         if t < d:  # ascending contexts list their x-heads in product order
-            keep = model.pair_split(model._digits[ctx, t])[1] == yt
-            probs, ctx = probs[keep], ctx[keep]
+            keep = model.pair_split(model._digits[ctx, t])[1][:, None] == ys[:, None]
+            probs, ctx = (np.broadcast_to(a[:, None], keep.shape)[keep] for a in state)
         else:
-            probs, ctx = model._advance(probs, ctx, yt, trans)
-        if not probs.any():
-            continue
-        if t + 1 == len(choices):
-            yield probs
-        else:  # popped in product order
-            stack += [(t + 1, probs, ctx, a) for a in reversed(choices[t + 1])]
+            probs, ctx = model._advance(probs[:, None], ctx[:, None], ys, trans)
+        rows = len(state[0]) * len(ys)
+        probs, ctx = probs.reshape(rows, -1), ctx.reshape(rows, -1)
+        live = (probs != 0).any(axis=1)
+        return probs[live], ctx[live]
+
+    for probs, _ in _walk(choices, len(model.x_alphabet), step,
+                          (init[None], np.arange(len(init))[None])):
+        yield probs
+
+
+def _markov_joints(
+    model: MarkovPairModel, choices: Sequence[Sequence[int]], exact: bool
+) -> Iterator[np.ndarray]:
+    """The rows of :func:`_markov_blocks`: P(x, y) over all x-strings, one
+    y-string at a time in product order; a fixed y-string is one block of
+    one row, walked with one step per depth."""
+    for block in _markov_blocks(model, choices, exact):
+        yield from block
 
 
 def _markov_flat_factor(joints: np.ndarray, exact: bool) -> tuple[float | Fraction, _Factor]:
@@ -1039,9 +1126,9 @@ def _markov_flat_factor(joints: np.ndarray, exact: bool) -> tuple[float | Fracti
 # Public reference-based (fixed y) queries
 
 
-def _route(model: Model, strings: int, method: str) -> str:
-    """The evaluation route of a query that enumerates ``strings`` strings:
-    ``|X|^n`` given y, ``(|X||Y|)^n`` averaged over y.
+def _route(model: Model, base: int, n: int, method: str) -> str:
+    """The evaluation route of a query that enumerates ``base ** n``
+    strings: ``|X|^n`` given y, ``(|X||Y|)^n`` averaged over y.
 
     ``auto`` prefers the brute-force oracle when they fit its guard,
     otherwise the type-class sweep; Markov models have only brute force.
@@ -1053,7 +1140,7 @@ def _route(model: Model, strings: int, method: str) -> str:
             raise ValueError("type-class evaluation needs a conditionally i.i.d. model")
         return "bruteforce"
     if method == "auto":
-        return "bruteforce" if strings <= BRUTEFORCE_GUARD else "typeclass"
+        return "bruteforce" if _fits(base, n, BRUTEFORCE_GUARD) else "typeclass"
     return method
 
 
@@ -1101,7 +1188,7 @@ _LAST_REF_LAW = _LastBuilt(lambda law: _one_chunk(law) or (
 
 def _ref_law(model: Model, y: SideInfoString, method: str, exact: bool) -> LengthLaw:
     """The law given ``y``; point queries of one (model, y) in a row share it."""
-    route = _route(model, len(model.x_alphabet) ** len(y), method)
+    route = _route(model, len(model.x_alphabet), len(y), method)
 
     def build() -> LengthLaw:
         if route == "bruteforce":
@@ -1162,10 +1249,10 @@ def _pair_laws(
     ``a`` at count ``c`` is built once and kept only until the last
     composition that uses it has been swept, so at most one per (a, c)
     is held, and none for two y-symbols, where no composition repeats
-    one.  The brute-force laws serve the float pair curves, the Markov pair
-    curves (one walk over y-prefixes) and :func:`check_general_converse`;
-    the exact brute-force pair curve of a conditionally i.i.d. model is
-    :func:`_bruteforce_pair_curve`, which builds none."""
+    one.  The brute-force laws serve the exact Markov pair curve (from
+    one walk over y-prefixes) and :func:`check_general_converse`; the
+    other brute-force pair curves build none (:func:`_float_pair_curve`,
+    :func:`_bruteforce_pair_curve`)."""
     ny = len(model.y_alphabet)
     if route == "typeclass":
         assert isinstance(model, CondIidModel)
@@ -1210,7 +1297,7 @@ def _pair_laws(
 
 
 def _check_pair_guard(model: Model, n: int) -> None:
-    if (len(model.x_alphabet) * len(model.y_alphabet)) ** n > BRUTEFORCE_GUARD:
+    if not _fits(len(model.x_alphabet) * len(model.y_alphabet), n, BRUTEFORCE_GUARD):
         raise GuardExceededError(
             f"pair brute force needs (|X||Y|)^n <= {BRUTEFORCE_GUARD}"
         )
@@ -1229,7 +1316,6 @@ def _bruteforce_pair_curve(model: CondIidModel, n: int, ranks: Sequence[int]) ->
     in int64 when the largest row sum to the ``n`` (a bound on every value
     and partial sum) fits, as Python integers otherwise.
     """
-    _check_pair_guard(model, n)
     p_y = model.require_p_y()
     d = math.lcm(*(p.denominator for p in p_y))
     l = math.lcm(*(q.denominator for row in model.p_x_given_y for q in row))
@@ -1260,10 +1346,87 @@ def _bruteforce_pair_curve(model: CondIidModel, n: int, ranks: Sequence[int]) ->
     return [Fraction(v, (d * l) ** n) for v in row] + [Fraction(0)] * (len(ranks) - len(cols))
 
 
+def _float_pair_rows(model: Model, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(P(y), log2 P(x|y))`` of every y-string of positive probability,
+    in product order, in blocks of :func:`_walk` with one row per y-string.
+
+    Each row takes the float operations of its own brute-force law: a
+    Markov row divides its joints by their sum, in ``log2`` with
+    ``math.log2`` of the sum; a conditionally i.i.d. row adds the
+    ``cond_log2`` rows of its y-symbols from the left, and multiplies its
+    weight the same way."""
+    ny, nx = len(model.y_alphabet), len(model.x_alphabet)
+    if isinstance(model, MarkovPairModel):
+        for joints in _markov_blocks(model, [range(ny)] * n, False):
+            total = joints.sum(axis=1)
+            log2_total = np.array([math.log2(t) for t in total.tolist()])
+            with np.errstate(divide="ignore"):
+                yield total, np.log2(joints) - log2_total[:, None]
+        return
+    p_y = np.array([float(p) for p in model.require_p_y()])
+    live = np.flatnonzero(p_y)
+    p_live, rows = p_y[live], model.cond_log2[live]
+
+    def step(t: int, state: tuple) -> tuple:
+        w, lp = state
+        return ((w[:, None] * p_live).ravel(),
+                (lp[:, None, :, None] + rows[:, None]).reshape(len(w) * len(live), -1))
+
+    yield from _walk([live] * n, nx, step, (np.ones(1), np.zeros((1, 1))))
+
+
+def _row_overflows(lp: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
+    """P[rank >= b] at each of the ascending ``ranks`` for each row of
+    ``lp``, the ``log2`` probabilities of one flat law per row.
+
+    Each row is ranked and merged as :meth:`LengthLaw._rank` ranks a flat
+    factor (:func:`_classes` along the rows), its class masses come from
+    one ``reduceat``, its suffix masses are summed from its own last
+    class, and each (row, rank) takes :func:`_excess_in_classes`, so every
+    float is the one that row's law gives."""
+    rows, width = lp.shape
+    _, lp, starts = _classes(lp)
+    lp = lp.ravel()
+    mass = np.add.reduceat(np.exp2(lp), starts)
+    # class c of the block is class local[c] of row row_of[c]
+    row_of = starts // width
+    local = np.arange(len(starts)) - np.searchsorted(starts, row_of * width)
+    # zeros pad each row past its last class, and 0.0 + m is m
+    suffix = np.zeros((rows, local.max() + 2))
+    suffix[row_of, local] = mass
+    suffix = suffix[:, ::-1].cumsum(axis=1)[:, ::-1]
+    lo = bisect_right(ranks, 1)
+    hi = bisect_right(ranks, width, lo)
+    out = np.zeros((rows, len(ranks)))
+    out[:, :lo] = suffix[:, :1]
+    # the class of rank b holds cell b - 1 of its row
+    cells = (np.arange(rows) * width)[:, None] + (np.array(ranks[lo:hi], dtype=np.int64) - 1)
+    c = np.searchsorted(starts, cells, side="right") - 1
+    ends = np.append(starts[1:], rows * width)
+    out[:, lo:hi] = np.reshape(_excess_in_classes(
+        suffix[row_of[c], local[c] + 1].ravel().tolist(), (ends[c] - cells).ravel().tolist(),
+        lp[starts[c]].ravel().tolist()), c.shape)
+    return out
+
+
+def _float_pair_curve(model: Model, n: int, ranks: Sequence[int]) -> list[float]:
+    """Float brute-force pair overflow at each of the ascending ``ranks``,
+    with no law: the rows of :func:`_float_pair_rows`, ranked by
+    :func:`_row_overflows` and weighted by P(y), added into the total in
+    y order, bit for bit the sum of the per-y-string laws' curves."""
+    total = np.zeros(len(ranks))
+    for w, lp in _float_pair_rows(model, n):
+        for row in w[:, None] * _row_overflows(lp, ranks):
+            total += row
+    return total.tolist()
+
+
 @lru_cache(maxsize=128)
 def _pair_curve_of_route(model: Model, n: int, route: str, exact: bool) -> tuple:
     ranks = [1 << k for k in range((len(model.x_alphabet) ** n).bit_length() + 1)]
-    if exact and route == "bruteforce" and isinstance(model, CondIidModel):
+    if route == "bruteforce" and not exact:
+        return tuple(_float_pair_curve(model, n, ranks))
+    if route == "bruteforce" and isinstance(model, CondIidModel):
         return tuple(_bruteforce_pair_curve(model, n, ranks))
     laws = _pair_laws(model, n, route, exact)
     if exact:
@@ -1299,10 +1462,25 @@ def _pair_curve(model: Model, n: int, method: str, exact: bool) -> tuple:
     Memoized per (model, n, route, track): models are frozen, so a
     sweep of per-k point queries costs one sweep.
     """
+    return _pair_curve_of_route(model, n, _pair_route(model, n, method), exact)
+
+
+def _pair_route(model: Model, n: int, method: str) -> str:
+    """The route of a pair query at blocklength ``n``, refused before
+    anything is built when it would exceed its guard: brute force
+    enumerates ``(|X||Y|)^n`` strings, and a type-class sweep builds one
+    law per y-composition and asks each for about ``n log2 |X|`` ranks,
+    integers of up to as many bits."""
     if n < 1:
         raise ValueError("blocklength must be >= 1")
-    strings = (len(model.x_alphabet) * len(model.y_alphabet)) ** n
-    return _pair_curve_of_route(model, n, _route(model, strings, method), exact)
+    ny = len(model.y_alphabet)
+    route = _route(model, len(model.x_alphabet) * ny, n, method)
+    if route == "bruteforce":
+        _check_pair_guard(model, n)
+    elif max(math.comb(n + ny - 1, ny - 1), n) * n > DEFAULT_CLASS_CAP:
+        raise GuardExceededError(
+            f"type-class pair sweep needs max(y-compositions, n) times n <= {DEFAULT_CLASS_CAP}")
+    return route
 
 
 def epsilon_star_pair(
@@ -1311,7 +1489,8 @@ def epsilon_star_pair(
     """Best overflow probability at k bits, averaged over y-strings.
 
     The type-class route sweeps y-compositions; the brute-force route
-    enumerates y-strings one by one and is the independent oracle.
+    enumerates every y-string, in numpy blocks, and is the independent
+    oracle.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -1352,15 +1531,17 @@ def epsilon_star_prefix(
     """
     if k < 1:
         raise ValueError("prefix overflow needs k >= 1")
-    if n < 1:
+    if y is None:
+        _pair_route(model, n, method)  # refuses n before |X|^n is built
+    elif n < 1:
         raise ValueError("blocklength must be >= 1")
+    elif len(y) != n:
+        raise ValueError("y-string length must equal n")
     # 2^(k-1) >= |X|^n, compared without shifting a huge k
     if k - 1 >= (len(model.x_alphabet) ** n - 1).bit_length():
         return Fraction(0) if exact else 0.0
     if y is None:
         return epsilon_star_pair(model, n, k - 1, method=method, exact=exact)
-    if len(y) != n:
-        raise ValueError("y-string length must equal n")
     return epsilon_star_ref(model, y, k - 1, method=method, exact=exact)
 
 

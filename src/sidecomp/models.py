@@ -340,10 +340,16 @@ class MarkovPairModel:
         """The forward step of every pair-context recursion: each state
         ``(probs, ctx)`` followed by each x-symbol under y-symbol ``y``,
         x fastest, as flat weights ``probs · table[ctx, s]`` (a float or
-        ``Fraction`` transition table) and their next contexts."""
-        s = self._pair_symbols[y]
-        rows = ctx[:, None]
-        return (probs[:, None] * table[rows, s]).ravel(), self._next_context[rows, s].ravel()
+        ``Fraction`` transition table) and their next contexts.
+
+        The states lie along the last axis of ``probs`` and ``ctx``; an
+        array ``y`` broadcasts against their leading axes, so one step
+        serves a block of y-prefixes."""
+        s = self._pair_symbols[y][..., None, :]
+        rows = ctx[..., None]
+        weights = probs[..., None] * table[rows, s]
+        shape = weights.shape[:-2] + (-1,)
+        return weights.reshape(shape), self._next_context[rows, s].reshape(shape)
 
     @cached_property
     def transition_f(self) -> np.ndarray:

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import resource
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +25,38 @@ settings.register_profile(
 settings.load_profile("suite")
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+
+# address space of a call_within child: a call that would fill the
+# machine's memory raises MemoryError there instead
+CHILD_MEMORY = 2 << 30
+
+
+def call_within(seconds: float, fn):
+    """``fn()`` in a forked child with ``seconds`` of time and
+    ``CHILD_MEMORY`` bytes of address space: ``("value", result)`` or
+    ``("raised", exception type, message)``, or None when the time ran
+    out.  So a call that never returns fails its test instead of hanging
+    the suite.  The child is forked, so ``fn`` may be a closure; the
+    suite starts no threads that a fork could catch holding a lock."""
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = CHILD_MEMORY if hard == resource.RLIM_INFINITY else min(CHILD_MEMORY, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            send.send(("value", fn()))
+        except BaseException as exc:
+            send.send(("raised", type(exc), str(exc)[:200]))
+
+    proc = ctx.Process(target=child, daemon=True)
+    proc.start()
+    try:
+        return receive.recv() if receive.poll(seconds) else None
+    finally:
+        proc.kill()
+        proc.join(seconds)
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import shutil
 import warnings
 
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidecomp import limits
+from sidecomp import bounds, limits
 from sidecomp.cli import _COMMANDS, build_parser, main
+from sidecomp.measures import measures
+from sidecomp.models import SideInfoString, load_model
 
-from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN
+from tests.conftest import MODELS_DIR, PERIODIC_CHAIN, REDUCIBLE_CHAIN, call_within
 
 FIG1 = str(MODELS_DIR / "fig1.json")
 MARKOV = str(MODELS_DIR / "markov2x2.json")
@@ -728,3 +731,96 @@ class TestHostileArgv:
             assert out.getvalue() == "" and not caught
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
             assert out_csv.read_bytes() == OUT_BEFORE.encode()
+
+
+# the public library calls, each on a model and one draw of LIBRARY_ARGS;
+# y is built inside the call, from a length and a pattern of y-indices
+def _y(m, a):
+    return SideInfoString(m.y_alphabet, tuple(
+        int(c) % len(m.y_alphabet) for c in (a["pattern"] * a["length"])[:a["length"]]))
+
+
+LIBRARY_CALLS = {
+    "length_law_typeclass": lambda m, a: limits.length_law_typeclass(m, _y(m, a), a["exact"]),
+    "length_law_bruteforce": lambda m, a: limits.length_law_bruteforce(m, _y(m, a), a["exact"]),
+    "epsilon_star_ref": lambda m, a: limits.epsilon_star_ref(
+        m, _y(m, a), a["k"], a["method"], a["exact"]),
+    "rate_star_ref": lambda m, a: limits.rate_star_ref(m, _y(m, a), a["eps"], a["method"]),
+    "epsilon_star_pair": lambda m, a: limits.epsilon_star_pair(
+        m, a["n"], a["k"], a["method"], a["exact"]),
+    "rate_star_pair": lambda m, a: limits.rate_star_pair(m, a["n"], a["eps"], a["method"]),
+    "epsilon_star_prefix": lambda m, a: limits.epsilon_star_prefix(
+        m, a["n"], a["k"], _y(m, a) if a["given_y"] else None, a["method"], a["exact"]),
+    "check_general_converse": lambda m, a: limits.check_general_converse(
+        m, a["k"], [a["tau"]], _y(m, a) if a["given_y"] else None, a["n"], a["exact"]),
+    "three_term_rate": lambda m, a: bounds.three_term_rate(
+        measures(m).h_xy, measures(m).sigma2, a["n"], a["eps"]),
+    "ref_converse": lambda m, a: bounds.ref_converse(m, _y(m, a), a["eps"]),
+    "ref_achievability": lambda m, a: bounds.ref_achievability(
+        m, _y(m, a), a["eps"], a["prefix"]),
+    "pair_achievability": lambda m, a: bounds.pair_achievability(
+        m, a["n"], a["eps"], a["prefix"]),
+    "pair_converse": lambda m, a: bounds.pair_converse(m, a["n"], a["eps"]),
+}
+LIBRARY_MODELS = ("deterministic", "fig1", "nogap", "skewed34", "uniform2")
+# hostile values next to ordinary ones; a y-string is at most 10^6 long
+LIBRARY_ARGS = st.fixed_dictionaries({
+    "n": st.sampled_from([-1, 0, 1, 2, 3, 10**6, 10**20]),
+    "length": st.sampled_from([0, 1, 2, 3, 10**6]),
+    "pattern": st.sampled_from(["0", "01", "001", "0123"]),
+    "k": st.sampled_from([-1, 0, 1, 3, 10**20]),
+    "eps": st.sampled_from([0.0, 1.0, -0.1, math.nan, math.inf, 1e-300, 1e-100,
+                            1 - 1e-16, 0.1, 0.5]),
+    "tau": st.sampled_from([1e300, math.inf, math.nan, -1.0, 0.1, 1.0, 2.5]),
+    "method": st.sampled_from(["auto", "bruteforce", "typeclass"]),
+    "exact": st.booleans(),
+    "given_y": st.booleans(),
+    "prefix": st.booleans(),
+})
+ORDINARY = {"n": 3, "length": 3, "pattern": "001", "k": 1, "eps": 0.1, "tau": 1.0,
+            "method": "auto", "exact": False, "given_y": False, "prefix": False}
+# each call may take this long in its own process
+LIBRARY_SECONDS = 10
+
+
+class TestHostileLibraryCalls:
+    @given(name=st.sampled_from(sorted(LIBRARY_CALLS)), model=st.sampled_from(LIBRARY_MODELS),
+           args=LIBRARY_ARGS)
+    @settings(max_examples=60)
+    # OverflowError from squaring a huge bracket
+    @example(name="pair_achievability", model="fig1", args={**ORDINARY, "n": 1, "eps": 1e-100})
+    # ZeroDivisionError at n = 0
+    @example(name="pair_achievability", model="fig1", args={**ORDINARY, "n": 0, "eps": 1e-300})
+    @example(name="pair_converse", model="fig1", args={**ORDINARY, "n": 0, "eps": 1e-300})
+    @example(name="three_term_rate", model="fig1", args={**ORDINARY, "n": 0, "eps": 1e-300})
+    # OverflowError from shifting by k + tau, and from a slack of inf
+    @example(name="check_general_converse", model="fig1",
+             args={**ORDINARY, "k": 0, "tau": 1e300, "given_y": True, "exact": True})
+    @example(name="check_general_converse", model="fig1",
+             args={**ORDINARY, "k": 0, "tau": math.inf, "given_y": True, "exact": True})
+    # AttributeError at n = -1
+    @example(name="rate_star_pair", model="fig1", args={**ORDINARY, "n": -1})
+    @example(name="epsilon_star_pair", model="fig1", args={**ORDINARY, "n": -1, "k": 1})
+    # p raised to the power 2^55, the denominator of the slack 0.1
+    @example(name="check_general_converse", model="fig1",
+             args={**ORDINARY, "tau": 0.1, "given_y": True, "exact": True})
+    # (|X||Y|)^n or |X|^n built at n = 10^20
+    @example(name="epsilon_star_pair", model="deterministic",
+             args={**ORDINARY, "n": 10**20, "method": "bruteforce"})
+    @example(name="epsilon_star_prefix", model="nogap", args={**ORDINARY, "n": 10**20})
+    @example(name="check_general_converse", model="skewed34", args={**ORDINARY, "n": 10**20})
+    # a sweep of 10^6 + 1 laws, and the exact counts of 10^6 positions
+    @example(name="rate_star_pair", model="fig1", args={**ORDINARY, "n": 10**6})
+    @example(name="rate_star_ref", model="uniform2",
+             args={**ORDINARY, "length": 10**6, "pattern": "0", "eps": 0.5})
+    def test_every_call_returns_or_raises_a_value_error(self, name, model, args):
+        m = load_model(MODELS_DIR / f"{model}.json")
+
+        def call():
+            LIBRARY_CALLS[name](m, args)
+
+        # every documented refusal is a ValueError: GuardExceededError,
+        # DegenerateModelError, and ValueError itself
+        got = call_within(LIBRARY_SECONDS, call)
+        assert got is not None, f"{name} did not return within {LIBRARY_SECONDS} s"
+        assert got[0] == "value" or issubclass(got[1], ValueError), got

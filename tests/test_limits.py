@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+from decimal import Decimal, localcontext
 import sys
 import threading
 import tracemalloc
@@ -38,7 +39,7 @@ from sidecomp.models import (
     model_from_dict,
 )
 
-from tests.conftest import MODELS_DIR, small_models, y_repeat
+from tests.conftest import MODELS_DIR, call_within, small_models, y_repeat
 
 
 def _markov_small(with_initial: bool):
@@ -188,9 +189,11 @@ class TestOracleEquivalence:
         n = 3
         got = epsilon_star_pair(m, n, 1, exact=exact)
         monkeypatch.undo()
-        # one forward step per y-prefix longer than the order gives every
-        # y-string its weight and its law
-        assert len(calls) == sum(2**i for i in range(m.order + 1, n + 1))
+        # all 8 y-strings fit in one block: one forward step per depth past
+        # the order, each for every y-prefix and y-symbol at once, gives
+        # every y-string its weight and its law
+        assert len(calls) == n - m.order
+        assert all(np.asarray(y).tolist() == [0, 1] for y in calls)
         want = 0.0
         for ys in product(range(2), repeat=n):
             y = SideInfoString(m.y_alphabet, ys)
@@ -351,6 +354,40 @@ def _assert_joints_match_per_y_string(model, n, exact):
             assert got.tobytes() == want.tobytes()
 
 
+def _assert_float_curve_is_per_y_string(model, n):
+    """The float brute-force pair curve, which ranks rows of y-strings in
+    blocks, equals the sum of the per-y-string laws' curves byte for byte."""
+    _pair_curve_of_route.cache_clear()
+    curve = _pair_curve_of_route(model, n, "bruteforce", False)
+    _pair_curve_of_route.cache_clear()
+    want = _summed_pair_curve(_per_y_string_pair_laws(model, n, False), n,
+                              len(model.x_alphabet), False)
+    assert [v.hex() for v in curve] == [v.hex() for v in want]
+
+
+def _chain(nx, ny, order, seed):
+    """A Markov pair chain with a rational initial law and rows with zeros."""
+    s = nx * ny
+    rows = [[(seed * (c + 3) * (j + 1)) % 5 for j in range(s)] for c in range(s**order)]
+    rows = [[1, *row[1:]] for row in rows]
+    init = [(seed + c) % 3 for c in range(s**order)]
+    return model_from_dict({
+        "kind": "markov_pair", "order": order,
+        "x_alphabet": [str(i) for i in range(nx)], "y_alphabet": [str(i) for i in range(ny)],
+        "transition": [[str(Fraction(w, sum(row))) for w in row] for row in rows],
+        "initial": [str(Fraction(w, sum(init))) for w in init],
+    })
+
+
+# an order-2 chain on 2 x 2 pair symbols, and one with a single y-symbol
+ORDER2 = _chain(2, 2, 2, 7)
+ONE_Y_CHAIN = _chain(2, 1, 1, 3)
+ONE_Y = model_from_dict({
+    "kind": "cond_iid", "x_alphabet": ["a", "b"], "y_alphabet": ["0"],
+    "p_x_given_y": [["1/3", "2/3"]], "p_y": ["1"],
+})
+
+
 class TestPairWalk:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("exact", [False, True])
@@ -360,7 +397,7 @@ class TestPairWalk:
         _assert_joints_match_per_y_string(m, n, exact)
 
     @given(small_markov_models(), st.data())
-    @settings(max_examples=40)
+    @settings(max_examples=40, derandomize=True)
     def test_random_markov_matches_per_y_string(self, model, data):
         n = data.draw(st.integers(model.order, model.order + 3))
         for exact in (False, True):
@@ -392,6 +429,58 @@ class TestPairWalk:
         # without it are yielded
         _assert_pair_walk_matches_per_y_string(DEAD_SYMBOL, 3, exact)
         assert len(list(limits._pair_laws(DEAD_SYMBOL, 3, "bruteforce", exact))) == 8
+
+    @pytest.mark.parametrize("model", [ONE_Y, ONE_Y_CHAIN], ids=["cond_iid", "markov"])
+    def test_float_rows_wider_than_a_block(self, model):
+        # one y-symbol: each block is one row, and at n = 13 that row holds
+        # 2^13 = 8192 > COUNT_CHUNK cells
+        assert 2**13 > COUNT_CHUNK
+        for n in (1, 2, 13):
+            blocks = [lp.shape for _, lp in limits._float_pair_rows(model, n)]
+            assert blocks == [(1, 2**n)]
+            _assert_float_curve_is_per_y_string(model, n)
+
+    def test_float_rows_of_a_dead_symbol(self):
+        # the y-strings holding y-symbol 1, of probability 0, get no row
+        for n in range(1, 5):
+            assert sum(len(w) for w, _ in limits._float_pair_rows(DEAD_SYMBOL, n)) == 2**n
+            _assert_float_curve_is_per_y_string(DEAD_SYMBOL, n)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_order_two_chain(self, n):
+        _assert_float_curve_is_per_y_string(ORDER2, n)
+        _assert_pair_walk_matches_per_y_string(ORDER2, n, True)
+        _assert_joints_match_per_y_string(ORDER2, n, True)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_float_curve_any_block_size(self, monkeypatch, chunk):
+        # smaller blocks move where the walk stops stepping prefixes alone;
+        # at chunk 1 every block is one row
+        monkeypatch.setattr(limits, "COUNT_CHUNK", chunk)
+        for model, n in ((DEAD_SYMBOL, 4), (PRIME_2X2, 7), (MARKOV2X2_INITIAL, 6), (ORDER2, 5)):
+            limit = max(chunk, len(model.x_alphabet) ** n)
+            assert all(lp.size <= limit for _, lp in limits._float_pair_rows(model, n))
+            _assert_float_curve_is_per_y_string(model, n)
+            if isinstance(model, MarkovPairModel):
+                _assert_pair_walk_matches_per_y_string(model, n, False)
+
+    def test_markov_walk_steps_each_prefix_once(self, corpus_models, monkeypatch):
+        # markov2x2 at n = 7: 2^7 y-strings of 2^7 cells are 4 blocks of
+        # 4096 cells, under the 4 y-prefixes of length 2.  The two prefixes
+        # of length 1 take one step each, and each block 5 steps, one per
+        # depth: 22 steps, where one per y-prefix past the order took 252
+        model, rows = corpus_models["markov2x2"], []
+        step = MarkovPairModel._advance
+
+        def counting(self, probs, ctx, y, table):
+            rows.append(len(probs))
+            return step(self, probs, ctx, y, table)
+
+        monkeypatch.setattr(MarkovPairModel, "_advance", counting)
+        blocks = list(limits._markov_blocks(model, [range(2)] * 7, False))
+        assert [b.shape for b in blocks] == [(32, 128)] * 4
+        # the rows of each step, depth first over the blocks
+        assert rows == ([1] + [1, 2, 4, 8, 16] * 2) * 2
 
     def test_exact_markov_pair_without_initial_law(self):
         m = _markov_small(with_initial=False)
@@ -543,6 +632,38 @@ class TestGeneralConverse:
         for t, want in ((10**20, False), (-10**20, True), (Fraction(3, 2), True),
                         (Fraction(8, 5), False), (-1, True), (1, True), (2, False)):
             assert limits._log2_at_least(Fraction(1, 3), Fraction(t)) is want
+
+    def test_exact_slack_with_a_large_denominator(self, fig1):
+        # 0.1 is 3602879701896397 / 2^55: each class is compared with
+        # 2^-(k + 0.1) without raising its probability to the power 2^55
+        y = y_repeat(fig1, "001", 3)
+        taus = [0.1, 0.3, 2.7]
+        got = call_within(20, lambda: check_general_converse(fig1, 1, taus, y=y, exact=True))
+        assert got is not None, "the exact converse check did not return within 20 s"
+        assert got[0] == "value", got
+        law = length_law_bruteforce(fig1, y, exact=True)
+        for tau, entry in zip(taus, got[1].entries):
+            # every class lies far from the threshold, so float logs decide it
+            logs = [-math.log2(p) - (1 + tau) for p in law.probs]
+            assert min(map(abs, logs)) > 1e-6
+            want = sum((p * c for p, c, g in zip(law.probs, law.counts, logs) if g >= 0),
+                       Fraction(0))
+            assert entry.info_tail == float(want)
+        assert got[1].ok
+
+    def test_log2_at_least_irrational_thresholds(self):
+        # p <= 2^-t with 2^t irrational, for rationals p ever closer to
+        # 2^-t, against the exact p^den · 2^num <= 1
+        for t in (Fraction(3, 2), Fraction(7, 5), Fraction(-11, 3)):
+            with localcontext() as ctx:
+                ctx.prec = 120
+                target = Fraction(Decimal(2) ** (-Decimal(t.numerator) / t.denominator))
+            for digits in range(1, 60, 3):
+                p = target.limit_denominator(10**digits)
+                step = Fraction(1, 10 ** (2 * digits + 5))
+                for q in (p - step, p, p + step):
+                    want = q**t.denominator * Fraction(2) ** t.numerator <= 1
+                    assert limits._log2_at_least(q, t) is want
 
     def test_float_track(self, fig1):
         y = y_repeat(fig1, "001", 6)
@@ -1174,6 +1295,13 @@ class TestGuards:
         _pair_curve_of_route.cache_clear()
         with pytest.raises(ValueError, match="^blocklength must be >= 1$"):
             query(fig1)
+
+    def test_type_class_pair_sweep_with_one_y_symbol(self):
+        # one y-composition, but 10^6 ranks of up to 10^6 bits each:
+        # refused before the rank list is built
+        got = call_within(20, lambda: epsilon_star_pair(ONE_Y, 10**6, 1, method="typeclass"))
+        assert got is not None and got[0] == "raised", got
+        assert got[1] is GuardExceededError and "max(y-compositions, n)" in got[2]
 
     def test_class_cap(self, fig1):
         with pytest.raises(GuardExceededError):

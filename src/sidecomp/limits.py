@@ -13,14 +13,13 @@ conditionally i.i.d. models one factor per y-symbol, whose cells are
 the type classes of the positions seeing that symbol; the brute-force
 builders enumerate strings into one flat factor, as independent oracles
 and the only exact route for Markov models.  Markov enumerations walk
-y-prefixes breadth first in bounded blocks, one
-``MarkovPairModel._advance`` (the forward step every pair-context
-recursion shares) per depth for all y-prefixes of a block.  The
-brute-force pair curves build no law, except the exact Markov one: the
-float curve ranks each y-string's ``log2 P(x|y)`` on its own row of a
-numpy block, with the float operations of that y-string's law, and the
-exact curve of a conditionally i.i.d. model sorts each y-string's integer
-conditional numerators in blocks and weights its overflows by P(y).
+y-prefixes breadth first in bounded blocks, exactly in integers over one
+denominator, one ``MarkovPairModel._advance`` (the forward step every
+pair-context recursion shares) per depth for all y-prefixes of a block.
+The brute-force pair curves build no law: the float curve ranks each
+y-string's ``log2 P(x|y)`` on its own row of a numpy block, with the
+float operations of that y-string's law, and the exact curve sorts each
+y-string's integer numerators on its own row of a numpy block.
 
 Two evaluation tracks coexist:
 
@@ -89,6 +88,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .measures import _y_marginal_log2
 from .models import CondIidModel, MarkovPairModel, Model, SideInfoString
 
 MERGE_TOL = 1e-12
@@ -178,6 +178,12 @@ def _flat_factor(lp: np.ndarray | None, nums: list[int] | None = None, den: int 
 def _outer(arrays: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
     """Flattened outer product of ``arrays`` under ``ufunc``, left to right."""
     return reduce(lambda a, b: ufunc.outer(a, b).ravel(), arrays)
+
+
+def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """A table of ``Fraction``s as integer numerators over their lcm, and that lcm."""
+    lcm = math.lcm(*(p.denominator for row in rows for p in row))
+    return [[p.numerator * (lcm // p.denominator) for p in row] for row in rows], lcm
 
 
 class _Chunk(NamedTuple):
@@ -912,8 +918,7 @@ def _symbol_factor(row: Sequence[Fraction], count: int, exact: bool) -> _Factor:
     """
     support = [p for p in row if p > 0]
     logs = [math.log2(float(p)) for p in support]
-    den = math.lcm(*(p.denominator for p in support))
-    scaled = [int(p * den) for p in support]
+    (scaled,), den = _numerators([support])
     if len(support) == 2:
         ks = np.arange(count + 1, dtype=np.float64)
         lp = ks * logs[1] + (count - ks) * logs[0]
@@ -997,10 +1002,8 @@ def _bruteforce_cond_iid_exact(
 ) -> tuple[list[int], int]:
     """Integer numerators of P(x|y) over a common denominator, in
     product order of x."""
-    lcms = [math.lcm(*(p.denominator for p in row)) for row in model.p_x_given_y]
-    rows = [np.array([int(p * d) for p in row], dtype=object)
-            for row, d in zip(model.p_x_given_y, lcms)]
-    nums = _outer([rows[yi] for yi in y.indices], np.multiply)
+    rows, lcms = zip(*(_numerators([row]) for row in model.p_x_given_y))
+    nums = _outer([np.array(rows[yi][0], dtype=object) for yi in y.indices], np.multiply)
     return nums.tolist(), math.prod(lcms[yi] for yi in y.indices)
 
 
@@ -1024,10 +1027,12 @@ def length_law_bruteforce(
         else:
             factor = _flat_factor(_outer([model.cond_log2[yi] for yi in y.indices], np.add))
     else:
-        joints = next(_markov_joints(model, [(yt,) for yt in y.indices], exact), None)
+        den, joints = next(_markov_blocks(model, [(yt,) for yt in y.indices], exact), (1, None))
+        if joints is None and not exact and _y_marginal_log2(model, y.indices) > -math.inf:
+            raise ValueError("P(y) underflows float64 in the enumeration; use exact=True")
         if joints is None:
             raise ValueError("side-information string has zero probability")
-        factor = _markov_flat_factor(joints, exact)[1]
+        factor = _markov_flat_factor(joints[0], den, exact)[1]
     return LengthLaw(len(y), [factor], exact)
 
 
@@ -1067,13 +1072,15 @@ def _walk(choices: Sequence[Sequence[int]], nx: int, step: Callable, root: tuple
 
 def _markov_blocks(
     model: MarkovPairModel, choices: Sequence[Sequence[int]], exact: bool
-) -> Iterator[np.ndarray]:
-    """P(x, y) (``Fraction``s on the exact track) in blocks of :func:`_walk`:
-    one row per y-string of positive probability with t-th symbol in
-    ``choices[t]``, over all x-strings in product order.  At a depth up to
-    the order a y-prefix keeps the initial law's contexts that match it;
-    past it, one ``_advance`` takes every y-prefix of a block at once."""
-    d = model.order
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(den, P(x, y)·den)`` in blocks of :func:`_walk`: one row per
+    y-string of positive probability with t-th symbol in ``choices[t]``,
+    over all x-strings in product order.  At a depth up to the order a
+    y-prefix keeps the initial law's contexts that match it; past it, one
+    ``_advance`` takes every y-prefix of a block at once.  Exact walks take
+    integers over the lcms ``L_init`` of the initial law and ``L`` of the
+    transitions, so ``den`` is ``L_init·L^(n−d)``; floats are over 1."""
+    d, den = model.order, 1
     if len(choices) < d:
         raise ValueError(f"need blocklength >= markov order {d}")
     if not exact:
@@ -1081,7 +1088,10 @@ def _markov_blocks(
     elif model.initial is None:
         raise ValueError("exact Markov enumeration needs an explicit rational initial law")
     else:
-        init, trans = (np.array(t, dtype=object) for t in (model.initial, model.transition))
+        (init,), den = _numerators([model.initial])
+        trans, lcm = _numerators(model.transition)
+        init, trans = np.array(init, object), np.array(trans, object)
+        den *= lcm ** (len(choices) - d)
 
     def step(t: int, state: tuple) -> tuple:
         probs, ctx = state
@@ -1098,25 +1108,14 @@ def _markov_blocks(
 
     for probs, _ in _walk(choices, len(model.x_alphabet), step,
                           (init[None], np.arange(len(init))[None])):
-        yield probs
+        yield den, probs
 
 
-def _markov_joints(
-    model: MarkovPairModel, choices: Sequence[Sequence[int]], exact: bool
-) -> Iterator[np.ndarray]:
-    """The rows of :func:`_markov_blocks`: P(x, y) over all x-strings, one
-    y-string at a time in product order; a fixed y-string is one block of
-    one row, walked with one step per depth."""
-    for block in _markov_blocks(model, choices, exact):
-        yield from block
-
-
-def _markov_flat_factor(joints: np.ndarray, exact: bool) -> tuple[float | Fraction, _Factor]:
-    """P(y) and the factor of P(x|y) from the joints P(x, y), y fixed, P(y) > 0."""
+def _markov_flat_factor(joints: np.ndarray, den: int, exact: bool) -> tuple[float | Fraction, _Factor]:
+    """P(y) and the factor of P(x|y) from the joints P(x, y) over ``den``, y fixed, P(y) > 0."""
     if exact:
-        lcm = math.lcm(*(p.denominator for p in joints))
-        nums = [p.numerator * (lcm // p.denominator) for p in joints]
-        return sum(joints), _flat_factor(None, nums, sum(nums))
+        nums = (joints // math.gcd(den, *joints.tolist())).tolist()
+        return Fraction(joints.sum(), den), _flat_factor(None, nums, sum(nums))
     total = joints.sum()
     with np.errstate(divide="ignore"):
         return float(total), _flat_factor(np.log2(joints) - math.log2(total))
@@ -1249,10 +1248,8 @@ def _pair_laws(
     ``a`` at count ``c`` is built once and kept only until the last
     composition that uses it has been swept, so at most one per (a, c)
     is held, and none for two y-symbols, where no composition repeats
-    one.  The brute-force laws serve the exact Markov pair curve (from
-    one walk over y-prefixes) and :func:`check_general_converse`; the
-    other brute-force pair curves build none (:func:`_float_pair_curve`,
-    :func:`_bruteforce_pair_curve`)."""
+    one.  The brute-force laws serve :func:`check_general_converse`; the
+    brute-force pair curves build none."""
     ny = len(model.y_alphabet)
     if route == "typeclass":
         assert isinstance(model, CondIidModel)
@@ -1285,9 +1282,10 @@ def _pair_laws(
         return
     _check_pair_guard(model, n)
     if isinstance(model, MarkovPairModel):  # one walk gives both P(y) and the law given y
-        for joints in _markov_joints(model, [range(ny)] * n, exact):
-            w, factor = _markov_flat_factor(joints, exact)
-            yield w, LengthLaw(n, [factor], exact)
+        for den, block in _markov_blocks(model, [range(ny)] * n, exact):
+            for joints in block:
+                w, factor = _markov_flat_factor(joints, den, exact)
+                yield w, LengthLaw(n, [factor], exact)
         return
     p_y = [p if exact else float(p) for p in model.require_p_y()]
     for ys in product(range(ny), repeat=n):
@@ -1303,47 +1301,53 @@ def _check_pair_guard(model: Model, n: int) -> None:
         )
 
 
-def _bruteforce_pair_curve(model: CondIidModel, n: int, ranks: Sequence[int]) -> list[Fraction]:
+def _bruteforce_pair_curve(model: Model, n: int, ranks: Sequence[int]) -> list[Fraction]:
     """Exact pair overflow at each of the ascending ``ranks``, by
     enumerating every y-string and every x-string, with no law.
 
-    At rank ``b <= |X|^n`` it is ``Σ_y pn(y)·S_y(b) / (D·L)^n``, ``D`` and
-    ``L`` the lcms of the ``p_y`` and of the row denominators: ``pn(y)`` is
-    y's ``p_y`` numerator over ``D^n``, ``S_y(b)`` the sum of the
-    ``|X|^n - b + 1`` smallest numerators ``v(x|y)`` over ``L^n``.  A block
-    is a y-head times every y-tail, one row of ``v(x|y)`` per y-string and
-    at most ``max(COUNT_CHUNK, |X|^n)`` cells; rows are sorted and summed
-    in int64 when the largest row sum to the ``n`` (a bound on every value
-    and partial sum) fits, as Python integers otherwise.
-    """
-    p_y = model.require_p_y()
-    d = math.lcm(*(p.denominator for p in p_y))
-    l = math.lcm(*(q.denominator for row in model.p_x_given_y for q in row))
-    live = [a for a, p in enumerate(p_y) if p]
-    qn = [[q.numerator * (l // q.denominator) for q in model.p_x_given_y[a]] for a in live]
-    qn = np.array(qn, np.int64 if max(map(sum, qn)) ** n < 1 << 63 else object)
-    pn = [p_y[a].numerator * (d // p_y[a].denominator) for a in live]
-    ny, strings = len(live), qn.shape[1] ** n
+    Each y-string of positive probability is a row of integers ``v(x, y)``
+    of weight ``w(y)``, P(x, y) being ``w(y)·v(x, y) / den``: at rank
+    ``b <= |X|^n`` the overflow is ``Σ_y w(y)·S_y(b) / den``, ``S_y(b)``
+    the sum of the ``|X|^n - b + 1`` smallest ``v(x, y)``.  Markov rows are
+    the joints of :func:`_markov_blocks`, of weight 1.  A conditionally
+    i.i.d. block is a y-head times every y-tail, at most
+    ``max(COUNT_CHUNK, |X|^n)`` cells of ``v(x|y)`` (int64 when the largest
+    row sum to the ``n``, a bound on every value and partial sum, fits)
+    weighted by ``p_y``, each over its lcm to the ``n``."""
+    strings = len(model.x_alphabet) ** n
     cols = [strings - b for b in ranks if b <= strings]
-    r = next(r for r in range(n, -1, -1) if ny**r * strings <= max(COUNT_CHUNK, strings))
-    one = np.ones((), qn.dtype)
-    tail_ys = list(product(range(ny), repeat=r))    # one row per y-tail, in product order
-    tails = np.array([reduce(np.multiply.outer, (qn[a] for a in t), one).ravel() for t in tail_ys])
-    tail_pn = np.array([math.prod(pn[a] for a in t) for t in tail_ys], object)
-    row = np.zeros(len(cols), object)
-    for head in product(range(ny), repeat=n - r):
-        heads = reduce(np.multiply.outer, (qn[a] for a in head), one)
-        block = np.multiply.outer(tails, heads).reshape(len(tails), -1)
-        if qn.dtype == object:  # float keys presort each row, so the exact sort is about one pass
-            keys = np.multiply.outer(np.asarray(tails / l**r, float),
-                                     np.asarray(heads / l ** (n - r), float)).reshape(block.shape)
-            rows = np.take_along_axis(block, np.argsort(keys), 1).tolist()
+    total = np.zeros(len(cols), object)
+
+    def add(w: np.ndarray, block: np.ndarray, keys: Callable) -> None:
+        if block.dtype == object:  # float keys presort each row, so the exact sort is about one pass
+            rows = np.take_along_axis(block, np.argsort(keys().reshape(block.shape)), 1).tolist()
             sums = [list(accumulate(sorted(v))) for v in rows]
             sums = np.array([[s[c] for c in cols] for s in sums], object)
         else:
             sums = np.cumsum(np.sort(block), axis=1)[:, cols]
-        row += math.prod(pn[a] for a in head) * (tail_pn @ sums)
-    return [Fraction(v, (d * l) ** n) for v in row] + [Fraction(0)] * (len(ranks) - len(cols))
+        total[:] += w @ sums
+
+    if isinstance(model, MarkovPairModel):
+        for den, v in _markov_blocks(model, [range(len(model.y_alphabet))] * n, True):
+            add(np.ones(len(v), object), v, lambda: (v / den).astype(float))
+    else:
+        live = [a for a, p in enumerate(model.require_p_y()) if p]
+        (pn,), d = _numerators([[model.p_y[a] for a in live]])
+        qn, l = _numerators(model.p_x_given_y)
+        qn = [qn[a] for a in live]
+        qn = np.array(qn, np.int64 if max(map(sum, qn)) ** n < 1 << 63 else object)
+        ny, den = len(live), (d * l) ** n
+        r = next(r for r in range(n, -1, -1) if ny**r * strings <= max(COUNT_CHUNK, strings))
+        one = np.ones((), qn.dtype)
+        tail_ys = list(product(range(ny), repeat=r))    # one row per y-tail, in product order
+        tails = np.array([reduce(np.multiply.outer, (qn[a] for a in t), one).ravel() for t in tail_ys])
+        tail_pn = np.array([math.prod(pn[a] for a in t) for t in tail_ys], object)
+        for head in product(range(ny), repeat=n - r):
+            heads = reduce(np.multiply.outer, (qn[a] for a in head), one)
+            block = np.multiply.outer(tails, heads).reshape(len(tails), -1)
+            add(math.prod(pn[a] for a in head) * tail_pn, block, lambda: np.multiply.outer(
+                np.asarray(tails / l**r, float), np.asarray(heads / l ** (n - r), float)))
+    return [Fraction(t, den) for t in total] + [Fraction(0)] * (len(ranks) - len(cols))
 
 
 def _float_pair_rows(model: Model, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -1357,7 +1361,7 @@ def _float_pair_rows(model: Model, n: int) -> Iterator[tuple[np.ndarray, np.ndar
     weight the same way."""
     ny, nx = len(model.y_alphabet), len(model.x_alphabet)
     if isinstance(model, MarkovPairModel):
-        for joints in _markov_blocks(model, [range(ny)] * n, False):
+        for _, joints in _markov_blocks(model, [range(ny)] * n, False):
             total = joints.sum(axis=1)
             log2_total = np.array([math.log2(t) for t in total.tolist()])
             with np.errstate(divide="ignore"):
@@ -1424,10 +1428,8 @@ def _float_pair_curve(model: Model, n: int, ranks: Sequence[int]) -> list[float]
 @lru_cache(maxsize=128)
 def _pair_curve_of_route(model: Model, n: int, route: str, exact: bool) -> tuple:
     ranks = [1 << k for k in range((len(model.x_alphabet) ** n).bit_length() + 1)]
-    if route == "bruteforce" and not exact:
-        return tuple(_float_pair_curve(model, n, ranks))
-    if route == "bruteforce" and isinstance(model, CondIidModel):
-        return tuple(_bruteforce_pair_curve(model, n, ranks))
+    if route == "bruteforce":
+        return tuple((_bruteforce_pair_curve if exact else _float_pair_curve)(model, n, ranks))
     laws = _pair_laws(model, n, route, exact)
     if exact:
         return tuple(_weighted_sum(laws, ranks))
@@ -1444,8 +1446,8 @@ def _weighted_sum(
     ascending ``ranks``.  Each law's overflow numerators ``N`` are over
     its denominator ``den``; with ``w / den = p / q`` the sum keeps one
     integer row of ``p · N`` per distinct ``q``, and one ``Fraction``
-    per row and rank at the end.  It sums the exact type-class and
-    Markov pair curves and the exact pair converse."""
+    per row and rank at the end.  It sums the exact type-class pair
+    curve and the exact pair converse."""
     rows: dict[int, list[int]] = {}
     for w, law in laws:
         scale = Fraction(w) / law._den

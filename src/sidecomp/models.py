@@ -339,8 +339,8 @@ class MarkovPairModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The forward step of every pair-context recursion: each state
         ``(probs, ctx)`` followed by each x-symbol under y-symbol ``y``,
-        x fastest, as flat weights ``probs · table[ctx, s]`` (a float or
-        ``Fraction`` transition table) and their next contexts.
+        x fastest, as flat weights ``probs · table[ctx, s]`` (a float
+        transition table, or its integer numerators) and their next contexts.
 
         The states lie along the last axis of ``probs`` and ``ctx``; an
         array ``y`` broadcasts against their leading axes, so one step

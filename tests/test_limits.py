@@ -252,12 +252,42 @@ class TestMarkovForwardKernel:
             assert abs(float(ex) - epsilon_star_ref(model, y, k)) <= 1e-12
 
 
+# |X| = 1: P(y) of y = 0101... is about 2^-1162.6 at length 900, below
+# the smallest float64, and about 2^-904 at length 700
+UNDERFLOW_DOC = {
+    "kind": "markov_pair", "order": 1, "x_alphabet": ["0"], "y_alphabet": ["0", "1"],
+    "transition": [["1/2", "1/2"], ["1/3", "2/3"]], "initial": ["1/2", "1/2"],
+}
+UNDERFLOW_CHAIN = model_from_dict(UNDERFLOW_DOC)
+
+
+class TestUnderflow:
+    @pytest.mark.parametrize("n, exact", [(700, False), (900, True)])
+    def test_law_answers(self, n, exact):
+        law = length_law_bruteforce(UNDERFLOW_CHAIN, y_repeat(UNDERFLOW_CHAIN, "01", n), exact=exact)
+        assert law.num_strings == 1 and law.epsilon_star(0) == 1.0
+
+    def test_float_law_names_the_underflow(self):
+        y = y_repeat(UNDERFLOW_CHAIN, "01", 900)
+        assert _y_marginal_log2(UNDERFLOW_CHAIN, y.indices) < -1074
+        with pytest.raises(ValueError, match="^P\\(y\\) underflows float64.*exact=True$"):
+            length_law_bruteforce(UNDERFLOW_CHAIN, y)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_zero_probability_keeps_its_message(self, exact):
+        m = model_from_dict({**UNDERFLOW_DOC, "initial": ["1", "0"]})
+        y = y_repeat(m, "10", 900)
+        with pytest.raises(ValueError, match="^side-information string has zero probability$"):
+            length_law_bruteforce(m, y, exact=exact)
+
+
 def _string_joints(model, ys, exact):
     """P(x, y) over all x-strings in product order, y fixed: the y-prefix
     walk along ``ys`` alone, all zero (in the track's own type) when
     P(y) = 0."""
-    zero = np.full(len(model.x_alphabet) ** len(ys), Fraction(0) if exact else 0.0)
-    return next(limits._markov_joints(model, [(yt,) for yt in ys], exact), zero)
+    zero = np.zeros((1, len(model.x_alphabet) ** len(ys)), object if exact else float)
+    den, block = next(limits._markov_blocks(model, [(yt,) for yt in ys], exact), (1, zero))
+    return np.array([Fraction(v, den) for v in block[0].tolist()]) if exact else block[0]
 
 
 def _per_y_string_joints(model, ys, exact):
@@ -290,7 +320,12 @@ def _per_y_string_pair_laws(model, n, exact):
             joints = _per_y_string_joints(model, ys, exact)
             if not joints.any():
                 continue
-            w, factor = limits._markov_flat_factor(joints, exact)
+            if exact:  # numerators over the lcm of the joints' denominators
+                lcm = math.lcm(*(p.denominator for p in joints))
+                nums = [p.numerator * (lcm // p.denominator) for p in joints]
+                w, factor = sum(joints), limits._flat_factor(None, nums, sum(nums))
+            else:
+                w, factor = limits._markov_flat_factor(joints, 1, False)
         else:
             w = math.prod(p_y[yi] for yi in ys)
             if w == 0:
@@ -341,17 +376,31 @@ def _assert_pair_walk_matches_per_y_string(model, n, exact):
 
 def _assert_joints_match_per_y_string(model, n, exact):
     """The fixed-y joints are the walk along one y-string, bit for bit;
-    all zero where P(y) = 0, in the track's own type."""
+    all zero where P(y) = 0, in the track's own type.  The rows of the
+    walk over every y-string are the joints of those of positive
+    probability, in product order; exact rows hold integers only."""
+    positive = []
     for ys in product(range(len(model.y_alphabet)), repeat=n):
         got = _string_joints(model, ys, exact)
         want = _per_y_string_joints(model, ys, exact)
         assert got.dtype == want.dtype and list(map(type, got)) == list(map(type, want))
         if not want.any():
             assert not got.any() and len(got) == len(want)
-        elif exact:
+            continue
+        positive.append(want)
+        if exact:
             assert got.tolist() == want.tolist()
         else:
             assert got.tobytes() == want.tobytes()
+    walk = [(den, row) for den, block in
+            limits._markov_blocks(model, [range(len(model.y_alphabet))] * n, exact) for row in block]
+    assert len(walk) == len(positive)
+    for (den, got), want in zip(walk, positive):
+        if exact:
+            assert all(type(v) in (int, np.int64) for v in got)
+            assert [Fraction(v, den) for v in got.tolist()] == want.tolist()
+        else:
+            assert den == 1 and got.tobytes() == want.tobytes()
 
 
 def _assert_float_curve_is_per_y_string(model, n):
@@ -378,6 +427,16 @@ def _chain(nx, ny, order, seed):
         "initial": [str(Fraction(w, sum(init))) for w in init],
     })
 
+
+# a 2 x 2 chain whose every denominator is the prime 1000003 = Q: its
+# exact joints at n are over Q^n, past 2^63 from n = 4
+Q = 1000003
+PRIME_CHAIN = model_from_dict({
+    "kind": "markov_pair", "order": 1, "x_alphabet": ["0", "1"], "y_alphabet": ["0", "1"],
+    "transition": [[f"{w}/{Q}" for w in row] for row in (
+        (1, 2, 3, Q - 6), (Q - 10, 4, 5, 1), (7, Q - 15, 1, 7), (250000, 250001, 250001, Q - 750002))],
+    "initial": [f"{w}/{Q}" for w in (Q - 9, 2, 3, 4)],
+})
 
 # an order-2 chain on 2 x 2 pair symbols, and one with a single y-symbol
 ORDER2 = _chain(2, 2, 2, 7)
@@ -478,9 +537,14 @@ class TestPairWalk:
 
         monkeypatch.setattr(MarkovPairModel, "_advance", counting)
         blocks = list(limits._markov_blocks(model, [range(2)] * 7, False))
-        assert [b.shape for b in blocks] == [(32, 128)] * 4
+        assert [b.shape for _, b in blocks] == [(32, 128)] * 4
         # the rows of each step, depth first over the blocks
         assert rows == ([1] + [1, 2, 4, 8, 16] * 2) * 2
+
+    def test_exact_markov_pair_past_2_63(self):
+        assert Q**3 < 1 << 63 <= Q**4
+        assert next(limits._markov_blocks(PRIME_CHAIN, [range(2)] * 4, True))[0] == Q**4
+        _assert_pair_walk_matches_per_y_string(PRIME_CHAIN, 4, True)
 
     def test_exact_markov_pair_without_initial_law(self):
         m = _markov_small(with_initial=False)
@@ -794,8 +858,8 @@ class TestOnePassCurve:
             calls.clear()
             constructed.clear()
             limits._pair_curve(model, n, route, exact=True)
-            if route == "bruteforce" and isinstance(model, CondIidModel):
-                # the brute-force block sweep builds no law at all
+            if route == "bruteforce":
+                # the brute-force block sweeps build no law at all
                 assert not calls and not constructed
                 continue
             assert built

@@ -262,8 +262,8 @@ class TestContextTables:
         assert _y_marginal_log2(model, y, x) == math.log2(init[own])
         assert 2.0 ** _y_marginal_log2(model, y) == pytest.approx(
             math.fsum(init[heads]), rel=1e-12)
-        walk = limits._markov_joints(model, [(b,) for b in y], True)
-        assert next(walk).tolist() == [model.initial[c] for c in heads]
+        den, block = next(limits._markov_blocks(model, [(b,) for b in y], True))
+        assert [Fraction(v, den) for v in block[0].tolist()] == [model.initial[c] for c in heads]
 
 
 class TestDerivedYChain:

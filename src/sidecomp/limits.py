@@ -11,15 +11,12 @@ probability with exact string counts.
 Every law is held in product form (:class:`LengthLaw`): for
 conditionally i.i.d. models one factor per y-symbol, whose cells are
 the type classes of the positions seeing that symbol; the brute-force
-builders enumerate strings into one flat factor, as independent oracles
-and the only exact route for Markov models.  Markov enumerations walk
-y-prefixes breadth first in bounded blocks, exactly in integers over one
-denominator, one ``MarkovPairModel._advance`` (the forward step every
-pair-context recursion shares) per depth for all y-prefixes of a block.
-The brute-force pair curves build no law: the float curve ranks each
-y-string's ``log2 P(x|y)`` on its own row of a numpy block, with the
-float operations of that y-string's law, and the exact curve sorts each
-y-string's integer numerators on its own row of a numpy block.
+builder enumerates the strings given one y-string into one flat factor,
+an independent oracle and the only exact route for Markov models.
+Markov enumerations walk y-prefixes breadth first in bounded blocks,
+exactly in integers over one denominator, one ``MarkovPairModel._advance``
+(the forward step every pair-context recursion shares) per depth for all
+y-prefixes of a block.
 
 Two evaluation tracks coexist:
 
@@ -32,16 +29,17 @@ Two evaluation tracks coexist:
   ranks by integer numerators alone; an exact law builds its float
   ``log2p`` and suffix masses only when one is read.
 
-A pair curve asks each law for its overflow at every rank ``2^k`` in
-one monotone pass with one step per count chunk, and sums the weighted
-curves: on the float track with one numpy multiply-add per law, on the
-exact track in integers, one row per distinct denominator of weight
-over law.  A rank needs no dominance count to find its chunk when it
-lies within the next chunk's class count of the last chunk produced,
-or past every chunk but the last.
+The type-class pair curve asks each law of its sweep for its overflow
+at every rank ``2^k`` in one monotone pass, one step per count chunk
+(found with no dominance count when it lies within the next chunk's
+class count of the last chunk produced, or past every chunk but the
+last).  The brute-force pair queries, curves and converse check alike,
+build no law: each y-string is one row of a numpy block, whose
+``log2 P(x|y)`` is ranked with the float operations of its own law, or
+whose integer numerators are sorted.
 
 A law ranks its cells only when a query reads the ranking: the pair
-curves, ``info_tail``, ``counts``/``probs`` and the exact track.  The
+curve, ``info_tail``, ``counts``/``probs`` and the exact track.  The
 float point queries of a fixed y-string (``rate_star_ref``,
 ``epsilon_star_ref``) on a law of more than ``COUNT_CHUNK`` cells
 answer from a level window instead: a float bisection of a ``log2p``
@@ -710,23 +708,16 @@ class LengthLaw:
                                       log2p[first:][at].tolist())
         return out + [0 if exact else 0.0] * (len(ranks) - hi)
 
-    def _rank_at_bits(self, k: int) -> int:
-        """The rank ``2^k``, capped past ``num_strings``: every rank there
-        has overflow 0, so a huge k builds no huge integer."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return 1 << min(k, self.num_strings.bit_length())
-
     def epsilon_star(self, k: int) -> float:
         """Overflow probability of the optimal code at k bits."""
-        return self.excess_at_rank(self._rank_at_bits(k))
+        return self.excess_at_rank(_rank_at_bits(k, self.num_strings))
 
     def epsilon_star_window(self, k: int) -> float:
         """:meth:`epsilon_star` without the ranking."""
-        return self.excess_at_rank_window(self._rank_at_bits(k))
+        return self.excess_at_rank_window(_rank_at_bits(k, self.num_strings))
 
     def epsilon_star_exact(self, k: int) -> Fraction:
-        return self.excess_at_rank_exact(self._rank_at_bits(k))
+        return self.excess_at_rank_exact(_rank_at_bits(k, self.num_strings))
 
     def info_tail(self, threshold: float) -> float:
         """P[-log2 P(string) >= threshold]; zero-probability strings carry no mass."""
@@ -776,6 +767,14 @@ class LengthLaw:
             eps_at_k=excess(1 << k),
             eps_at_k_plus_1=excess(2 << k),
         )
+
+
+def _rank_at_bits(k: int, strings: int) -> int:
+    """The rank ``2^k``, capped past ``strings``: every rank there has
+    overflow 0, so a huge k builds no huge integer."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return 1 << min(k, strings.bit_length())
 
 
 def _classes(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1032,7 +1031,7 @@ def length_law_bruteforce(
             raise ValueError("P(y) underflows float64 in the enumeration; use exact=True")
         if joints is None:
             raise ValueError("side-information string has zero probability")
-        factor = _markov_flat_factor(joints[0], den, exact)[1]
+        factor = _markov_flat_factor(joints[0], den, exact)
     return LengthLaw(len(y), [factor], exact)
 
 
@@ -1111,14 +1110,13 @@ def _markov_blocks(
         yield den, probs
 
 
-def _markov_flat_factor(joints: np.ndarray, den: int, exact: bool) -> tuple[float | Fraction, _Factor]:
-    """P(y) and the factor of P(x|y) from the joints P(x, y) over ``den``, y fixed, P(y) > 0."""
+def _markov_flat_factor(joints: np.ndarray, den: int, exact: bool) -> _Factor:
+    """The factor of P(x|y) from the joints P(x, y) over ``den``, y fixed, P(y) > 0."""
     if exact:
         nums = (joints // math.gcd(den, *joints.tolist())).tolist()
-        return Fraction(joints.sum(), den), _flat_factor(None, nums, sum(nums))
-    total = joints.sum()
+        return _flat_factor(None, nums, sum(nums))
     with np.errstate(divide="ignore"):
-        return float(total), _flat_factor(np.log2(joints) - math.log2(total))
+        return _flat_factor(np.log2(joints) - math.log2(joints.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -1239,115 +1237,120 @@ def _composition_weight(
 
 
 def _pair_laws(
-    model: Model, n: int, route: str, exact: bool
+    model: CondIidModel, n: int, exact: bool
 ) -> Iterator[tuple[float | Fraction, LengthLaw]]:
-    """(weight, law) over y-compositions (type class) or y-strings (brute
-    force); the overflow given y depends on y only through its composition.
-
-    The type-class laws share their factors: the factor of y-symbol
-    ``a`` at count ``c`` is built once and kept only until the last
-    composition that uses it has been swept, so at most one per (a, c)
-    is held, and none for two y-symbols, where no composition repeats
-    one.  The brute-force laws serve :func:`check_general_converse`; the
-    brute-force pair curves build none."""
+    """(weight, law) of the type-class sweep over y-compositions; the
+    overflow given y depends on y only through its composition.  The laws
+    share their factors: the factor of y-symbol ``a`` at count ``c`` is
+    built once and kept only until the last composition that uses it has
+    been swept, so at most one per (a, c) is held, and none for two
+    y-symbols, where no composition repeats one."""
     ny = len(model.y_alphabet)
-    if route == "typeclass":
-        assert isinstance(model, CondIidModel)
-        p_y, rows = model.require_p_y(), model.p_x_given_y
-        shared: dict[tuple[int, int], _Factor] = {}
-        left: dict[tuple[int, int], int] = {}
+    p_y, rows = model.require_p_y(), model.p_x_given_y
+    shared: dict[tuple[int, int], _Factor] = {}
+    left: dict[tuple[int, int], int] = {}
 
-        def uses(c: int) -> int:
-            """Compositions of the sweep in which one y-symbol occurs c times."""
-            return 1 if ny == 1 else math.comb(n - c + ny - 2, ny - 2)
+    def uses(c: int) -> int:
+        """Compositions of the sweep in which one y-symbol occurs c times."""
+        return 1 if ny == 1 else math.comb(n - c + ny - 2, ny - 2)
 
-        def factor(a: int, c: int) -> _Factor:
-            f = shared.get((a, c))
-            if f is None:
-                f = _symbol_factor(rows[a], c, exact)
-                if uses(c) > 1:
-                    shared[a, c] = f
-            return f
+    def factor(a: int, c: int) -> _Factor:
+        f = shared.get((a, c))
+        if f is None:
+            f = _symbol_factor(rows[a], c, exact)
+            if uses(c) > 1:
+                shared[a, c] = f
+        return f
 
-        for comp in _compositions(n, ny):
-            w = _composition_weight(p_y, comp, exact)
-            if w != 0:
-                yield w, _typeclass_law(model, comp, exact, factor, DEFAULT_CLASS_CAP)
-            # drop a factor after the last composition that holds it
-            for key in ((a, c) for a, c in enumerate(comp) if c):
-                left[key] = left.get(key, uses(key[1])) - 1
-                if not left[key]:
-                    del left[key]
-                    shared.pop(key, None)
-        return
-    _check_pair_guard(model, n)
-    if isinstance(model, MarkovPairModel):  # one walk gives both P(y) and the law given y
-        for den, block in _markov_blocks(model, [range(ny)] * n, exact):
-            for joints in block:
-                w, factor = _markov_flat_factor(joints, den, exact)
-                yield w, LengthLaw(n, [factor], exact)
-        return
-    p_y = [p if exact else float(p) for p in model.require_p_y()]
-    for ys in product(range(ny), repeat=n):
-        w = math.prod(p_y[yi] for yi in ys)
+    for comp in _compositions(n, ny):
+        w = _composition_weight(p_y, comp, exact)
         if w != 0:
-            yield w, length_law_bruteforce(model, SideInfoString(model.y_alphabet, ys), exact=exact)
+            yield w, _typeclass_law(model, comp, exact, factor, DEFAULT_CLASS_CAP)
+        # drop a factor after the last composition that holds it
+        for key in ((a, c) for a, c in enumerate(comp) if c):
+            left[key] = left.get(key, uses(key[1])) - 1
+            if not left[key]:
+                del left[key]
+                shared.pop(key, None)
 
 
-def _check_pair_guard(model: Model, n: int) -> None:
-    if not _fits(len(model.x_alphabet) * len(model.y_alphabet), n, BRUTEFORCE_GUARD):
-        raise GuardExceededError(
-            f"pair brute force needs (|X||Y|)^n <= {BRUTEFORCE_GUARD}"
-        )
+def _exact_pair_rows(model: Model, n: int) -> Iterator[tuple]:
+    """``(den, w, rows, given)`` per block: each y-string of positive
+    probability, in product order, is one ascending row of integers
+    ``v(x, y)`` of weight ``w(y)``, P(x, y) being ``w(y)·v(x, y) / den``
+    and P(x|y) ``v(x, y) / given`` (over the row's sum if ``given`` is None).
 
+    Markov rows are the joints of :func:`_markov_blocks`, of weight 1.  A
+    conditionally i.i.d. block is a y-head times every y-tail, at most
+    ``max(COUNT_CHUNK, |X|^n)`` cells of ``v(x|y)`` weighted by ``p_y``,
+    each over its lcm to the ``n`` and not renormalized: an int64 array when
+    the largest row sum to the ``n`` (which bounds every partial sum) fits,
+    else lists of ints, each presorted by float keys so the exact sort is
+    about one pass."""
 
-def _bruteforce_pair_curve(model: Model, n: int, ranks: Sequence[int]) -> list[Fraction]:
-    """Exact pair overflow at each of the ascending ``ranks``, by
-    enumerating every y-string and every x-string, with no law.
-
-    Each y-string of positive probability is a row of integers ``v(x, y)``
-    of weight ``w(y)``, P(x, y) being ``w(y)·v(x, y) / den``: at rank
-    ``b <= |X|^n`` the overflow is ``Σ_y w(y)·S_y(b) / den``, ``S_y(b)``
-    the sum of the ``|X|^n - b + 1`` smallest ``v(x, y)``.  Markov rows are
-    the joints of :func:`_markov_blocks`, of weight 1.  A conditionally
-    i.i.d. block is a y-head times every y-tail, at most
-    ``max(COUNT_CHUNK, |X|^n)`` cells of ``v(x|y)`` (int64 when the largest
-    row sum to the ``n``, a bound on every value and partial sum, fits)
-    weighted by ``p_y``, each over its lcm to the ``n``."""
-    strings = len(model.x_alphabet) ** n
-    cols = [strings - b for b in ranks if b <= strings]
-    total = np.zeros(len(cols), object)
-
-    def add(w: np.ndarray, block: np.ndarray, keys: Callable) -> None:
-        if block.dtype == object:  # float keys presort each row, so the exact sort is about one pass
+    def ascending(block: np.ndarray, keys: Callable) -> Sequence:
+        if block.dtype == object:
             rows = np.take_along_axis(block, np.argsort(keys().reshape(block.shape)), 1).tolist()
-            sums = [list(accumulate(sorted(v))) for v in rows]
-            sums = np.array([[s[c] for c in cols] for s in sums], object)
-        else:
-            sums = np.cumsum(np.sort(block), axis=1)[:, cols]
-        total[:] += w @ sums
+            return [sorted(v) for v in rows]
+        return np.sort(block)
 
     if isinstance(model, MarkovPairModel):
         for den, v in _markov_blocks(model, [range(len(model.y_alphabet))] * n, True):
-            add(np.ones(len(v), object), v, lambda: (v / den).astype(float))
-    else:
-        live = [a for a, p in enumerate(model.require_p_y()) if p]
-        (pn,), d = _numerators([[model.p_y[a] for a in live]])
-        qn, l = _numerators(model.p_x_given_y)
-        qn = [qn[a] for a in live]
-        qn = np.array(qn, np.int64 if max(map(sum, qn)) ** n < 1 << 63 else object)
-        ny, den = len(live), (d * l) ** n
-        r = next(r for r in range(n, -1, -1) if ny**r * strings <= max(COUNT_CHUNK, strings))
-        one = np.ones((), qn.dtype)
-        tail_ys = list(product(range(ny), repeat=r))    # one row per y-tail, in product order
-        tails = np.array([reduce(np.multiply.outer, (qn[a] for a in t), one).ravel() for t in tail_ys])
-        tail_pn = np.array([math.prod(pn[a] for a in t) for t in tail_ys], object)
-        for head in product(range(ny), repeat=n - r):
-            heads = reduce(np.multiply.outer, (qn[a] for a in head), one)
-            block = np.multiply.outer(tails, heads).reshape(len(tails), -1)
-            add(math.prod(pn[a] for a in head) * tail_pn, block, lambda: np.multiply.outer(
-                np.asarray(tails / l**r, float), np.asarray(heads / l ** (n - r), float)))
+            yield den, np.ones(len(v), object), ascending(v, lambda: (v / den).astype(float)), None
+        return
+    strings = len(model.x_alphabet) ** n
+    live = [a for a, p in enumerate(model.require_p_y()) if p]
+    (pn,), d = _numerators([[model.p_y[a] for a in live]])
+    qn, l = _numerators(model.p_x_given_y)
+    qn = [qn[a] for a in live]
+    qn = np.array(qn, np.int64 if max(map(sum, qn)) ** n < 1 << 63 else object)
+    ny, den = len(live), (d * l) ** n
+    r = next(r for r in range(n, -1, -1) if ny**r * strings <= max(COUNT_CHUNK, strings))
+    one = np.ones((), qn.dtype)
+    tail_ys = list(product(range(ny), repeat=r))    # one row per y-tail, in product order
+    tails = np.array([reduce(np.multiply.outer, (qn[a] for a in t), one).ravel() for t in tail_ys])
+    tail_pn = np.array([math.prod(pn[a] for a in t) for t in tail_ys], object)
+    for head in product(range(ny), repeat=n - r):
+        heads = reduce(np.multiply.outer, (qn[a] for a in head), one)
+        block = np.multiply.outer(tails, heads).reshape(len(tails), -1)
+        rows = ascending(block, lambda: np.multiply.outer(
+            np.asarray(tails / l**r, float), np.asarray(heads / l ** (n - r), float)))
+        yield den, math.prod(pn[a] for a in head) * tail_pn, rows, l**n
+
+
+def _bruteforce_pair_curve(model: Model, n: int, ranks: Sequence[int]) -> list[Fraction]:
+    """Exact pair overflow at each of the ascending ``ranks``, with no law:
+    at rank ``b <= |X|^n``, ``Σ_y w(y)·S_y(b) / den`` over the rows of
+    :func:`_exact_pair_rows`, ``S_y(b)`` the sum of the ``|X|^n - b + 1``
+    smallest ``v(x, y)``."""
+    strings = len(model.x_alphabet) ** n
+    cols = [strings - b for b in ranks if b <= strings]
+    total, den = np.zeros(len(cols), object), 1
+    for den, w, rows, _ in _exact_pair_rows(model, n):
+        if isinstance(rows, list):
+            sums = np.array([[s[c] for c in cols] for s in map(list, map(accumulate, rows))], object)
+        else:
+            sums = np.cumsum(rows, axis=1)[:, cols]
+        total[:] += w @ sums
     return [Fraction(t, den) for t in total] + [Fraction(0)] * (len(ranks) - len(cols))
+
+
+def _exact_pair_sums(model: Model, n: int, b: int, thresholds: Sequence[Fraction]) -> list:
+    """The exact pair overflow at rank ``b``, then P[-log2 P(X|Y) >= t] at
+    each threshold ``t``, in one pass over :func:`_exact_pair_rows`: each a
+    prefix sum of every row, of its ``|X|^n - b + 1`` smallest values, or
+    of those with P(x|y) <= 2^-t, a prefix bisected with
+    :func:`_log2_at_least` (strings of probability zero carry no mass)."""
+    strings = len(model.x_alphabet) ** n
+    sums, den = [0] * (len(thresholds) + 1), 1
+    for den, w, rows, given in _exact_pair_rows(model, n):
+        for wy, row in zip(w.tolist(), rows if isinstance(rows, list) else rows.tolist()):
+            cum = [0, *accumulate(row)]
+            q = cum[-1] if given is None else given
+            cuts = [max(strings - b + 1, 0)] + [bisect_left(row, True, key=lambda v: not (
+                v == 0 or _log2_at_least(Fraction(v, q), t))) for t in thresholds]
+            sums = [s + wy * cum[m] for s, m in zip(sums, cuts)]
+    return [Fraction(v, den) for v in sums]
 
 
 def _float_pair_rows(model: Model, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -1379,15 +1382,15 @@ def _float_pair_rows(model: Model, n: int) -> Iterator[tuple[np.ndarray, np.ndar
     yield from _walk([live] * n, nx, step, (np.ones(1), np.zeros((1, 1))))
 
 
-def _row_overflows(lp: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
-    """P[rank >= b] at each of the ascending ``ranks`` for each row of
-    ``lp``, the ``log2`` probabilities of one flat law per row.
-
-    Each row is ranked and merged as :meth:`LengthLaw._rank` ranks a flat
-    factor (:func:`_classes` along the rows), its class masses come from
-    one ``reduceat``, its suffix masses are summed from its own last
-    class, and each (row, rank) takes :func:`_excess_in_classes`, so every
-    float is the one that row's law gives."""
+def _row_overflows(lp: np.ndarray, ranks: Sequence[int], thresholds: Sequence = ()) -> np.ndarray:
+    """P[rank >= b] at each of the ascending ``ranks``, then
+    P[-log2 P >= t] at each of ``thresholds``, for each row of ``lp``, the
+    ``log2`` probabilities of one flat law per row, every float the one
+    that row's law gives: each row is ranked and merged as
+    :meth:`LengthLaw._rank` ranks a flat factor, its suffix masses are
+    summed from its own last class, a rank takes
+    :func:`_excess_in_classes`, and a threshold the suffix mass
+    :meth:`LengthLaw.info_tail` reads."""
     rows, width = lp.shape
     _, lp, starts = _classes(lp)
     lp = lp.ravel()
@@ -1401,7 +1404,7 @@ def _row_overflows(lp: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
     suffix = suffix[:, ::-1].cumsum(axis=1)[:, ::-1]
     lo = bisect_right(ranks, 1)
     hi = bisect_right(ranks, width, lo)
-    out = np.zeros((rows, len(ranks)))
+    out = np.zeros((rows, len(ranks) + len(thresholds)))
     out[:, :lo] = suffix[:, :1]
     # the class of rank b holds cell b - 1 of its row
     cells = (np.arange(rows) * width)[:, None] + (np.array(ranks[lo:hi], dtype=np.int64) - 1)
@@ -1410,14 +1413,26 @@ def _row_overflows(lp: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
     out[:, lo:hi] = np.reshape(_excess_in_classes(
         suffix[row_of[c], local[c] + 1].ravel().tolist(), (ends[c] - cells).ravel().tolist(),
         lp[starts[c]].ravel().tolist()), c.shape)
+    info = -lp[starts]      # ascending along each row
+    for j, t in enumerate(thresholds, len(ranks)):
+        out[:, j] = suffix[np.arange(rows), np.bincount(row_of[info < t], minlength=rows)]
     return out
 
 
+def _float_pair_sums(model: Model, n: int, b: int, thresholds: Sequence[float]) -> list[float]:
+    """The pair overflow at rank ``b``, then P[-log2 P(X|Y) >= t] at each
+    threshold ``t``, from one pass over the rows of :func:`_float_pair_rows`:
+    each row's values by :func:`_row_overflows`, times P(y), summed by
+    ``math.fsum``."""
+    blocks = [w[:, None] * _row_overflows(lp, [b], thresholds)
+              for w, lp in _float_pair_rows(model, n)]
+    return [math.fsum(col) for col in np.concatenate(blocks).T.tolist()]
+
+
 def _float_pair_curve(model: Model, n: int, ranks: Sequence[int]) -> list[float]:
-    """Float brute-force pair overflow at each of the ascending ``ranks``,
-    with no law: the rows of :func:`_float_pair_rows`, ranked by
-    :func:`_row_overflows` and weighted by P(y), added into the total in
-    y order, bit for bit the sum of the per-y-string laws' curves."""
+    """Float brute-force pair overflow at each of the ascending ``ranks``:
+    the rows of :func:`_float_pair_rows` by :func:`_row_overflows`, times
+    P(y), added in y order, bit for bit the per-y-string laws' sum."""
     total = np.zeros(len(ranks))
     for w, lp in _float_pair_rows(model, n):
         for row in w[:, None] * _row_overflows(lp, ranks):
@@ -1430,32 +1445,21 @@ def _pair_curve_of_route(model: Model, n: int, route: str, exact: bool) -> tuple
     ranks = [1 << k for k in range((len(model.x_alphabet) ** n).bit_length() + 1)]
     if route == "bruteforce":
         return tuple((_bruteforce_pair_curve if exact else _float_pair_curve)(model, n, ranks))
-    laws = _pair_laws(model, n, route, exact)
-    if exact:
-        return tuple(_weighted_sum(laws, ranks))
-    total = np.zeros(len(ranks))
-    for w, law in laws:
-        total += w * np.array(law._excess_at_ranks(ranks, exact=False))
-    return tuple(total.tolist())
-
-
-def _weighted_sum(
-    laws: Iterable[tuple[Fraction, LengthLaw]], ranks: Sequence[int]
-) -> list[Fraction]:
-    """Sum over ``laws`` of ``w · P[rank >= b]``, exactly, for each of the
-    ascending ``ranks``.  Each law's overflow numerators ``N`` are over
-    its denominator ``den``; with ``w / den = p / q`` the sum keeps one
-    integer row of ``p · N`` per distinct ``q``, and one ``Fraction``
-    per row and rank at the end.  It sums the exact type-class pair
-    curve and the exact pair converse."""
+    if not exact:
+        total = np.zeros(len(ranks))
+        for w, law in _pair_laws(model, n, exact):
+            total += w * np.array(law._excess_at_ranks(ranks, exact=False))
+        return tuple(total.tolist())
+    # each law's overflow numerators N are over its den: with w / den = p / q,
+    # one integer row of p · N per distinct q, and one Fraction per q and rank
     rows: dict[int, list[int]] = {}
-    for w, law in laws:
+    for w, law in _pair_laws(model, n, exact):
         scale = Fraction(w) / law._den
         row = rows.setdefault(scale.denominator, [0] * len(ranks))
         for k, v in enumerate(law._excess_at_ranks(ranks, exact=True)):
             row[k] += scale.numerator * v
-    return [sum((Fraction(row[k], q) for q, row in rows.items()), Fraction(0))
-            for k in range(len(ranks))]
+    return tuple(sum((Fraction(row[k], q) for q, row in rows.items()), Fraction(0))
+                 for k in range(len(ranks)))
 
 
 def _pair_curve(model: Model, n: int, method: str, exact: bool) -> tuple:
@@ -1478,7 +1482,8 @@ def _pair_route(model: Model, n: int, method: str) -> str:
     ny = len(model.y_alphabet)
     route = _route(model, len(model.x_alphabet) * ny, n, method)
     if route == "bruteforce":
-        _check_pair_guard(model, n)
+        if not _fits(len(model.x_alphabet) * ny, n, BRUTEFORCE_GUARD):
+            raise GuardExceededError(f"pair brute force needs (|X||Y|)^n <= {BRUTEFORCE_GUARD}")
     elif max(math.comb(n + ny - 1, ny - 1), n) * n > DEFAULT_CLASS_CAP:
         raise GuardExceededError(
             f"type-class pair sweep needs max(y-compositions, n) times n <= {DEFAULT_CLASS_CAP}")
@@ -1589,44 +1594,38 @@ def check_general_converse(
     """Check the threshold converse at one k over a grid of slacks.
 
     With ``y`` fixed the conditional law given that string is used;
-    otherwise the pair law (requires enumeration guards).  On the
-    exact track the inequality is decided in rational arithmetic for
-    dyadic slacks, so a pass means zero violations, not small ones.
+    otherwise one pass over the rows of the brute-force pair enumeration
+    (within its guard), which builds no law.  Every slack is refused or
+    accepted before anything is enumerated.  On the exact track the
+    inequality is decided in rational arithmetic, so a pass means zero
+    violations, not small ones.
     """
     if y is not None:
+        if n is not None and n != len(y):
+            raise ValueError("y-string length must equal n")
         n = len(y)
-        laws: list[tuple[float | Fraction, LengthLaw]] = [
-            (Fraction(1) if exact else 1.0, length_law_bruteforce(model, y, exact=exact))
-        ]
-        scope = "ref"
-    else:
-        if n is None:
-            raise ValueError("pair scope needs n")
-        laws = list(_pair_laws(model, n, "bruteforce", exact))
-        scope = "pair"
-    if exact:
-        lhs_val: Fraction = _weighted_sum(laws, [laws[0][1]._rank_at_bits(k)])[0]
-    else:
-        lhs_val = math.fsum(w * law.epsilon_star(k) for w, law in laws)
-    entries = []
+    elif n is None:
+        raise ValueError("pair scope needs n")
     for tau in taus:
-        if tau <= 0:
+        if exact and (math.isnan(tau) or tau == math.inf):
+            raise ValueError("exact slacks must be finite")
+        if not tau > 0:
             raise ValueError("slacks must be positive")
-        if exact:
-            if not math.isfinite(tau):
-                raise ValueError("exact slacks must be finite")
-            ftau = Fraction(tau)
-            thresh = Fraction(k) + ftau
-            tail: Fraction = sum(
-                (w * law.info_tail_exact(thresh) for w, law in laws), Fraction(0)
-            )
-            gap = tail - lhs_val
-            ok = gap <= 0 or _log2_at_least(gap, ftau)
-            entries.append(
-                ConverseEntry(float(tau), float(tail), float(tail) - 2.0 ** float(-tau), ok)
-            )
+    thresholds = [Fraction(k) + Fraction(tau) if exact else k + tau for tau in taus]
+    if y is not None:
+        law = length_law_bruteforce(model, y, exact=exact)
+        lhs = law.epsilon_star_exact(k) if exact else law.epsilon_star(k)
+        tails = [law.info_tail_exact(t) if exact else law.info_tail(t) for t in thresholds]
+    else:
+        _pair_route(model, n, "bruteforce")  # refuses n before |X|^n is built
+        b = _rank_at_bits(k, len(model.x_alphabet) ** n)
+        lhs, *tails = (_exact_pair_sums if exact else _float_pair_sums)(model, n, b, thresholds)
+    entries = []
+    for tau, tail in zip(taus, tails):
+        rhs = float(tail) - 2.0 ** float(-tau)
+        if exact:   # tail - lhs <= 2^-tau, decided exactly
+            ok = tail - lhs <= 0 or _log2_at_least(tail - lhs, Fraction(tau))
         else:
-            tail_f = math.fsum(w * law.info_tail(k + tau) for w, law in laws)
-            rhs = tail_f - 2.0**-tau
-            entries.append(ConverseEntry(float(tau), tail_f, rhs, lhs_val >= rhs - 1e-12))
-    return ConverseCheck(n=int(n), k=k, scope=scope, lhs=float(lhs_val), entries=tuple(entries))
+            ok = lhs >= rhs - 1e-12
+        entries.append(ConverseEntry(float(tau), float(tail), rhs, ok))
+    return ConverseCheck(int(n), k, "pair" if y is None else "ref", float(lhs), tuple(entries))

@@ -801,9 +801,14 @@ class TestHostileLibraryCalls:
     # AttributeError at n = -1
     @example(name="rate_star_pair", model="fig1", args={**ORDINARY, "n": -1})
     @example(name="epsilon_star_pair", model="fig1", args={**ORDINARY, "n": -1, "k": 1})
-    # p raised to the power 2^55, the denominator of the slack 0.1
+    # p raised to the power 2^55, the denominator of the slack 0.1, given y
+    # and over the pair rows
     @example(name="check_general_converse", model="fig1",
              args={**ORDINARY, "tau": 0.1, "given_y": True, "exact": True})
+    @example(name="check_general_converse", model="fig1",
+             args={**ORDINARY, "tau": 0.1, "exact": True})
+    # a float slack of nan, once checked as ok=False with rhs nan
+    @example(name="check_general_converse", model="fig1", args={**ORDINARY, "tau": math.nan})
     # (|X||Y|)^n or |X|^n built at n = 10^20
     @example(name="epsilon_star_pair", model="deterministic",
              args={**ORDINARY, "n": 10**20, "method": "bruteforce"})

@@ -61,7 +61,11 @@ def _markov_small(with_initial: bool):
 
 
 def _pair_laws_of(model, n, route, exact):
-    return list(limits._pair_laws(model, n, route, exact))
+    """The type-class sweep's laws, or for brute force the reference loop's
+    one law per y-string (the brute-force pair kernels build none)."""
+    if route == "typeclass":
+        return list(limits._pair_laws(model, n, exact))
+    return list(_per_y_string_pair_laws(model, n, exact))
 
 
 def _fresh(law):
@@ -325,7 +329,7 @@ def _per_y_string_pair_laws(model, n, exact):
                 nums = [p.numerator * (lcm // p.denominator) for p in joints]
                 w, factor = sum(joints), limits._flat_factor(None, nums, sum(nums))
             else:
-                w, factor = limits._markov_flat_factor(joints, 1, False)
+                w, factor = float(joints.sum()), limits._markov_flat_factor(joints, 1, False)
         else:
             w = math.prod(p_y[yi] for yi in ys)
             if w == 0:
@@ -343,28 +347,44 @@ def _summed_pair_curve(laws, n, nx, exact):
     """The pair curve of ``laws`` summed as ``_pair_curve_of_route`` sums it."""
     ranks = [1 << k for k in range((nx**n).bit_length() + 1)]
     if exact:
-        return limits._weighted_sum(laws, ranks)
+        return _reference_pair_curve(laws, (nx**n).bit_length(), True)
     total = np.zeros(len(ranks))
     for w, law in laws:
         total += w * np.array(law._excess_at_ranks(ranks, exact=False))
     return total.tolist()
 
 
+def _pair_rows(model, n, exact):
+    """``(P(y), P(x|y))`` of each row of the brute-force pair kernels: the
+    float rows' weight and ``log2 P(x|y)``, or the exact rows' ``P(y)`` and
+    ascending ``P(x|y)`` as ``Fraction``s."""
+    if not exact:
+        return [(w, row) for ws, lp in limits._float_pair_rows(model, n)
+                for w, row in zip(ws, lp)]
+    out = []
+    for den, ws, rows, given in limits._exact_pair_rows(model, n):
+        for w, row in zip(ws.tolist(), rows if isinstance(rows, list) else rows.tolist()):
+            assert all(type(v) is int for v in row)
+            q = sum(row) if given is None else given
+            out.append((Fraction(w * q, den), [Fraction(v, q) for v in row]))
+    return out
+
+
 def _assert_pair_walk_matches_per_y_string(model, n, exact):
-    """The walk yields the same weights and factors as the per-y-string
-    loop, in the same order: floats bit for bit, exact ones as integers
-    and ``Fraction``s; so the pair curves are equal too."""
-    got = list(limits._pair_laws(model, n, "bruteforce", exact))
+    """The brute-force pair rows hold the per-y-string loop's weights and
+    laws, in the same order: float weights by ``.hex()`` and rows by bytes,
+    exact ones as ``Fraction``s; so the pair curves are equal too."""
+    got = _pair_rows(model, n, exact)
     want = list(_per_y_string_pair_laws(model, n, exact))
     assert len(got) == len(want)
-    for (gw, gl), (ww, wl) in zip(got, want):
-        (gf,), (wf,) = gl._factors, wl._factors
+    for (gw, row), (ww, wl) in zip(got, want):
+        (wf,) = wl._factors
         if exact:
-            assert type(gw) is type(ww) and gw == ww
-            assert gf.nums.tolist() == wf.nums.tolist() and gf.den == wf.den
+            assert type(ww) is Fraction and gw == ww
+            assert row == sorted(Fraction(v, wf.den) for v in wf.nums.tolist())
         else:
             assert float(gw).hex() == float(ww).hex()
-            assert gf.lp.tobytes() == wf.lp.tobytes()
+            assert row.tobytes() == wf.lp.tobytes()
     _pair_curve_of_route.cache_clear()
     curve = _pair_curve_of_route(model, n, "bruteforce", exact)
     ref = _summed_pair_curve(want, n, len(model.x_alphabet), exact)
@@ -487,7 +507,7 @@ class TestPairWalk:
         # y-symbol 1 has probability 0: of the 27 y-strings at n = 3, the 8
         # without it are yielded
         _assert_pair_walk_matches_per_y_string(DEAD_SYMBOL, 3, exact)
-        assert len(list(limits._pair_laws(DEAD_SYMBOL, 3, "bruteforce", exact))) == 8
+        assert len(_pair_rows(DEAD_SYMBOL, 3, exact)) == 8
 
     @pytest.mark.parametrize("model", [ONE_Y, ONE_Y_CHAIN], ids=["cond_iid", "markov"])
     def test_float_rows_wider_than_a_block(self, model):
@@ -554,10 +574,10 @@ class TestPairWalk:
         with pytest.raises(ValueError) as pair:
             epsilon_star_pair(m, 3, 1, exact=True)
         assert str(pair.value) == str(ref.value)
-        # the walk refuses before it yields any law
-        laws = limits._pair_laws(m, 3, "bruteforce", True)
+        # the walk refuses before it yields any row
+        rows = limits._exact_pair_rows(m, 3)
         with pytest.raises(ValueError, match=f"^{str(ref.value)}$"):
-            next(laws)
+            next(rows)
 
 
 class TestCurveShape:
@@ -653,6 +673,22 @@ class TestPrefixOverflow:
         assert epsilon_star_prefix(fig1, 2, 2, y=y, exact=True) == Fraction(23, 50)
 
 
+# a y-symbol of zero probability and a zero conditional entry
+DEAD_SYMBOL = model_from_dict({
+    "kind": "cond_iid", "x_alphabet": ["a", "b", "c"], "y_alphabet": ["0", "1", "2"],
+    "p_x_given_y": [["1/2", "0", "1/2"], ["1/6", "1/3", "1/2"], ["1/3", "1/3", "1/3"]],
+    "p_y": ["2/5", "0", "3/5"],
+})
+
+
+# a row summing to 1 - 10^-13, within the model tolerance, whose entries
+# sit at and just below 1/2
+BOUNDARY = model_from_dict({
+    "kind": "cond_iid", "x_alphabet": ["a", "b"], "y_alphabet": ["0", "1"],
+    "p_x_given_y": [["1/2", "0.4999999999999"], ["0.4", "0.6"]], "p_y": ["2/3", "1/3"],
+})
+
+
 class TestGeneralConverse:
     def test_ref_exact(self, fig1):
         y = y_repeat(fig1, "001", 3)
@@ -737,6 +773,93 @@ class TestGeneralConverse:
         y = y_repeat(fig1, "0", 2)
         with pytest.raises(ValueError):
             check_general_converse(fig1, 1, [0.0], y=y)
+
+    @pytest.mark.parametrize("taus", [[1.0, 0.0], [0.5, -1.0], [2.0, math.nan], [1.0, -math.inf]])
+    @pytest.mark.parametrize("scope", ["ref", "pair"])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_slacks_refused_before_any_enumeration(self, fig1, monkeypatch, taus, scope, exact):
+        def enumerated(*args, **kwargs):
+            raise AssertionError("enumerated before every slack was checked")
+
+        for name in ("length_law_bruteforce", "_markov_blocks", "_exact_pair_rows",
+                     "_float_pair_rows"):
+            monkeypatch.setattr(limits, name, enumerated)
+        # a float nan is not positive; the exact track names it not finite
+        want = "exact slacks must be finite" if exact and math.isnan(taus[1]) else \
+            "slacks must be positive"
+        for model in (fig1, MARKOV2X2_INITIAL):
+            where = {"y": y_repeat(model, "01", 3)} if scope == "ref" else {"n": 3}
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                check_general_converse(model, 1, taus, exact=exact, **where)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_y_with_another_n_refused(self, fig1, exact):
+        y = y_repeat(fig1, "001", 3)
+        with pytest.raises(ValueError, match="^y-string length must equal n$"):
+            check_general_converse(fig1, 1, [1.0], y=y, n=7, exact=exact)
+        assert check_general_converse(fig1, 1, [1.0], y=y, n=3, exact=exact) == \
+            check_general_converse(fig1, 1, [1.0], y=y, exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_pair_converse_builds_no_law(self, fig1, monkeypatch, exact):
+        constructed = []
+        init = LengthLaw.__init__
+
+        def constructing(self, *args, **kwargs):
+            constructed.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LengthLaw, "__init__", constructing)
+        for model, n in ((fig1, 4), (DEAD_SYMBOL, 3), (MARKOV2X2_INITIAL, 4)):
+            for k in range(4):
+                assert check_general_converse(model, k, [0.5, 1, 2], n=n, exact=exact).ok
+        assert not constructed
+
+    @pytest.mark.parametrize("model, n", [
+        pytest.param(None, 3, id="fig1"),
+        pytest.param(DEAD_SYMBOL, 3, id="dead-symbol"),
+        pytest.param(_markov_small(with_initial=True), 4, id="markov"),
+        pytest.param(ORDER2, 4, id="order-2"),
+        pytest.param(BOUNDARY, 1, id="boundary"),
+        pytest.param(BOUNDARY, 2, id="boundary-n2"),
+    ])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_pair_converse_matches_per_y_string_laws(self, fig1, model, n, exact):
+        # the sums of the per-y-string laws, as the pair converse summed
+        # them when it built those laws: exact ones as Fractions, floats
+        # with math.fsum
+        model = model or fig1
+        laws = _pair_laws_of(model, n, "bruteforce", exact)
+        taus = [0.1, 0.5, 1, 2]
+        for k in range((len(model.x_alphabet) ** n).bit_length() + 2):
+            check = check_general_converse(model, k, taus, n=n, exact=exact)
+            if exact:
+                lhs = sum((w * law.epsilon_star_exact(k) for w, law in laws), Fraction(0))
+                tails = [sum((w * law.info_tail_exact(k + Fraction(tau)) for w, law in laws),
+                             Fraction(0)) for tau in taus]
+                b = 1 << min(k, (len(model.x_alphabet) ** n).bit_length())
+                assert limits._exact_pair_sums(model, n, b, [k + Fraction(t) for t in taus]) \
+                    == [lhs, *tails]
+                oks = [t - lhs <= 0 or limits._log2_at_least(t - lhs, Fraction(tau))
+                       for t, tau in zip(tails, taus)]
+            else:
+                lhs = math.fsum(w * law.epsilon_star(k) for w, law in laws)
+                tails = [math.fsum(w * law.info_tail(k + tau) for w, law in laws) for tau in taus]
+                oks = [lhs >= t - 2.0**-tau - 1e-12 for t, tau in zip(tails, taus)]
+            assert check.lhs.hex() == float(lhs).hex()
+            assert [e.info_tail.hex() for e in check.entries] == [float(t).hex() for t in tails]
+            assert [e.ok for e in check.entries] == oks
+
+    def test_boundary_rows_are_not_renormalized(self):
+        # P(x|y) <= 1/2 holds for both entries of the row that sums to
+        # 1 - 10^-13; over the row's sum the larger would fail it
+        want = Fraction(2, 3) * (Fraction(1, 2) + Fraction("0.4999999999999")) + \
+            Fraction(1, 3) * Fraction(2, 5)
+        assert limits._exact_pair_sums(BOUNDARY, 1, 1, [Fraction(1)])[1] == want
+        for exact in (False, True):
+            (entry,) = check_general_converse(BOUNDARY, 0, [1], n=1, exact=exact).entries
+            assert entry.info_tail == pytest.approx(0.79999999999993, abs=1e-14)
+            assert entry.info_tail == float(want)
 
 
 class TestProductFormLaw:
@@ -1420,14 +1543,6 @@ ONE_SYMBOL = model_from_dict({
     "p_x_given_y": [["1/2", "1/3", "1/6"]], "p_y": ["1"],
 })
 
-# a y-symbol of zero probability and a zero conditional entry
-DEAD_SYMBOL = model_from_dict({
-    "kind": "cond_iid", "x_alphabet": ["a", "b", "c"], "y_alphabet": ["0", "1", "2"],
-    "p_x_given_y": [["1/2", "0", "1/2"], ["1/6", "1/3", "1/2"], ["1/3", "1/3", "1/3"]],
-    "p_y": ["2/5", "0", "3/5"],
-})
-
-
 # a 2x2 model over the prime 997, as perfbench draws them
 PRIME_2X2 = model_from_dict({
     "kind": "cond_iid", "x_alphabet": ["0", "1"], "y_alphabet": ["0", "1"],
@@ -1591,7 +1706,7 @@ class TestBuildOnce:
     @pytest.mark.parametrize("name, n, most", [("fig1", 40, 0), ("skewed34", 6, 4 * 6)])
     def test_sweep_holds_factors_only_while_needed(self, corpus_models, name, n, most):
         seen, held = {}, []
-        for _, law in limits._pair_laws(corpus_models[name], n, "typeclass", False):
+        for _, law in limits._pair_laws(corpus_models[name], n, False):
             seen.update((id(f), weakref.ref(f)) for f in law._factors)
             del law
             # the law is dropped: a factor still alive is the sweep's

@@ -24,6 +24,7 @@ Two evaluation tracks coexist:
   doubles, which underflow long before interesting blocklengths) with
   exact class counts, computed in int64 when the law's strings fit in
   it and as Python integers otherwise, and handed on as Python integers;
+  its factors build no integer numerators;
 * exact: rational per-string probabilities, for small blocklengths,
   used as the ground truth the float track is tested against.  It
   ranks by integer numerators alone; an exact law builds its float
@@ -53,11 +54,14 @@ each located class.
 Each object is built once where queries repeat it, and every sharing
 point bounds what it keeps:
 
-* a type-class pair sweep builds one factor per (y-symbol, count) and
-  keeps it only while a later composition of the sweep still uses it
-  (one y-symbol at count ``c`` occurs in ``comb(n - c + |Y| - 2, |Y| - 2)``
-  compositions), so it holds at most ``|Y| n`` factors, and none when
-  ``|Y| <= 2``;
+* a type-class pair sweep builds one count row (the string counts of
+  the type classes and their ``log2``) per (support size, count) and one
+  factor per (y-symbol, count), and keeps each only while a later
+  composition of the sweep still uses it (one y-symbol at count ``c``
+  occurs in ``comb(n - c + |Y| - 2, |Y| - 2)`` compositions), so it
+  holds at most ``|Y| n`` of each, and no factor when ``|Y| <= 2``; a
+  fixed-y type-class law builds one count row per (support size, count)
+  too;
 * the fixed-y point queries keep their last law (keyed on model, y,
   route and track), and :func:`codec.build_code` its last
   codebook (keyed on model and y).  Held are a law of at most
@@ -80,8 +84,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, product
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import accumulate, combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -151,8 +155,9 @@ class _Factor:
     """
 
     log2s: np.ndarray | None
-    counts: np.ndarray          # object array of Python ints; int64 ones when flat
+    counts: np.ndarray          # int64 when ``strings`` fits in it, else Python ints
     lc: np.ndarray
+    strings: int                # sum of counts
     nums: np.ndarray | None     # object array of Python ints
     den: int = 1
 
@@ -170,7 +175,7 @@ def _flat_factor(lp: np.ndarray | None, nums: list[int] | None = None, den: int 
     exact ones (``lp`` None) take their log2 probabilities on first read."""
     size = len(nums) if lp is None else len(lp)
     nums_arr = None if nums is None else np.array(nums, dtype=object)
-    return _Factor(lp, np.ones(size, dtype=np.int64), np.zeros(size), nums_arr, den)
+    return _Factor(lp, np.ones(size, dtype=np.int64), np.zeros(size), size, nums_arr, den)
 
 
 def _outer(arrays: list[np.ndarray], ufunc: np.ufunc) -> np.ndarray:
@@ -258,7 +263,7 @@ class LengthLaw:
 
     def __init__(self, n: int, factors: list[_Factor], exact: bool) -> None:
         self.n = n
-        self.num_strings = math.prod(sum(f.counts.tolist()) for f in factors)
+        self.num_strings = math.prod(f.strings for f in factors)
         # exact counts in int64 when the law's strings fit in it: no count
         # or running count exceeds num_strings
         self._ints = np.int64 if self.num_strings.bit_length() < 64 else object
@@ -323,7 +328,7 @@ class LengthLaw:
                 return self._floats
             lp = _outer([f.lp for f in self._factors], np.add)[self._order]
         lc = _outer([f.lc for f in self._factors], np.add)
-        mass = np.add.reduceat(np.exp2(lp + lc[self._order]), starts)
+        mass = _class_sums(np.exp2(lp + lc[self._order]), starts)
         suffix = np.zeros(len(mass) + 1)
         suffix[:-1] = mass[::-1].cumsum()[::-1]
         self._floats = (lp[starts], suffix)
@@ -343,7 +348,7 @@ class LengthLaw:
         cells = np.unravel_index(self._order[first:end], self._shape)
         counts = reduce(operator.mul, [f.counts.astype(self._ints, copy=False)[i]
                                        for f, i in zip(self._factors, cells)])
-        class_counts = np.add.reduceat(counts, heads).tolist()
+        class_counts = _class_sums(counts, heads).tolist()
         base, base_mass = self._end(c - 1) if c else (0, 0)
         cum = list(accumulate(class_counts, initial=base))
         mass = nums = None
@@ -792,6 +797,12 @@ def _classes(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, lp, np.flatnonzero(heads)
 
 
+def _class_sums(cells: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of each class of the ranked ``cells``, ``starts`` the first
+    cell of each; the cells themselves when no class merged two."""
+    return cells if len(starts) == len(cells) else np.add.reduceat(cells, starts)
+
+
 def _running_counts(counts: np.ndarray, lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running totals from 0 of ``counts`` (``lc`` their log2): exact,
     as int64 when the total fits, and as float log2."""
@@ -889,13 +900,11 @@ def _binomial_row(n: int) -> list[int]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """All tuples of ``parts`` nonnegative ints summing to ``total``, in
+    lexicographic order: the gaps of ``parts - 1`` ascending cuts of
+    ``0..total``."""
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
 def _multinomial(total: int, ks: Sequence[int]) -> int:
@@ -907,36 +916,65 @@ def _multinomial(total: int, ks: Sequence[int]) -> int:
     return out
 
 
-def _symbol_factor(row: Sequence[Fraction], count: int, exact: bool) -> _Factor:
-    """Type classes of ``count`` positions that all see one y-symbol.
+@dataclass(frozen=True, eq=False)
+class _CountRow:
+    """String counts of the cells of a type-class factor: the type classes
+    of ``count`` positions over a support of ``size`` x-symbols, and, when
+    the support misses some of the ``|X|`` symbols, one more cell for the
+    strings that use one.  It depends on the y-symbol only through
+    ``size``, so every y-symbol of that support size shares it."""
 
-    The type classes run over the support of the conditional row; when
-    the row has zeros, one more cell holds the strings that use a
-    zero-probability x-symbol (``log2p`` -inf, numerator 0), as in a
-    brute-force factor.
+    count: int
+    types: list[tuple[int, ...]] | None   # each class's type; None for two symbols,
+                                          # whose class k has type (count - k, k)
+    counts: np.ndarray                    # int64 when ``strings`` fits in it, else Python ints
+    lc: np.ndarray                        # log2 counts
+    strings: int                          # |X| ** count
+
+
+def _count_row(nx: int, size: int, count: int) -> _CountRow:
+    if size == 2:
+        types, counts = None, _binomial_row(count)
+    else:
+        types = list(_compositions(count, size))
+        counts = [_multinomial(count, ks) for ks in types]
+    strings = nx**count
+    zeros = strings - size**count
+    if zeros:
+        counts.append(zeros)
+    ints = np.int64 if strings.bit_length() < 64 else object
+    return _CountRow(count, types, np.array(counts, dtype=ints),
+                     np.array([math.log2(c) for c in counts]), strings)
+
+
+def _symbol_factor(row: Sequence[Fraction], counts: _CountRow, exact: bool) -> _Factor:
+    """Type classes of ``counts.count`` positions that all see one y-symbol,
+    of conditional row ``row``; ``counts`` is the count row of its support.
+
+    The type classes run over the support of the row; when the row has
+    zeros, one more cell holds the strings that use a zero-probability
+    x-symbol (``log2p`` -inf, numerator 0), as in a brute-force factor.
+    Numerators are built on the exact track alone.
     """
     support = [p for p in row if p > 0]
     logs = [math.log2(float(p)) for p in support]
-    (scaled,), den = _numerators([support])
-    if len(support) == 2:
+    count, types = counts.count, counts.types
+    if types is None:
         ks = np.arange(count + 1, dtype=np.float64)
         lp = ks * logs[1] + (count - ks) * logs[0]
-        counts = _binomial_row(count)
-        types: Sequence[tuple[int, ...]] = [(count - k, k) for k in range(count + 1)]
     else:
-        types = list(_compositions(count, len(support)))
         lp = np.array([math.fsum(k * l for k, l in zip(ks, logs)) for ks in types])
-        counts = [_multinomial(count, ks) for ks in types]
-    nums = [math.prod(a**k for a, k in zip(scaled, ks)) for ks in types] if exact else None
-    zeros = len(row) ** count - len(support) ** count
-    if zeros:
+    if len(lp) < len(counts.counts):
         lp = np.append(lp, -math.inf)
-        counts.append(zeros)
-        if exact:
-            nums.append(0)
-    lc = np.array([math.log2(c) for c in counts])
-    return _Factor(lp, np.array(counts, dtype=object), lc,
-                   None if nums is None else np.array(nums, dtype=object), den**count)
+    nums, den = None, 1
+    if exact:
+        if types is None:
+            types = [(count - k, k) for k in range(count + 1)]
+        (scaled,), den = _numerators([support])
+        nums = [math.prod(a**k for a, k in zip(scaled, ks)) for ks in types]
+        nums = np.array(nums + [0] * (len(lp) - len(nums)), dtype=object)
+        den **= count
+    return _Factor(lp, counts.counts, counts.lc, counts.strings, nums, den)
 
 
 def length_law_typeclass(
@@ -949,12 +987,15 @@ def length_law_typeclass(
 
     ``y`` may be a :class:`SideInfoString` or a bare composition
     (occurrence count per y-symbol); the law depends on the string
-    only through its composition.
+    only through its composition.  Y-symbols of one support size and
+    count share their count row.
     """
     composition = y.counts() if isinstance(y, SideInfoString) else tuple(y)
-    rows = model.p_x_given_y
+    rows, sizes = model.p_x_given_y, model.support_sizes
+    count_row = lru_cache(maxsize=None)(partial(_count_row, len(model.x_alphabet)))
     return _typeclass_law(model, composition, exact,
-                          lambda a, c: _symbol_factor(rows[a], c, exact), class_cap)
+                          lambda a, c: _symbol_factor(rows[a], count_row(sizes[a], c), exact),
+                          class_cap)
 
 
 def _typeclass_law(
@@ -1222,18 +1263,47 @@ def rate_star_ref(
 
 
 def _composition_weight(
-    p_y: Sequence[Fraction], comp: Sequence[int], exact: bool
+    p_y: Sequence[Fraction] | Sequence[float], comp: Sequence[int], exact: bool
 ) -> float | Fraction:
+    """P(y) summed over the y-strings of composition ``comp``: ``p_y`` are
+    Fractions on the exact track, and may be their floats on the float one."""
     mult = _multinomial(sum(comp), comp)
     if exact:
         w = Fraction(mult)
         for p, c in zip(p_y, comp):
             w *= p**c
         return w
+    # a y-symbol of probability zero that occurs adds -inf
     logw = math.log2(mult) + math.fsum(
-        c * math.log2(float(p)) for p, c in zip(p_y, comp) if c
-    ) if all(p > 0 or c == 0 for p, c in zip(p_y, comp)) else -math.inf
+        c * math.log2(float(p)) if p > 0 else -math.inf for p, c in zip(p_y, comp) if c)
     return 0.0 if logw == -math.inf else 2.0**logw
+
+
+class _Shared:
+    """Objects of one sweep, each built by ``build(*key)`` on first use;
+    one that ``uses(*key)`` says more than one use awaits is held until
+    :meth:`used` has counted that many."""
+
+    def __init__(self, build: Callable, uses: Callable[..., int]) -> None:
+        self._build, self._uses = build, uses
+        self._held: dict[tuple, object] = {}
+        self._left: dict[tuple, int] = {}
+
+    def get(self, *key):
+        obj = self._held.get(key)
+        if obj is None:
+            obj = self._build(*key)
+            if self._uses(*key) > 1:
+                self._held[key] = obj
+        return obj
+
+    def used(self, *key) -> None:
+        """Count one use of ``key``, built or not; drop it after the last."""
+        left = self._left.pop(key, 0) or self._uses(*key)
+        if left > 1:
+            self._left[key] = left - 1
+        else:
+            self._held.pop(key, None)
 
 
 def _pair_laws(
@@ -1241,37 +1311,31 @@ def _pair_laws(
 ) -> Iterator[tuple[float | Fraction, LengthLaw]]:
     """(weight, law) of the type-class sweep over y-compositions; the
     overflow given y depends on y only through its composition.  The laws
-    share their factors: the factor of y-symbol ``a`` at count ``c`` is
-    built once and kept only until the last composition that uses it has
-    been swept, so at most one per (a, c) is held, and none for two
+    share the factor of y-symbol ``a`` at count ``c`` and the count row of
+    support size ``s`` at count ``c``: each is built once and kept only
+    until the last composition that uses it has been swept, so at most
+    one per (a, c) and per (s, c) is held, and no factor for two
     y-symbols, where no composition repeats one."""
-    ny = len(model.y_alphabet)
-    p_y, rows = model.require_p_y(), model.p_x_given_y
-    shared: dict[tuple[int, int], _Factor] = {}
-    left: dict[tuple[int, int], int] = {}
+    nx, ny = len(model.x_alphabet), len(model.y_alphabet)
+    p_y, rows, sizes = model.require_p_y(), model.p_x_given_y, model.support_sizes
+    if not exact:
+        p_y = [float(p) for p in p_y]
 
     def uses(c: int) -> int:
         """Compositions of the sweep in which one y-symbol occurs c times."""
         return 1 if ny == 1 else math.comb(n - c + ny - 2, ny - 2)
 
-    def factor(a: int, c: int) -> _Factor:
-        f = shared.get((a, c))
-        if f is None:
-            f = _symbol_factor(rows[a], c, exact)
-            if uses(c) > 1:
-                shared[a, c] = f
-        return f
-
+    count_rows = _Shared(partial(_count_row, nx), lambda s, c: sizes.count(s) * uses(c))
+    factors = _Shared(lambda a, c: _symbol_factor(rows[a], count_rows.get(sizes[a], c), exact),
+                      lambda a, c: uses(c))
     for comp in _compositions(n, ny):
         w = _composition_weight(p_y, comp, exact)
         if w != 0:
-            yield w, _typeclass_law(model, comp, exact, factor, DEFAULT_CLASS_CAP)
-        # drop a factor after the last composition that holds it
-        for key in ((a, c) for a, c in enumerate(comp) if c):
-            left[key] = left.get(key, uses(key[1])) - 1
-            if not left[key]:
-                del left[key]
-                shared.pop(key, None)
+            yield w, _typeclass_law(model, comp, exact, factors.get, DEFAULT_CLASS_CAP)
+        for a, c in enumerate(comp):
+            if c:
+                factors.used(a, c)
+                count_rows.used(sizes[a], c)
 
 
 def _exact_pair_rows(model: Model, n: int) -> Iterator[tuple]:
@@ -1394,7 +1458,7 @@ def _row_overflows(lp: np.ndarray, ranks: Sequence[int], thresholds: Sequence = 
     rows, width = lp.shape
     _, lp, starts = _classes(lp)
     lp = lp.ravel()
-    mass = np.add.reduceat(np.exp2(lp), starts)
+    mass = _class_sums(np.exp2(lp), starts)
     # class c of the block is class local[c] of row row_of[c]
     row_of = starts // width
     local = np.arange(len(starts)) - np.searchsorted(starts, row_of * width)

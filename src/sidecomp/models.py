@@ -133,7 +133,7 @@ class SideInfoString:
     def __post_init__(self) -> None:
         if len(self.indices) == 0:
             raise ValueError("side-information string is empty")
-        if any(i < 0 or i >= len(self.alphabet) for i in self.indices):
+        if min(self.indices) < 0 or max(self.indices) >= len(self.alphabet):
             raise ValueError("side-information index out of range")
 
     @classmethod

@@ -740,6 +740,13 @@ def _y(m, a):
         int(c) % len(m.y_alphabet) for c in (a["pattern"] * a["length"])[:a["length"]]))
 
 
+def _y_of_n(m, a):
+    """The y of a call that takes n too: of length n when n is a nonzero
+    length LIBRARY_ARGS draws, so the draw reaches the law given y;
+    otherwise of the drawn length, which the call refuses."""
+    return _y(m, {**a, "length": a["n"]} if a["n"] and a["n"] in Y_LENGTHS else a)
+
+
 LIBRARY_CALLS = {
     "length_law_typeclass": lambda m, a: limits.length_law_typeclass(m, _y(m, a), a["exact"]),
     "length_law_bruteforce": lambda m, a: limits.length_law_bruteforce(m, _y(m, a), a["exact"]),
@@ -750,9 +757,9 @@ LIBRARY_CALLS = {
         m, a["n"], a["k"], a["method"], a["exact"]),
     "rate_star_pair": lambda m, a: limits.rate_star_pair(m, a["n"], a["eps"], a["method"]),
     "epsilon_star_prefix": lambda m, a: limits.epsilon_star_prefix(
-        m, a["n"], a["k"], _y(m, a) if a["given_y"] else None, a["method"], a["exact"]),
+        m, a["n"], a["k"], _y_of_n(m, a) if a["given_y"] else None, a["method"], a["exact"]),
     "check_general_converse": lambda m, a: limits.check_general_converse(
-        m, a["k"], [a["tau"]], _y(m, a) if a["given_y"] else None, a["n"], a["exact"]),
+        m, a["k"], [a["tau"]], _y_of_n(m, a) if a["given_y"] else None, a["n"], a["exact"]),
     "three_term_rate": lambda m, a: bounds.three_term_rate(
         measures(m).h_xy, measures(m).sigma2, a["n"], a["eps"]),
     "ref_converse": lambda m, a: bounds.ref_converse(m, _y(m, a), a["eps"]),
@@ -764,9 +771,10 @@ LIBRARY_CALLS = {
 }
 LIBRARY_MODELS = ("deterministic", "fig1", "nogap", "skewed34", "uniform2")
 # hostile values next to ordinary ones; a y-string is at most 10^6 long
+Y_LENGTHS = (0, 1, 2, 3, 10**6)
 LIBRARY_ARGS = st.fixed_dictionaries({
     "n": st.sampled_from([-1, 0, 1, 2, 3, 10**6, 10**20]),
-    "length": st.sampled_from([0, 1, 2, 3, 10**6]),
+    "length": st.sampled_from(Y_LENGTHS),
     "pattern": st.sampled_from(["0", "01", "001", "0123"]),
     "k": st.sampled_from([-1, 0, 1, 3, 10**20]),
     "eps": st.sampled_from([0.0, 1.0, -0.1, math.nan, math.inf, 1e-300, 1e-100,
@@ -809,6 +817,9 @@ class TestHostileLibraryCalls:
              args={**ORDINARY, "tau": 0.1, "exact": True})
     # a float slack of nan, once checked as ok=False with rhs nan
     @example(name="check_general_converse", model="fig1", args={**ORDINARY, "tau": math.nan})
+    # a y-string whose length is not n
+    @example(name="check_general_converse", model="fig1",
+             args={**ORDINARY, "n": 10**20, "given_y": True})
     # (|X||Y|)^n or |X|^n built at n = 10^20
     @example(name="epsilon_star_pair", model="deterministic",
              args={**ORDINARY, "n": 10**20, "method": "bruteforce"})

@@ -1716,6 +1716,91 @@ class TestBuildOnce:
             assert max(held) > 0    # the check sees a factor the sweep keeps
         assert not any(r() is not None for r in seen.values())
 
+    def test_float_sweep_builds_each_count_row_once(self, fig1, monkeypatch):
+        built, rows = [], []
+        binomial_row, count_row = limits._binomial_row, limits._count_row
+
+        def counting(n):
+            built.append(n)
+            return binomial_row(n)
+
+        def recording(*args):
+            row = count_row(*args)
+            rows.append(weakref.ref(row))
+            return row
+
+        monkeypatch.setattr(limits, "_binomial_row", counting)
+        monkeypatch.setattr(limits, "_count_row", recording)
+        _pair_curve_of_route.cache_clear()
+        limits._pair_curve(fig1, 20, "typeclass", False)
+        _pair_curve_of_route.cache_clear()
+        # one row per count 1..20, shared by both y-symbols; a row per
+        # factor would be 40
+        assert sorted(built) == list(range(1, 21))
+        gc.collect()
+        assert len(rows) == 20 and not any(r() is not None for r in rows)
+
+    def test_sweep_holds_count_rows_only_while_needed(self, fig1, monkeypatch):
+        n, rows = 12, {}
+        count_row = limits._count_row
+
+        def recording(nx, size, c):
+            row = count_row(nx, size, c)
+            rows[c] = weakref.ref(row)
+            return row
+
+        monkeypatch.setattr(limits, "_count_row", recording)
+        for i, (_, law) in enumerate(limits._pair_laws(fig1, n, False)):
+            del law
+            # composition i is (i, n - i); the row of count c serves
+            # compositions c and n - c
+            alive = {c for c, r in rows.items() if r() is not None}
+            assert alive == {c for c in range(1, n + 1) if min(c, n - c) <= i <= max(c, n - c)}
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_sweep_matches_fresh_laws_across_chunks(self, corpus_models, monkeypatch, size):
+        # chunks of 1-3 classes, so ranks 2^k cross and skip chunks; fig1
+        # merges no cells, skewed34 ties cells of equal types, deterministic
+        # merges its impossible strings into one class
+        monkeypatch.setattr(limits, "COUNT_CHUNK", size)
+        merged, produced = set(), {}
+        class_sums, chunk = limits._class_sums, LengthLaw._chunk
+
+        def recording_sums(cells, starts):
+            merged.add(len(starts) < len(cells))
+            return class_sums(cells, starts)
+
+        def recording_chunk(law, c):
+            produced.setdefault(id(law), set()).add(c)
+            return chunk(law, c)
+
+        monkeypatch.setattr(limits, "_class_sums", recording_sums)
+        monkeypatch.setattr(LengthLaw, "_chunk", recording_chunk)
+        for name, n in (("fig1", 30), ("skewed34", 5), ("deterministic", 6)):
+            _assert_shared_factor_curves_match(corpus_models[name], n)
+        assert merged == {False, True}
+        assert any(len(cs) <= max(cs) for cs in produced.values())   # a chunk skipped
+
+    def test_float_track_builds_no_numerators(self, corpus_models, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("integer numerators built on the float track")
+
+        _pair_curve_of_route.cache_clear()
+        monkeypatch.setattr(limits, "_numerators", refuse)
+        for name, n in (("fig1", 8), ("skewed34", 4), ("deterministic", 5)):
+            model = corpus_models[name]
+            assert limits._pair_curve(model, n, "typeclass", False)[0] > 0
+            ny = len(model.y_alphabet)
+            law = length_law_typeclass(model, SideInfoString(
+                model.y_alphabet, tuple(i % ny for i in range(n))))
+            assert law.epsilon_star(2) == pytest.approx(law.epsilon_star_window(2), rel=1e-12)
+        _pair_curve_of_route.cache_clear()
+
+    def test_compositions_in_lexicographic_order(self):
+        for total, parts in product(range(7), range(1, 5)):
+            want = [t for t in product(range(total + 1), repeat=parts) if sum(t) == total]
+            assert list(limits._compositions(total, parts)) == want
+
     def test_window_law_is_held_and_reads_back_its_windows(self, fig1, monkeypatch):
         # 321201 cells in split tables of 801 and 401 rows: held, so the
         # read-backs at k* and k*+1 build no law and locate no window

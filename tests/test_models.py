@@ -119,6 +119,13 @@ class TestSideInfoString:
         with pytest.raises(ValueError):
             SideInfoString(a, ())
 
+    @pytest.mark.parametrize("indices", [(3,), (-1,), (0, 2, 3, 1), (2, -1, 0), (-1, 3)])
+    def test_out_of_range_index_rejected(self, indices):
+        a = Alphabet(("0", "1", "2"))
+        assert SideInfoString(a, (0, 2, 1, 2)).indices == (0, 2, 1, 2)
+        with pytest.raises(ValueError, match="^side-information index out of range$"):
+            SideInfoString(a, indices)
+
 
 class TestModelIO:
     def test_round_trip(self, fig1):

@@ -32,12 +32,17 @@ Two evaluation tracks coexist:
 
 The type-class pair curve asks each law of its sweep for its overflow
 at every rank ``2^k`` in one monotone pass, one step per count chunk
-(found with no dominance count when it lies within the next chunk's
-class count of the last chunk produced, or past every chunk but the
-last).  The brute-force pair queries, curves and converse check alike,
-build no law: each y-string is one row of a numpy block, whose
-``log2 P(x|y)`` is ranked with the float operations of its own law, or
-whose integer numerators are sorted.
+(found with no dominance count when it lies within as many strings of
+the last class counted as its chunk has classes left, or past every
+chunk but the last).  Each chunk is counted only through the class of
+the last rank the pass places in it, and on a law of more than an
+eighth of a chunk of classes a rank in its last class (``2^n`` for two
+x-symbols) is read from the end, with no count: the fig1 sweep at
+n = 150 counts half of its laws' classes.  The brute-force pair
+queries, curves and converse check alike, build no law: each y-string
+is one row of a numpy block, whose ``log2 P(x|y)`` is ranked with the
+float operations of its own law, or whose integer numerators are
+sorted.
 
 A law ranks its cells only when a query reads the ranking: the pair
 curve, ``info_tail``, ``counts``/``probs`` and the exact track.  The
@@ -190,8 +195,9 @@ def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], in
 
 
 class _Chunk(NamedTuple):
-    """Exact data of ``COUNT_CHUNK`` consecutive ranked classes; class
-    ``i`` of the chunk spans ranks ``cum[i] + 1 .. cum[i + 1]``."""
+    """Exact data of a prefix of the ``COUNT_CHUNK`` consecutive ranked
+    classes of one chunk, or of all of them; class ``i`` of the chunk
+    spans ranks ``cum[i] + 1 .. cum[i + 1]``."""
 
     cum: list[int]              # cumulative count before the chunk, then through each class
     mass: list[int] | None      # exact track: the same for count-weighted numerators
@@ -246,11 +252,14 @@ class LengthLaw:
     grouped into classes of equal probability.  The ranking is built on
     first use; the float point queries (:meth:`epsilon_star_window`,
     :meth:`rate_point_window`) never build it.  Exact class counts are
-    produced ``COUNT_CHUNK`` classes at a time, only when a query needs
-    them; the law keeps the cumulative count at the end of every chunk
-    it produced or located, and the last chunk it produced.  Reaching a
-    chunk never produces the chunks before it: :meth:`_chunk_of_rank`
-    finds it from the last chunk's end where class counts suffice, and
+    produced in chunks of ``COUNT_CHUNK`` classes, only when a query
+    needs them, and of a chunk only the prefix through the class that
+    holds the last rank placed in it (see :meth:`_chunk`); a rank in the
+    last class is read from the end, with no count.  The law keeps the
+    cumulative count at the end of every chunk it produced whole or
+    located, and the last chunk it produced, whole or a prefix.  Reaching
+    a chunk never produces the chunks before it: :meth:`_chunk_of_rank`
+    finds it from the last class counted where class counts suffice, and
     otherwise from exact dominance counts over the last factor.
     Strings of probability zero are cells like any other (``log2p``
     -inf, numerator 0): they rank last, as one class, so ``counts``
@@ -336,30 +345,79 @@ class LengthLaw:
 
     # -- exact counts, chunk by chunk --------------------------------------
 
-    def _chunk(self, c: int) -> _Chunk:
-        """Exact data of chunk ``c``."""
+    def _cell_counts(self, cells: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Exact string count of each of ``cells`` (one index array per
+        factor), in the law's count dtype."""
+        return reduce(operator.mul, [f.counts.astype(self._ints, copy=False)[i]
+                                     for f, i in zip(self._factors, cells)])
+
+    def _chunk(self, c: int, b: int | None = None) -> _Chunk:
+        """Exact data of chunk ``c``: whole, or with ``b`` a prefix of its
+        classes, from the first through the one that holds rank ``b``
+        (the whole chunk when ``b`` lies past it).
+
+        A prefix stops at the class that a float sum of its cells'
+        ``log2`` counts reaches ``b`` in, taken ``2^-30`` of the strings
+        it needs past ``b`` so that rounding does not stop it short.
+        Each step counts at least an eighth of a chunk (the rest of the
+        chunk, with no float sum, when no more is left), and at least
+        doubles the prefix when a later rank or query grows it.  The law
+        keeps the chunk it produced last, whole or not, stored in one
+        assignment; ``_ends`` gets a chunk's end only once the chunk is
+        whole.
+        """
         last = self._last
-        if last is not None and last[0] == c:
-            return last[1]
-        starts = self._ranked()[c * COUNT_CHUNK:(c + 1) * COUNT_CHUNK + 1]
-        end = int(starts[-1]) if len(starts) > COUNT_CHUNK else len(self._order)
-        first = int(starts[0])
-        heads = starts[:COUNT_CHUNK] - first
-        cells = np.unravel_index(self._order[first:end], self._shape)
-        counts = reduce(operator.mul, [f.counts.astype(self._ints, copy=False)[i]
-                                       for f, i in zip(self._factors, cells)])
-        class_counts = _class_sums(counts, heads).tolist()
-        base, base_mass = self._end(c - 1) if c else (0, 0)
+        ch = last[1] if last is not None and last[0] == c else None
+        starts = self._ranked()
+        first, end = c * COUNT_CHUNK, min((c + 1) * COUNT_CHUNK, len(starts))
+        done = first if ch is None else first + len(ch.cum) - 1
+        if done == end or (ch is not None and b is not None and b <= ch.cum[-1]):
+            return ch
+        if ch is None:
+            base, base_mass = self._end(c - 1) if c else (0, 0)
+        else:
+            base, base_mass = ch.cum[-1], ch.mass[-1] if self.exact else 0
+
+        def cell(j: int) -> int:
+            return int(starts[j]) if j < len(starts) else len(self._order)
+
+        lo = cell(done)
+        cells = np.unravel_index(self._order[lo:cell(end)], self._shape)
+        stop, step = end, COUNT_CHUNK // 8
+        if b is not None and end - done > step:
+            logs = reduce(operator.add, [f.lc[i] for f, i in zip(self._factors, cells)])
+            with np.errstate(over="ignore"):
+                reach = np.cumsum(np.exp2(logs - math.log2(b - base)))
+            at = lo + int(np.searchsorted(reach, 1 + 2**-30))
+            stop = min(end, max(bisect_right(starts, at, done, end), done + step,
+                                2 * done - first))
+            cells = tuple(i[:cell(stop) - lo] for i in cells)
+        heads = starts[done:stop] - lo
+        class_counts = _class_sums(self._cell_counts(cells), heads).tolist()
         cum = list(accumulate(class_counts, initial=base))
         mass = nums = None
         if self.exact:
             nums = reduce(operator.mul, [f.nums[i[heads]] for f, i in zip(self._factors, cells)])
             nums = nums.tolist()
             mass = list(accumulate(map(operator.mul, nums, class_counts), initial=base_mass))
+        if ch is not None:
+            cum = ch.cum + cum[1:]
+            if self.exact:
+                nums, mass = ch.nums + nums, ch.mass + mass[1:]
         chunk = _Chunk(cum, mass, nums)
-        self._ends[c] = (cum[-1], mass[-1] if mass else 0)
+        if stop == end:
+            self._ends[c] = (cum[-1], mass[-1] if mass else 0)
         self._last = (c, chunk)
         return chunk
+
+    def _last_class(self) -> tuple[int, int]:
+        """Strings in the last class, from its own cells, and on the exact
+        track its numerator."""
+        cells = np.unravel_index(self._order[self._ranked()[-1]:], self._shape)
+        num = 0
+        if self.exact:
+            num = math.prod(int(f.nums[i[0]]) for f, i in zip(self._factors, cells))
+        return sum(self._cell_counts(cells).tolist()), num
 
     def _end(self, c: int) -> tuple[int, int]:
         """Cumulative count (and count-weighted numerators) through chunk ``c``."""
@@ -441,20 +499,25 @@ class LengthLaw:
     def _chunk_of_rank(self, b: int) -> int:
         """Index of the chunk holding rank ``b``, 1 < b <= num_strings.
 
-        The search starts past the last chunk produced when ``b`` ranks
-        after it.  Every class holds at least one string, so a rank
-        within as many strings of that start as the next chunk has
-        classes lies in that chunk, and one past every other chunk lies
-        in the last; only otherwise are chunk ends bisected, by
-        :meth:`_end`'s exact dominance counts.
+        The search starts past the classes of the last chunk produced
+        when ``b`` ranks after them: at the rest of that chunk when only
+        a prefix of it was produced, else at the next chunk.  Every class
+        holds at least one string, so a rank within as many strings of
+        that start as the start's chunk has classes left lies in that
+        chunk, and so does every rank when it is the last chunk; only
+        otherwise are chunk ends bisected, by :meth:`_end`'s exact
+        dominance counts.
         """
-        c, base, last = 0, 0, self._last
+        j, base, last = 0, 0, self._last
         if last is not None and last[1].cum[0] < b:
-            if b <= last[1].cum[-1]:
-                return last[0]
-            c, base = last[0] + 1, last[1].cum[-1]
+            c, cum = last[0], last[1].cum
+            if b <= cum[-1]:
+                return c
+            j, base = c * COUNT_CHUNK + len(cum) - 1, cum[-1]
         classes = len(self._ranked())
-        if b <= base + min(COUNT_CHUNK, classes - c * COUNT_CHUNK):
+        c = j // COUNT_CHUNK
+        end = min((c + 1) * COUNT_CHUNK, classes)
+        if b <= base + end - j or end == classes:
             return c
         # over every chunk, so that later ranks meet the ends found before
         return bisect_left(range(-(-classes // COUNT_CHUNK) - 1), b,
@@ -687,20 +750,29 @@ class LengthLaw:
         """P[rank >= b] for each of the ascending ``ranks``: floats, or
         with ``exact`` integer numerators over the law's denominator.
 
-        One monotone pass, one step per chunk: :meth:`_chunk_of_rank`
-        finds the chunk of the first rank not yet placed, and every rank
-        up to the chunk's end is placed in it at once.  The float track
-        reads those classes' ``log2p`` and tail masses with one gather
-        each.
+        A rank ``b`` in the last class is read from the end, with no
+        chunk: ``num_strings - b + 1`` strings of that class lie at or
+        after it, and nothing after them (on a law of more classes than
+        one step of :meth:`_chunk` counts; a smaller one is counted whole
+        anyway).  The other ranks take one monotone pass, one step per
+        chunk: :meth:`_chunk_of_rank` finds the chunk of the first rank
+        not yet placed, the chunk is produced through the class of the
+        last rank to place, and every rank within that prefix is placed
+        at once.  The float track reads those classes' ``log2p`` and tail
+        masses with one gather each.
         """
         lo = bisect_right(ranks, 1)
         hi = bisect_right(ranks, self.num_strings, lo)
         out = [self._total_num if exact else self.total_mass()] * lo
-        while len(out) < hi:
+        # a law of at most one step of classes is counted whole anyway
+        big = lo < hi and len(self._ranked()) > COUNT_CHUNK // 8
+        strings, num = self._last_class() if big else (0, 0)
+        mid = bisect_right(ranks, self.num_strings - strings, lo, hi)
+        while len(out) < mid:
             c = self._chunk_of_rank(ranks[len(out)])
-            ch = self._chunk(c)
+            ch = self._chunk(c, ranks[mid - 1])
             cum = ch.cum
-            bs = ranks[len(out):bisect_right(ranks, cum[-1], len(out), hi)]
+            bs = ranks[len(out):bisect_right(ranks, cum[-1], len(out), mid)]
             js = [bisect_left(cum, b, 1) - 1 for b in bs]
             if exact:
                 out += [self._total_num - ch.mass[i] - ch.nums[i] * (b - 1 - cum[i])
@@ -711,6 +783,11 @@ class LengthLaw:
             out += _excess_in_classes(suffix[first + 1:][at].tolist(),
                                       [cum[i + 1] - b + 1 for i, b in zip(js, bs)],
                                       log2p[first:][at].tolist())
+        ds = [self.num_strings - b + 1 for b in ranks[mid:hi]]
+        if exact:
+            out += [num * d for d in ds]
+        elif ds:
+            out += _excess_in_classes([0.0] * len(ds), ds, [float(self.log2p[-1])] * len(ds))
         return out + [0 if exact else 0.0] * (len(ranks) - hi)
 
     def epsilon_star(self, k: int) -> float:

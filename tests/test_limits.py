@@ -1086,6 +1086,84 @@ def _walked(make):
     return law
 
 
+def _assert_counted_just_past(cum, b, classes):
+    """The first ``classes`` classes of the chunk holding rank ``b``
+    (``cum`` the walked law's cumulative counts) reach ``b``, and they
+    are at most one step of ``_chunk`` or the last of them starts at most
+    2^-29 of the strings from the chunk's start to ``b`` past ``b``."""
+    c, j = divmod(bisect_left(cum, b), COUNT_CHUNK)
+    base = cum[c * COUNT_CHUNK - 1] if c else 0
+    assert j < classes
+    assert classes <= COUNT_CHUNK // 8 or \
+        cum[c * COUNT_CHUNK + classes - 2] - b <= (b - base) >> 29
+
+
+def _walked_excess(walked, b, exact):
+    """P[rank >= b] from the walked law's class lists alone: a Fraction,
+    or the float of :func:`limits._excess_in_classes`."""
+    cum, n = walked.cum_counts, walked.num_strings
+    if b <= 1:
+        return walked.total_mass_exact() if exact else walked.total_mass()
+    if b > n:
+        return Fraction(0) if exact else 0.0
+    j = bisect_left(cum, b)
+    if exact:
+        probs, counts = walked.probs, walked.counts
+        return probs[j] * (cum[j] - b + 1) + sum(
+            (p * c for p, c in zip(probs[j + 1:], counts[j + 1:])), Fraction(0))
+    return limits._excess_in_classes(
+        [float(walked.suffix_mass[j + 1])], [cum[j] - b + 1], [float(walked.log2p[j])])[0]
+
+
+def _assert_prefixes_match(make, exact):
+    """Fresh laws asked every rank 2^k, ranks N and N - 1 and the first
+    and last rank of each class, in one pass and one rank at a time,
+    ascending and descending, give what the walked law's classes give:
+    floats ``.hex()``-equal, exact values as Fractions; and a law left
+    with a partly counted chunk still reads the walked law's counts."""
+    walked = _walked(make)
+    cum, n = walked.cum_counts, walked.num_strings
+    ranks = sorted({1 << k for k in range(n.bit_length() + 1)} | {n, n - 1}
+                   | {b for a, e in zip([0] + cum, cum) for b in (a + 1, e)})
+    ranks = [b for b in ranks if b >= 1]
+    want = [_walked_excess(walked, b, exact) for b in ranks]
+    if not exact:
+        want = [v.hex() for v in want]
+
+    def read(law, bs):
+        got = law._excess_at_ranks(bs, exact)
+        return [Fraction(v, law._den) for v in got] if exact else [v.hex() for v in got]
+
+    assert read(make(), ranks) == want
+    for order in (ranks, ranks[::-1]):
+        law = make()
+        assert [read(law, [b])[0] for b in order] == [want[ranks.index(b)] for b in order]
+    for bs in (ranks, ranks[:len(ranks) // 2]):
+        law = make()
+        read(law, bs)
+        assert law.cum_counts == cum
+        assert law.counts == walked.counts
+        assert law.probs == walked.probs
+
+
+def _counting_classes(monkeypatch) -> dict:
+    """Spy on ``LengthLaw._chunk``: the classes it counts, summed per
+    (id of the law, chunk)."""
+    counted: dict[tuple[int, int], int] = {}
+    chunk = LengthLaw._chunk
+
+    def counting(law, c, *args):
+        last = law._last
+        before = len(last[1].cum) - 1 if last is not None and last[0] == c else 0
+        got = chunk(law, c, *args)
+        key = (id(law), c)
+        counted[key] = counted.get(key, 0) + len(got.cum) - 1 - before
+        return got
+
+    monkeypatch.setattr(LengthLaw, "_chunk", counting)
+    return counted
+
+
 def _assert_jumps_match_walk(make, exact):
     """Every count a fresh law jumps to, and every query a fresh law
     answers, equals what the law that walked all its chunks gives:
@@ -1194,49 +1272,95 @@ class TestChunkJump:
         assert not calls
 
     def test_curve_skips_chunks_without_ranks(self, fig1, monkeypatch):
-        produced = []
-        chunk = LengthLaw._chunk
-
-        def counting(law, c):
-            if law._last is None or law._last[0] != c:
-                produced.append(c)
-            return chunk(law, c)
-
+        # 268 x 134 cells in as many classes, nine chunks, and one string
+        # in the last class: a chunk that holds a rank is counted whole,
+        # except the chunk of the last rank before the last class, which
+        # is counted only a little past that rank's class; a chunk that
+        # holds none is not counted at all
         y = y_repeat(fig1, "001", 400)
         walked = _walked(lambda: length_law_typeclass(fig1, y))
-        ends = walked.cum_counts[COUNT_CHUNK - 1::COUNT_CHUNK] + [walked.num_strings]
+        cum = walked.cum_counts
         ranks = [1 << k for k in range(402)]
-        holding = sorted({bisect_left(ends, b) for b in ranks if 1 < b <= walked.num_strings})
-        assert len(holding) < len(ends)
-        monkeypatch.setattr(LengthLaw, "_chunk", counting)
-        curve = length_law_typeclass(fig1, y)._excess_at_ranks(ranks, exact=False)
-        assert produced == holding
+        before_last = cum[-2]
+        placed = [b for b in ranks if 1 < b <= before_last]
+        assert placed[-1] == 1 << 399
+        holding = sorted({bisect_left(cum, b) // COUNT_CHUNK for b in placed})
+        assert len(holding) < -(-len(cum) // COUNT_CHUNK)
+        counted = _counting_classes(monkeypatch)
+        law = length_law_typeclass(fig1, y)
+        curve = law._excess_at_ranks(ranks, exact=False)
+        assert sorted(c for (_, c), classes in counted.items() if classes) == holding
+        *whole, c = holding
+        for w in whole:
+            assert counted[id(law), w] == min(COUNT_CHUNK, len(cum) - w * COUNT_CHUNK)
+        _assert_counted_just_past(cum, placed[-1], counted[id(law), c])
+        assert counted[id(law), c] < min(COUNT_CHUNK, len(cum) - c * COUNT_CHUNK)
         assert [v.hex() for v in curve] == [
             v.hex() for v in walked._excess_at_ranks(ranks, exact=False)]
 
     def test_deep_rank_produces_one_chunk(self, fig1, monkeypatch):
-        produced = []
-        chunk = LengthLaw._chunk
-
-        def counting(law, c):
-            if law._last is None or law._last[0] != c:
-                produced.append(c)
-            return chunk(law, c)
-
-        monkeypatch.setattr(LengthLaw, "_chunk", counting)
-        # 268 x 134 cells in as many classes: nine count chunks
+        # 268 x 134 cells in as many classes: nine count chunks, of which a
+        # deep rank counts one, and in it only the classes up to the rank's
         y = y_repeat(fig1, "001", 400)
         n_strings = 1 << 400
+        counted = _counting_classes(monkeypatch)
         for exact in (False, True):
+            walked = _walked(lambda: length_law_typeclass(fig1, y, exact=exact))
+            cum = walked.cum_counts
             for b in (1 << 399, n_strings - 1):
                 law = length_law_typeclass(fig1, y, exact=exact)
                 assert law.num_classes > 8 * COUNT_CHUNK
-                produced.clear()
+                counted.clear()
                 got = law.excess_at_rank_exact(b) if exact else law.excess_at_rank(b)
-                assert len(produced) == 1 and produced[0] >= 4
-                walked = _walked(lambda: length_law_typeclass(fig1, y, exact=exact))
+                (key, classes), = [(key, v) for key, v in counted.items() if v]
+                c = bisect_left(cum, b) // COUNT_CHUNK
+                assert key == (id(law), c) and c >= 4
+                _assert_counted_just_past(cum, b, classes)
                 assert got == (walked.excess_at_rank_exact(b) if exact
                                else walked.excess_at_rank(b))
+
+    @given(small_models(), st.data())
+    @settings(max_examples=40)
+    def test_prefixes_match_walked_laws(self, model, data):
+        # chunks of 1 to 16 classes take the float sum, the doubling and
+        # the last-class rule at these sizes; 4096 counts each law whole
+        ny = len(model.y_alphabet)
+        n = data.draw(st.integers(1, 5))
+        y = SideInfoString(
+            model.y_alphabet, tuple(data.draw(st.integers(0, ny - 1)) for _ in range(n)))
+        size = data.draw(st.sampled_from([1, 2, 3, 8, 16, 4096]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "COUNT_CHUNK", size)
+            for build, exact in product((length_law_typeclass, length_law_bruteforce),
+                                        (False, True)):
+                _assert_prefixes_match(lambda: build(model, y, exact=exact), exact)
+
+    def test_pair_sweep_counts_half_the_classes(self, fig1, monkeypatch):
+        # the 151 laws of the fig1 n = 150 sweep hold 585276 classes; every
+        # rank 2^0..2^149 lies in the first half of them, and 2^150 in each
+        # law's last class, which is read from the end
+        total = sum(law.num_classes for _, law in limits._pair_laws(fig1, 150, False))
+        assert total == 585276
+        counted = _counting_classes(monkeypatch)
+        _pair_curve_of_route.cache_clear()
+        rate_star_pair(fig1, 150, 0.1)
+        _pair_curve_of_route.cache_clear()
+        assert 0.5 * total <= sum(counted.values()) <= 0.55 * total
+
+    def test_first_query_leaves_a_partial_chunk(self, fig1):
+        # 67 x 34 cells in as many classes, one chunk: rank 2^99 lies in the
+        # first half of them, so its query counts only a prefix, which a
+        # later rank grows and counts/cum_counts complete
+        y = y_repeat(fig1, "001", 100)
+        walked = _walked(lambda: length_law_typeclass(fig1, y))
+        law = length_law_typeclass(fig1, y)
+        assert law.epsilon_star(99).hex() == walked.epsilon_star(99).hex()
+        done = len(law._last[1].cum) - 1
+        assert done < law.num_classes and 0 not in law._ends
+        b = walked.cum_counts[done] + 1     # the first rank past the prefix
+        assert law.excess_at_rank(b).hex() == _walked_excess(walked, b, False).hex()
+        assert len(law._last[1].cum) - 1 >= min(2 * done, law.num_classes)
+        assert law.cum_counts == walked.cum_counts and 0 in law._ends
 
     def test_prefix_lengths_follow_merge_predicate(self):
         # levels a few ulps from a cell value minus MERGE_TOL, where the
@@ -1618,14 +1742,15 @@ class TestBuildOnce:
         assert len(builds) == 1
 
     @staticmethod
-    def _race(queries, want):
-        """Ask ``queries`` from four threads switching often; the
-        answers, as float hex, must be ``want``."""
+    def _race(queries, want, stagger=7):
+        """Ask ``queries`` from four threads switching often, thread ``t``
+        from query ``t * stagger`` on, in a cycle; the answers, as float
+        hex, must be ``want``."""
         wrong = []
 
         def ask(t):
             for i in range(len(queries)):
-                j = (t * 7 + i) % len(queries)
+                j = (t * stagger + i) % len(queries)
                 try:
                     if queries[j]() != want[j]:
                         wrong.append(j)
@@ -1687,6 +1812,20 @@ class TestBuildOnce:
         self._race(queries, want)
         gc.collect()
         assert len(_live_laws()) == 1
+
+    def test_racing_callers_grow_one_chunk(self, fig1):
+        # a held ranking-route law of 67 x 34 cells, one chunk in as many
+        # classes, fresh before each race: every thread asks ascending
+        # ranks, so one grows the chunk's counted prefix while others read it
+        y = y_repeat(fig1, "001", 100)
+        queries = [lambda k=k: epsilon_star_ref(fig1, y, k).hex() for k in range(101)]
+        want = [length_law_typeclass(fig1, y).epsilon_star(k).hex() for k in range(101)]
+        for _ in range(3):
+            epsilon_star_ref(fig1, y_repeat(fig1, "01", 9), 1)     # takes the memo slot
+            held = limits._ref_law(fig1, y, "auto", False)
+            assert limits._one_chunk(held) and held._last is None
+            self._race(queries, want, stagger=0)
+            assert limits._ref_law(fig1, y, "auto", False) is held
 
     def test_skewed34_sweep_builds_each_factor_once(self, corpus_models, monkeypatch):
         calls = []
@@ -1770,9 +1909,9 @@ class TestBuildOnce:
             merged.add(len(starts) < len(cells))
             return class_sums(cells, starts)
 
-        def recording_chunk(law, c):
+        def recording_chunk(law, c, *args):
             produced.setdefault(id(law), set()).add(c)
-            return chunk(law, c)
+            return chunk(law, c, *args)
 
         monkeypatch.setattr(limits, "_class_sums", recording_sums)
         monkeypatch.setattr(LengthLaw, "_chunk", recording_chunk)

@@ -12,9 +12,10 @@ brute-force guard ``|X|^n <= limits.BRUTEFORCE_GUARD``; distributional
 questions at larger blocklengths belong to the length-law machinery.
 
 All ranking and probability checks here are exact: the codebook holds
-integer numerators of P(x|y) over one common denominator, taken from
-the brute-force enumeration of the length-law module, and sorts and
-checks them by integer comparisons.  The sort is this module's own,
+y's row of the length-law module's brute-force enumeration, the row a
+brute-force law given y reads too: integer numerators of P(x|y) over
+``L^n``, ``L`` the lcm of every conditional row.  It sorts and checks
+them by integer comparisons.  The sort is this module's own,
 so it doubles as the ground-truth oracle that the large-scale
 evaluators are tested against.
 """
@@ -28,13 +29,7 @@ from functools import cached_property
 from itertools import product
 from typing import Sequence
 
-from .limits import (
-    BRUTEFORCE_GUARD,
-    COUNT_CHUNK,
-    GuardExceededError,
-    _bruteforce_cond_iid_exact,
-    _LastBuilt,
-)
+from .limits import BRUTEFORCE_GUARD, COUNT_CHUNK, GuardExceededError, _fits, _LastBuilt, _rows
 from .models import CondIidModel, SideInfoString
 
 
@@ -102,15 +97,18 @@ class RankedCodebook:
     def _as_indices(self, x: Sequence[int] | str) -> tuple[int, ...]:
         if isinstance(x, str):
             alph = self.model.x_alphabet
-            if all(len(s) == 1 for s in alph.symbols):
-                return tuple(alph.index(c) for c in x)
-            return tuple(alph.index(p) for p in x.split(","))
+            labels = x if all(len(s) == 1 for s in alph.symbols) else x.split(",")
+            if not set(labels) <= set(alph.symbols):
+                raise ValueError(f"source string {x!r} has a label not in {alph.symbols}")
+            return tuple(map(alph.index, labels))
         return tuple(x)
 
     def encode(self, x: Sequence[int] | str) -> Codeword:
         xi = self._as_indices(x)
         if len(xi) != self.n:
             raise ValueError("source string length must match the y-string")
+        if xi not in self.rank_of:
+            raise ValueError(f"x-indices must lie in 0..{len(self.model.x_alphabet) - 1}")
         return Codeword(codeword_for_rank(self.rank_of[xi]))
 
     def decode(self, bits: str) -> tuple[int, ...]:
@@ -136,13 +134,15 @@ def build_code(model: CondIidModel, y: SideInfoString) -> RankedCodebook:
     """
     n = len(y)
     nx = len(model.x_alphabet)
-    if nx**n > BRUTEFORCE_GUARD:
+    if not _fits(nx, n, BRUTEFORCE_GUARD):
         raise GuardExceededError(
-            f"explicit codebook needs |X|^n <= {BRUTEFORCE_GUARD}, got {nx**n}"
+            f"explicit codebook needs |X|^n <= {BRUTEFORCE_GUARD}, got {nx}^{n}"
         )
 
     def build() -> RankedCodebook:
-        nums, den = _bruteforce_cond_iid_exact(model, y)
+        # y's exact row of the brute-force enumeration, over L^n
+        _, _, v, den, _ = next(_rows(model, n, True, y))
+        nums = v[0].tolist()
         # A stable sort over product order breaks ties lexicographically.
         ranked = sorted(range(len(nums)), key=lambda i: -nums[i])
         strings = list(product(range(nx), repeat=n))
@@ -290,6 +290,10 @@ def build_prefix_code(model: CondIidModel, y: SideInfoString, k: int) -> PrefixC
         raise ValueError("prefix construction needs k >= 1")
     book = build_code(model, y)
     total = book.num_strings
+    # every codeword has at least k bits
+    if k * total > 64 * BRUTEFORCE_GUARD:
+        raise GuardExceededError(
+            f"prefix codebook needs k·|X|^n <= 64·{BRUTEFORCE_GUARD} codeword bits, got k = {k}")
     head = min((1 << k) - 1, total)
     codewords = [format(i, f"0{k}b") for i in range(head)]
     rest = total - head

@@ -11,8 +11,10 @@ probability with exact string counts.
 Every law is held in product form (:class:`LengthLaw`): for
 conditionally i.i.d. models one factor per y-symbol, whose cells are
 the type classes of the positions seeing that symbol; the brute-force
-builder enumerates the strings given one y-string into one flat factor,
-an independent oracle and the only exact route for Markov models.
+builder takes one flat factor, an independent oracle and the only exact
+route for Markov models.  Every brute-force object (that factor, a
+codebook, a pair curve, the pair converse) reads the rows of one
+enumeration, ``_rows``, over one y-string or over all of them.
 Markov enumerations walk y-prefixes breadth first in bounded blocks,
 exactly in integers over one denominator, one ``MarkovPairModel._advance``
 (the forward step every pair-context recursion shares) per depth for all
@@ -39,10 +41,9 @@ the last rank the pass places in it, and on a law of more than an
 eighth of a chunk of classes a rank in its last class (``2^n`` for two
 x-symbols) is read from the end, with no count: the fig1 sweep at
 n = 150 counts half of its laws' classes.  The brute-force pair
-queries, curves and converse check alike, build no law: each y-string
-is one row of a numpy block, whose ``log2 P(x|y)`` is ranked with the
-float operations of its own law, or whose integer numerators are
-sorted.
+queries, curves and converse check alike, build no law: each y-string's
+row, its ``log2 P(x|y)``, is ranked with the float operations of its own
+law, or its integer numerators are sorted.
 
 A law ranks its cells only when a query reads the ranking: the pair
 curve, ``info_tail``, ``counts``/``probs`` and the exact track.  The
@@ -1114,23 +1115,14 @@ def _typeclass_law(
 # Brute-force oracles
 
 
-def _bruteforce_cond_iid_exact(
-    model: CondIidModel, y: SideInfoString
-) -> tuple[list[int], int]:
-    """Integer numerators of P(x|y) over a common denominator, in
-    product order of x."""
-    rows, lcms = zip(*(_numerators([row]) for row in model.p_x_given_y))
-    nums = _outer([np.array(rows[yi][0], dtype=object) for yi in y.indices], np.multiply)
-    return nums.tolist(), math.prod(lcms[yi] for yi in y.indices)
-
-
 def length_law_bruteforce(
     model: Model,
     y: SideInfoString,
     exact: bool = False,
     guard: int = BRUTEFORCE_GUARD,
 ) -> LengthLaw:
-    """Length law by enumerating every source string.
+    """Length law by enumerating every source string: one flat factor,
+    ``y``'s row of :func:`_rows`.
 
     Independent of the type-class path; the only exact route for
     Markov models.  Guarded at ``|X|^n <= guard``.
@@ -1138,18 +1130,13 @@ def length_law_bruteforce(
     if not _fits(len(model.x_alphabet), len(y), guard):
         raise GuardExceededError(
             f"brute force needs |X|^n <= {guard}, got {len(model.x_alphabet)}^{len(y)}")
-    if isinstance(model, CondIidModel):
-        if exact:
-            factor = _flat_factor(None, *_bruteforce_cond_iid_exact(model, y))
-        else:
-            factor = _flat_factor(_outer([model.cond_log2[yi] for yi in y.indices], np.add))
-    else:
-        den, joints = next(_markov_blocks(model, [(yt,) for yt in y.indices], exact), (1, None))
-        if joints is None and not exact and _y_marginal_log2(model, y.indices) > -math.inf:
-            raise ValueError("P(y) underflows float64 in the enumeration; use exact=True")
-        if joints is None:
-            raise ValueError("side-information string has zero probability")
-        factor = _markov_flat_factor(joints[0], den, exact)
+    _, _, v, given, _ = next(_rows(model, len(y), exact, y), (1, None, None, None, None))
+    if v is None and not exact and _y_marginal_log2(model, y.indices) > -math.inf:
+        raise ValueError("P(y) underflows float64 in the enumeration; use exact=True")
+    if v is None:
+        raise ValueError("side-information string has zero probability")
+    nums = v[0].tolist() if exact else None
+    factor = _flat_factor(None, nums, given or sum(nums)) if exact else _flat_factor(v[0])
     return LengthLaw(len(y), [factor], exact)
 
 
@@ -1228,13 +1215,73 @@ def _markov_blocks(
         yield den, probs
 
 
-def _markov_flat_factor(joints: np.ndarray, den: int, exact: bool) -> _Factor:
-    """The factor of P(x|y) from the joints P(x, y) over ``den``, y fixed, P(y) > 0."""
-    if exact:
-        nums = (joints // math.gcd(den, *joints.tolist())).tolist()
-        return _flat_factor(None, nums, sum(nums))
-    with np.errstate(divide="ignore"):
-        return _flat_factor(np.log2(joints) - math.log2(joints.sum()))
+def _rows(model: Model, n: int, exact: bool, y: SideInfoString | None = None) -> Iterator[tuple]:
+    """The brute-force enumeration, one source for both scopes:
+    ``(den, w, v, given, keys)`` per block, one row of ``v`` per y-string
+    of positive probability in product order, or with ``y`` the row of
+    ``y`` alone (none for a Markov ``y`` of probability zero), each over
+    the x-strings in product order.  The brute-force layer's only
+    dispatch on model kind.
+
+    Float: ``v`` is ``log2 P(x|y)`` and ``w`` is ``P(y)``.  Exact: integers
+    with ``P(x, y) = w·v / den`` and ``P(x|y) = v / given`` (over the row's
+    sum if ``given`` is None), and ``keys()`` float keys of ``v`` that
+    presort object rows.  Given ``y``, a conditionally i.i.d. row weighs 1.
+
+    Markov rows are the joints of :func:`_markov_blocks`, of weight 1 on
+    the exact track; a float row takes ``log2`` of its joints minus
+    ``math.log2`` of their sum.  Conditionally i.i.d. float rows add the
+    ``cond_log2`` rows of their y-symbols from the left along
+    :func:`_walk`.  An exact block is a y-head times every y-tail, at most
+    ``max(COUNT_CHUNK, |X|^n)`` cells over one lcm ``L`` of all rows
+    (``given`` is ``L^n``), int64 when the largest row sum to the ``n``
+    (which bounds every partial sum) fits.
+    """
+    ny, nx = len(model.y_alphabet), len(model.x_alphabet)
+    markov = isinstance(model, MarkovPairModel)
+    p_y = [1] * ny if markov or y is not None else model.require_p_y()
+    choices = [[a for a in range(ny) if p_y[a]]] * n if y is None else [[a] for a in y.indices]
+    if markov:
+        for den, joints in _markov_blocks(model, choices, exact):
+            if exact:
+                yield den, np.ones(len(joints), object), joints, None, \
+                    lambda joints=joints, den=den: (joints / den).astype(float)
+                continue
+            total = joints.sum(axis=1)
+            log2_total = np.array([math.log2(t) for t in total.tolist()])
+            with np.errstate(divide="ignore"):
+                lp = np.log2(joints) - log2_total[:, None]
+            yield 1, total, lp, None, None
+        return
+    if not exact:
+        p, cond = np.array([float(q) for q in p_y]), model.cond_log2
+
+        def step(t: int, state: tuple) -> tuple:
+            w, lp = state
+            ys = choices[t]
+            return ((w[:, None] * p[ys]).ravel(),
+                    (lp[:, None, :, None] + cond[ys][:, None]).reshape(len(w) * len(ys), -1))
+
+        for w, lp in _walk(choices, nx, step, (np.ones(1), np.zeros((1, 1)))):
+            yield 1, w, lp, None, None
+        return
+    strings = nx**n
+    (pn,), d = _numerators([p_y])
+    qn, l = _numerators(model.p_x_given_y)
+    qn = np.array(qn, np.int64 if max(map(sum, qn)) ** n < 1 << 63 else object)
+    den, given = (d * l) ** n, l**n
+    r = next(r for r in range(n, -1, -1)
+             if math.prod(map(len, choices[n - r:])) * strings <= max(COUNT_CHUNK, strings))
+    one = np.ones((), qn.dtype)
+    tail_ys = list(product(*choices[n - r:]))     # one row per y-tail, in product order
+    tails = np.array([reduce(np.multiply.outer, (qn[a] for a in t), one).ravel() for t in tail_ys])
+    tail_pn = np.array([math.prod(pn[a] for a in t) for t in tail_ys], object)
+    for head in product(*choices[:n - r]):
+        heads = reduce(np.multiply.outer, (qn[a] for a in head), one).ravel()
+        v = (heads[:, None] * tails[:, None]).reshape(len(tails), -1) if head else tails
+        yield den, math.prod(pn[a] for a in head) * tail_pn, v, given, \
+            lambda heads=heads: (np.asarray(heads / l ** (n - r), float)[:, None]
+                                 * np.asarray(tails / l**r, float)[:, None]).reshape(len(tails), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -1416,47 +1463,16 @@ def _pair_laws(
 
 
 def _exact_pair_rows(model: Model, n: int) -> Iterator[tuple]:
-    """``(den, w, rows, given)`` per block: each y-string of positive
-    probability, in product order, is one ascending row of integers
-    ``v(x, y)`` of weight ``w(y)``, P(x, y) being ``w(y)·v(x, y) / den``
-    and P(x|y) ``v(x, y) / given`` (over the row's sum if ``given`` is None).
-
-    Markov rows are the joints of :func:`_markov_blocks`, of weight 1.  A
-    conditionally i.i.d. block is a y-head times every y-tail, at most
-    ``max(COUNT_CHUNK, |X|^n)`` cells of ``v(x|y)`` weighted by ``p_y``,
-    each over its lcm to the ``n`` and not renormalized: an int64 array when
-    the largest row sum to the ``n`` (which bounds every partial sum) fits,
-    else lists of ints, each presorted by float keys so the exact sort is
-    about one pass."""
-
-    def ascending(block: np.ndarray, keys: Callable) -> Sequence:
-        if block.dtype == object:
-            rows = np.take_along_axis(block, np.argsort(keys().reshape(block.shape)), 1).tolist()
-            return [sorted(v) for v in rows]
-        return np.sort(block)
-
-    if isinstance(model, MarkovPairModel):
-        for den, v in _markov_blocks(model, [range(len(model.y_alphabet))] * n, True):
-            yield den, np.ones(len(v), object), ascending(v, lambda: (v / den).astype(float)), None
-        return
-    strings = len(model.x_alphabet) ** n
-    live = [a for a, p in enumerate(model.require_p_y()) if p]
-    (pn,), d = _numerators([[model.p_y[a] for a in live]])
-    qn, l = _numerators(model.p_x_given_y)
-    qn = [qn[a] for a in live]
-    qn = np.array(qn, np.int64 if max(map(sum, qn)) ** n < 1 << 63 else object)
-    ny, den = len(live), (d * l) ** n
-    r = next(r for r in range(n, -1, -1) if ny**r * strings <= max(COUNT_CHUNK, strings))
-    one = np.ones((), qn.dtype)
-    tail_ys = list(product(range(ny), repeat=r))    # one row per y-tail, in product order
-    tails = np.array([reduce(np.multiply.outer, (qn[a] for a in t), one).ravel() for t in tail_ys])
-    tail_pn = np.array([math.prod(pn[a] for a in t) for t in tail_ys], object)
-    for head in product(range(ny), repeat=n - r):
-        heads = reduce(np.multiply.outer, (qn[a] for a in head), one)
-        block = np.multiply.outer(tails, heads).reshape(len(tails), -1)
-        rows = ascending(block, lambda: np.multiply.outer(
-            np.asarray(tails / l**r, float), np.asarray(heads / l ** (n - r), float)))
-        yield den, math.prod(pn[a] for a in head) * tail_pn, rows, l**n
+    """``(den, w, rows, given)`` of the exact blocks of :func:`_rows` over
+    every y-string, each row sorted ascending: an int64 block by numpy,
+    lists of ints presorted by the block's float keys, so the exact sort
+    is about one pass."""
+    for den, w, v, given, keys in _rows(model, n, True):
+        if v.dtype == object:
+            v = [sorted(row) for row in np.take_along_axis(v, np.argsort(keys()), 1).tolist()]
+        else:
+            v = np.sort(v)
+        yield den, w, v, given
 
 
 def _bruteforce_pair_curve(model: Model, n: int, ranks: Sequence[int]) -> list[Fraction]:
@@ -1492,35 +1508,6 @@ def _exact_pair_sums(model: Model, n: int, b: int, thresholds: Sequence[Fraction
                 v == 0 or _log2_at_least(Fraction(v, q), t))) for t in thresholds]
             sums = [s + wy * cum[m] for s, m in zip(sums, cuts)]
     return [Fraction(v, den) for v in sums]
-
-
-def _float_pair_rows(model: Model, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(P(y), log2 P(x|y))`` of every y-string of positive probability,
-    in product order, in blocks of :func:`_walk` with one row per y-string.
-
-    Each row takes the float operations of its own brute-force law: a
-    Markov row divides its joints by their sum, in ``log2`` with
-    ``math.log2`` of the sum; a conditionally i.i.d. row adds the
-    ``cond_log2`` rows of its y-symbols from the left, and multiplies its
-    weight the same way."""
-    ny, nx = len(model.y_alphabet), len(model.x_alphabet)
-    if isinstance(model, MarkovPairModel):
-        for _, joints in _markov_blocks(model, [range(ny)] * n, False):
-            total = joints.sum(axis=1)
-            log2_total = np.array([math.log2(t) for t in total.tolist()])
-            with np.errstate(divide="ignore"):
-                yield total, np.log2(joints) - log2_total[:, None]
-        return
-    p_y = np.array([float(p) for p in model.require_p_y()])
-    live = np.flatnonzero(p_y)
-    p_live, rows = p_y[live], model.cond_log2[live]
-
-    def step(t: int, state: tuple) -> tuple:
-        w, lp = state
-        return ((w[:, None] * p_live).ravel(),
-                (lp[:, None, :, None] + rows[:, None]).reshape(len(w) * len(live), -1))
-
-    yield from _walk([live] * n, nx, step, (np.ones(1), np.zeros((1, 1))))
 
 
 def _row_overflows(lp: np.ndarray, ranks: Sequence[int], thresholds: Sequence = ()) -> np.ndarray:
@@ -1562,20 +1549,20 @@ def _row_overflows(lp: np.ndarray, ranks: Sequence[int], thresholds: Sequence = 
 
 def _float_pair_sums(model: Model, n: int, b: int, thresholds: Sequence[float]) -> list[float]:
     """The pair overflow at rank ``b``, then P[-log2 P(X|Y) >= t] at each
-    threshold ``t``, from one pass over the rows of :func:`_float_pair_rows`:
+    threshold ``t``, from one pass over the float rows of :func:`_rows`:
     each row's values by :func:`_row_overflows`, times P(y), summed by
     ``math.fsum``."""
     blocks = [w[:, None] * _row_overflows(lp, [b], thresholds)
-              for w, lp in _float_pair_rows(model, n)]
+              for _, w, lp, _, _ in _rows(model, n, False)]
     return [math.fsum(col) for col in np.concatenate(blocks).T.tolist()]
 
 
 def _float_pair_curve(model: Model, n: int, ranks: Sequence[int]) -> list[float]:
     """Float brute-force pair overflow at each of the ascending ``ranks``:
-    the rows of :func:`_float_pair_rows` by :func:`_row_overflows`, times
+    the float rows of :func:`_rows` by :func:`_row_overflows`, times
     P(y), added in y order, bit for bit the per-y-string laws' sum."""
     total = np.zeros(len(ranks))
-    for w, lp in _float_pair_rows(model, n):
+    for _, w, lp, _, _ in _rows(model, n, False):
         for row in w[:, None] * _row_overflows(lp, ranks):
             total += row
     return total.tolist()

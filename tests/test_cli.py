@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidecomp import bounds, limits
+from sidecomp import bounds, codec, limits
 from sidecomp.cli import _COMMANDS, build_parser, main
 from sidecomp.measures import measures
 from sidecomp.models import SideInfoString, load_model
@@ -768,6 +768,13 @@ LIBRARY_CALLS = {
     "pair_achievability": lambda m, a: bounds.pair_achievability(
         m, a["n"], a["eps"], a["prefix"]),
     "pair_converse": lambda m, a: bounds.pair_converse(m, a["n"], a["eps"]),
+    "build_code": lambda m, a: codec.build_code(m, _y(m, a)),
+    "encode": lambda m, a: codec.encode(m, _y(m, a), a["x"]),
+    "decode": lambda m, a: codec.decode(m, _y(m, a), a["bits"]),
+    "build_prefix_code": lambda m, a: codec.build_prefix_code(m, _y(m, a), a["k"]),
+    "check_pointwise_achievability": lambda m, a: codec.check_pointwise_achievability(
+        m, _y(m, a)),
+    "check_counting_sandwich": lambda m, a: codec.check_counting_sandwich(m, _y(m, a)),
 }
 LIBRARY_MODELS = ("deterministic", "fig1", "nogap", "skewed34", "uniform2")
 # hostile values next to ordinary ones; a y-string is at most 10^6 long
@@ -784,9 +791,13 @@ LIBRARY_ARGS = st.fixed_dictionaries({
     "exact": st.booleans(),
     "given_y": st.booleans(),
     "prefix": st.booleans(),
+    # source strings as x-indices or labels, and codewords
+    "x": st.sampled_from([(0, 1, 0), (0, 5), (-1, 0, 0), (0.5, 0, 0), "aba", "zz", "0,1"]),
+    "bits": st.sampled_from(["", "0", "101", "2", "1" * 64]),
 })
 ORDINARY = {"n": 3, "length": 3, "pattern": "001", "k": 1, "eps": 0.1, "tau": 1.0,
-            "method": "auto", "exact": False, "given_y": False, "prefix": False}
+            "method": "auto", "exact": False, "given_y": False, "prefix": False,
+            "x": (0, 1, 0), "bits": "101"}
 # each call may take this long in its own process
 LIBRARY_SECONDS = 10
 
@@ -829,6 +840,12 @@ class TestHostileLibraryCalls:
     @example(name="rate_star_pair", model="fig1", args={**ORDINARY, "n": 10**6})
     @example(name="rate_star_ref", model="uniform2",
              args={**ORDINARY, "length": 10**6, "pattern": "0", "eps": 0.5})
+    # OverflowError at 1 << k
+    @example(name="build_prefix_code", model="fig1", args={**ORDINARY, "k": 10**20})
+    # KeyError from an x-index past the alphabet, a negative one, and a label
+    @example(name="encode", model="nogap", args={**ORDINARY, "length": 2, "x": (0, 5)})
+    @example(name="encode", model="fig1", args={**ORDINARY, "x": (-1, 0, 0)})
+    @example(name="encode", model="nogap", args={**ORDINARY, "length": 2, "x": "zz"})
     def test_every_call_returns_or_raises_a_value_error(self, name, model, args):
         m = load_model(MODELS_DIR / f"{model}.json")
 

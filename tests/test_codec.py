@@ -108,6 +108,16 @@ class TestRankedCodebook:
         with pytest.raises(ValueError):
             build_code(fig1, y_repeat(fig1, "0", 31))
 
+    @pytest.mark.parametrize("call", [build_code, check_pointwise_achievability,
+                                      check_counting_sandwich])
+    def test_guard_names_the_power(self, corpus_models, call):
+        # 3^10000 has more digits than int-to-str converts: the guard names
+        # the power by base and exponent, without building it
+        m = corpus_models["nogap"]
+        with pytest.raises(GuardExceededError, match=r"^explicit codebook needs "
+                           r"\|X\|\^n <= 1048576, got 3\^10000$"):
+            call(m, y_repeat(m, "0", 10**4))
+
     def test_guard_is_the_bruteforce_guard(self, fig1):
         # 2^21 strings, one past limits.BRUTEFORCE_GUARD: refused before
         # any string is enumerated

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidecomp import limits
+from sidecomp.codec import build_code
 from sidecomp.limits import (
     COUNT_CHUNK,
     GuardExceededError,
@@ -329,7 +330,9 @@ def _per_y_string_pair_laws(model, n, exact):
                 nums = [p.numerator * (lcm // p.denominator) for p in joints]
                 w, factor = sum(joints), limits._flat_factor(None, nums, sum(nums))
             else:
-                w, factor = float(joints.sum()), limits._markov_flat_factor(joints, 1, False)
+                with np.errstate(divide="ignore"):
+                    lp = np.log2(joints) - math.log2(joints.sum())
+                w, factor = float(joints.sum()), limits._flat_factor(lp)
         else:
             w = math.prod(p_y[yi] for yi in ys)
             if w == 0:
@@ -359,7 +362,7 @@ def _pair_rows(model, n, exact):
     float rows' weight and ``log2 P(x|y)``, or the exact rows' ``P(y)`` and
     ascending ``P(x|y)`` as ``Fraction``s."""
     if not exact:
-        return [(w, row) for ws, lp in limits._float_pair_rows(model, n)
+        return [(w, row) for _, ws, lp, _, _ in limits._rows(model, n, False)
                 for w, row in zip(ws, lp)]
     out = []
     for den, ws, rows, given in limits._exact_pair_rows(model, n):
@@ -515,14 +518,14 @@ class TestPairWalk:
         # 2^13 = 8192 > COUNT_CHUNK cells
         assert 2**13 > COUNT_CHUNK
         for n in (1, 2, 13):
-            blocks = [lp.shape for _, lp in limits._float_pair_rows(model, n)]
+            blocks = [lp.shape for _, _, lp, _, _ in limits._rows(model, n, False)]
             assert blocks == [(1, 2**n)]
             _assert_float_curve_is_per_y_string(model, n)
 
     def test_float_rows_of_a_dead_symbol(self):
         # the y-strings holding y-symbol 1, of probability 0, get no row
         for n in range(1, 5):
-            assert sum(len(w) for w, _ in limits._float_pair_rows(DEAD_SYMBOL, n)) == 2**n
+            assert sum(len(w) for _, w, _, _, _ in limits._rows(DEAD_SYMBOL, n, False)) == 2**n
             _assert_float_curve_is_per_y_string(DEAD_SYMBOL, n)
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -538,7 +541,7 @@ class TestPairWalk:
         monkeypatch.setattr(limits, "COUNT_CHUNK", chunk)
         for model, n in ((DEAD_SYMBOL, 4), (PRIME_2X2, 7), (MARKOV2X2_INITIAL, 6), (ORDER2, 5)):
             limit = max(chunk, len(model.x_alphabet) ** n)
-            assert all(lp.size <= limit for _, lp in limits._float_pair_rows(model, n))
+            assert all(lp.size <= limit for _, _, lp, _, _ in limits._rows(model, n, False))
             _assert_float_curve_is_per_y_string(model, n)
             if isinstance(model, MarkovPairModel):
                 _assert_pair_walk_matches_per_y_string(model, n, False)
@@ -578,6 +581,64 @@ class TestPairWalk:
         rows = limits._exact_pair_rows(m, 3)
         with pytest.raises(ValueError, match=f"^{str(ref.value)}$"):
             next(rows)
+
+
+def _assert_fixed_y_rows_are_pair_rows(model, n):
+    """For every y-string of length n: the flat factor of the fixed-y
+    brute-force law is y's row of the pair enumeration, in product order
+    of x (float ``log2 P(x|y)`` by bytes, exact ``P(x|y)`` as
+    ``Fraction``s), and so are a codebook's probabilities.  An exact row
+    is P(x|y) from the model's own rationals: a product of conditional
+    entries, or the forward pass's joints over their sum.  A y-string
+    of probability zero has no pair row: a Markov one has no law either."""
+    markov = isinstance(model, MarkovPairModel)
+    xs = list(product(range(len(model.x_alphabet)), repeat=n))
+    for exact in (False, True):
+        rows = []
+        for _, _, v, given, _ in limits._rows(model, n, exact):
+            for row in v:
+                q = sum(row.tolist()) if exact and given is None else given
+                rows.append([Fraction(x, q) for x in row.tolist()] if exact else row)
+        rows = iter(rows)
+        for ys in product(range(len(model.y_alphabet)), repeat=n):
+            y = SideInfoString(model.y_alphabet, ys)
+            if markov and not _per_y_string_joints(model, ys, True).any():
+                with pytest.raises(ValueError, match="^side-information string has zero"):
+                    length_law_bruteforce(model, y, exact=exact)
+                continue
+            (factor,) = length_law_bruteforce(model, y, exact=exact)._factors
+            if not markov and math.prod(model.p_y[a] for a in ys) == 0:
+                continue
+            row = next(rows)
+            if not exact:
+                assert factor.lp.tobytes() == row.tobytes()
+                continue
+            assert [Fraction(v, factor.den) for v in factor.nums.tolist()] == row
+            if markov:
+                joints = _per_y_string_joints(model, ys, True).tolist()
+                assert row == [j / sum(joints) for j in joints]
+            else:
+                assert row == [math.prod(model.p_x_given_y[a][x] for a, x in zip(ys, xv))
+                               for xv in xs]
+                book = build_code(model, y)
+                prob = dict(zip(book.order, book.probs))
+                assert [prob[xv] for xv in xs] == row
+        assert next(rows, None) is None
+
+
+class TestOneRowSource:
+    @given(st.one_of(small_models(), small_markov_models()), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_y_rows_are_pair_rows(self, model, data):
+        n = data.draw(st.integers(getattr(model, "order", 1), 3))
+        _assert_fixed_y_rows_are_pair_rows(model, n)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_dead_symbol_and_order_two(self, n):
+        # y-symbol 1 of DEAD_SYMBOL has probability 0: its y-strings have a
+        # law and a codebook, but no pair row
+        _assert_fixed_y_rows_are_pair_rows(DEAD_SYMBOL, n)
+        _assert_fixed_y_rows_are_pair_rows(ORDER2, n + 1)
 
 
 class TestCurveShape:
@@ -781,8 +842,7 @@ class TestGeneralConverse:
         def enumerated(*args, **kwargs):
             raise AssertionError("enumerated before every slack was checked")
 
-        for name in ("length_law_bruteforce", "_markov_blocks", "_exact_pair_rows",
-                     "_float_pair_rows"):
+        for name in ("length_law_bruteforce", "_markov_blocks", "_exact_pair_rows", "_rows"):
             monkeypatch.setattr(limits, name, enumerated)
         # a float nan is not positive; the exact track names it not finite
         want = "exact slacks must be finite" if exact and math.isnan(taus[1]) else \

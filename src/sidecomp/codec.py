@@ -143,8 +143,9 @@ def build_code(model: CondIidModel, y: SideInfoString) -> RankedCodebook:
         # y's exact row of the brute-force enumeration, over L^n
         _, _, v, den, _ = next(_rows(model, n, True, y))
         nums = v[0].tolist()
-        # A stable sort over product order breaks ties lexicographically.
-        ranked = sorted(range(len(nums)), key=lambda i: -nums[i])
+        # A stable sort over product order breaks ties lexicographically
+        # (a reverse sort keeps ties in their order).
+        ranked = sorted(range(len(nums)), key=nums.__getitem__, reverse=True)
         strings = list(product(range(nx), repeat=n))
         return RankedCodebook(
             model=model,
@@ -294,13 +295,12 @@ def build_prefix_code(model: CondIidModel, y: SideInfoString, k: int) -> PrefixC
     if k * total > 64 * BRUTEFORCE_GUARD:
         raise GuardExceededError(
             f"prefix codebook needs k·|X|^n <= 64·{BRUTEFORCE_GUARD} codeword bits, got k = {k}")
-    head = min((1 << k) - 1, total)
-    codewords = [format(i, f"0{k}b") for i in range(head)]
+    head, spec = min((1 << k) - 1, total), f"0{k}b"
+    codewords = [format(i, spec) for i in range(head)]
     rest = total - head
     if rest == 1:
-        codewords.append(format(head, f"0{k}b"))
+        codewords.append(format(head, spec))
     elif rest > 1:
-        reserved = format(head, f"0{k}b")
-        width = (rest - 1).bit_length()
-        codewords += [reserved + format(i, f"0{width}b") for i in range(rest)]
+        reserved, tail = format(head, spec), f"0{(rest - 1).bit_length()}b"
+        codewords += [reserved + format(i, tail) for i in range(rest)]
     return PrefixCodebook(book=book, k=k, codewords=codewords)

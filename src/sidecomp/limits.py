@@ -91,7 +91,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -166,6 +166,11 @@ class _Factor:
     strings: int                # sum of counts
     nums: np.ndarray | None     # object array of Python ints
     den: int = 1
+
+    @cached_property
+    def total(self) -> int:
+        """Exact track: the count-weighted sum of ``nums``, over ``den``."""
+        return sum(map(operator.mul, self.nums.tolist(), self.counts.tolist()))
 
     @cached_property
     def lp(self) -> np.ndarray:
@@ -283,9 +288,7 @@ class LengthLaw:
         self._den, self._total_num = 1, 0
         if exact:
             self._den = math.prod(f.den for f in factors)
-            self._total_num = math.prod(
-                sum(map(operator.mul, f.nums.tolist(), f.counts.tolist())) for f in factors
-            )
+            self._total_num = math.prod(f.total for f in factors)
         # chunk -> (cumulative count, count-weighted numerators) at its end
         self._ends: dict[int, tuple[int, int]] = {}
         self._last: tuple[int, _Chunk] | None = None
@@ -1025,14 +1028,18 @@ def _count_row(nx: int, size: int, count: int) -> _CountRow:
                      np.array([math.log2(c) for c in counts]), strings)
 
 
-def _symbol_factor(row: Sequence[Fraction], counts: _CountRow, exact: bool) -> _Factor:
+def _symbol_factor(
+    row: Sequence[Fraction], counts: _CountRow, nums: Sequence[int] | None = None, lcm: int = 1
+) -> _Factor:
     """Type classes of ``counts.count`` positions that all see one y-symbol,
     of conditional row ``row``; ``counts`` is the count row of its support.
 
     The type classes run over the support of the row; when the row has
     zeros, one more cell holds the strings that use a zero-probability
     x-symbol (``log2p`` -inf, numerator 0), as in a brute-force factor.
-    Numerators are built on the exact track alone.
+    On the exact track ``nums`` is the row's numerators over ``lcm``, the
+    model-wide lcm of :func:`_symbol_factors`: a cell's numerator, over
+    ``lcm^count``, is a product of the support's powers ``q^0 .. q^count``.
     """
     support = [p for p in row if p > 0]
     logs = [math.log2(float(p)) for p in support]
@@ -1044,15 +1051,24 @@ def _symbol_factor(row: Sequence[Fraction], counts: _CountRow, exact: bool) -> _
         lp = np.array([math.fsum(k * l for k, l in zip(ks, logs)) for ks in types])
     if len(lp) < len(counts.counts):
         lp = np.append(lp, -math.inf)
-    nums, den = None, 1
-    if exact:
-        if types is None:
-            types = [(count - k, k) for k in range(count + 1)]
-        (scaled,), den = _numerators([support])
-        nums = [math.prod(a**k for a, k in zip(scaled, ks)) for ks in types]
-        nums = np.array(nums + [0] * (len(lp) - len(nums)), dtype=object)
-        den **= count
-    return _Factor(lp, counts.counts, counts.lc, counts.strings, nums, den)
+    cells = None
+    if nums is not None:
+        powers = [list(accumulate(repeat(q, count), operator.mul, initial=1)) for q in nums if q]
+        if types is None:   # class k has type (count - k, k)
+            cells = list(map(operator.mul, powers[0][::-1], powers[1]))
+        else:
+            cells = [math.prod(map(list.__getitem__, powers, ks)) for ks in types]
+        cells = np.array(cells + [0] * (len(lp) - len(cells)), dtype=object)
+    return _Factor(lp, counts.counts, counts.lc, counts.strings, cells, lcm**count)
+
+
+def _symbol_factors(model: CondIidModel, count_row: Callable, exact: bool) -> Callable:
+    """``factor(a, c)``: the :func:`_symbol_factor` of ``c`` positions that
+    see y-symbol ``a``, of count row ``count_row(support size, c)``; exact
+    ones over ``L^c``, ``L`` the lcm of all conditional rows, like brute-force rows."""
+    rows, sizes = model.p_x_given_y, model.support_sizes
+    qn, lcm = _numerators(rows) if exact else ([None] * len(rows), 1)
+    return lambda a, c: _symbol_factor(rows[a], count_row(sizes[a], c), qn[a], lcm)
 
 
 def length_law_typeclass(
@@ -1069,20 +1085,13 @@ def length_law_typeclass(
     count share their count row.
     """
     composition = y.counts() if isinstance(y, SideInfoString) else tuple(y)
-    rows, sizes = model.p_x_given_y, model.support_sizes
     count_row = lru_cache(maxsize=None)(partial(_count_row, len(model.x_alphabet)))
-    return _typeclass_law(model, composition, exact,
-                          lambda a, c: _symbol_factor(rows[a], count_row(sizes[a], c), exact),
+    return _typeclass_law(model, composition, exact, _symbol_factors(model, count_row, exact),
                           class_cap)
 
 
-def _typeclass_law(
-    model: CondIidModel,
-    composition: Sequence[int],
-    exact: bool,
-    factor: Callable[[int, int], _Factor],
-    cap: int,
-) -> LengthLaw:
+def _typeclass_law(model: CondIidModel, composition: Sequence[int], exact: bool,
+                   factor: Callable[[int, int], _Factor], cap: int) -> LengthLaw:
     """:func:`length_law_typeclass` of a composition, with ``factor(a, c)``
     the factor of ``c`` positions that all see y-symbol ``a``; refused
     before any factor is built when its cells, or the 64-bit words of its
@@ -1386,20 +1395,11 @@ def rate_star_ref(
 # Pair-averaged queries
 
 
-def _composition_weight(
-    p_y: Sequence[Fraction] | Sequence[float], comp: Sequence[int], exact: bool
-) -> float | Fraction:
-    """P(y) summed over the y-strings of composition ``comp``: ``p_y`` are
-    Fractions on the exact track, and may be their floats on the float one."""
-    mult = _multinomial(sum(comp), comp)
-    if exact:
-        w = Fraction(mult)
-        for p, c in zip(p_y, comp):
-            w *= p**c
-        return w
+def _composition_weight(p_y: Sequence[float], comp: Sequence[int]) -> float:
+    """P(y) summed over the y-strings of composition ``comp``, from floats."""
     # a y-symbol of probability zero that occurs adds -inf
-    logw = math.log2(mult) + math.fsum(
-        c * math.log2(float(p)) if p > 0 else -math.inf for p, c in zip(p_y, comp) if c)
+    logw = math.log2(_multinomial(sum(comp), comp)) + math.fsum(
+        c * math.log2(p) if p > 0 else -math.inf for p, c in zip(p_y, comp) if c)
     return 0.0 if logw == -math.inf else 2.0**logw
 
 
@@ -1430,19 +1430,22 @@ class _Shared:
             self._held.pop(key, None)
 
 
-def _pair_laws(
-    model: CondIidModel, n: int, exact: bool
-) -> Iterator[tuple[float | Fraction, LengthLaw]]:
+def _pair_laws(model: CondIidModel, n: int, exact: bool) -> Iterator[tuple[float | int, LengthLaw]]:
     """(weight, law) of the type-class sweep over y-compositions; the
-    overflow given y depends on y only through its composition.  The laws
-    share the factor of y-symbol ``a`` at count ``c`` and the count row of
-    support size ``s`` at count ``c``: each is built once and kept only
-    until the last composition that uses it has been swept, so at most
-    one per (a, c) and per (s, c) is held, and no factor for two
-    y-symbols, where no composition repeats one."""
+    overflow given y depends on y only through its composition.  An exact
+    weight is the integer ``multinomial · Π pn[a]^c`` over ``d^n``, ``pn``
+    the ``p_y`` numerators over their lcm ``d``, and an exact law is over
+    ``L^n`` (:func:`_symbol_factors`).  The laws share the factor of
+    y-symbol ``a`` at count ``c`` and the count row of support size ``s``
+    at count ``c``: each is built once and kept only until the last
+    composition that uses it has been swept, so at most one per (a, c)
+    and per (s, c) is held, and no factor for two y-symbols, where no
+    composition repeats one."""
     nx, ny = len(model.x_alphabet), len(model.y_alphabet)
-    p_y, rows, sizes = model.require_p_y(), model.p_x_given_y, model.support_sizes
-    if not exact:
+    p_y, sizes = model.require_p_y(), model.support_sizes
+    if exact:
+        (pn,), _ = _numerators([p_y])
+    else:
         p_y = [float(p) for p in p_y]
 
     def uses(c: int) -> int:
@@ -1450,10 +1453,10 @@ def _pair_laws(
         return 1 if ny == 1 else math.comb(n - c + ny - 2, ny - 2)
 
     count_rows = _Shared(partial(_count_row, nx), lambda s, c: sizes.count(s) * uses(c))
-    factors = _Shared(lambda a, c: _symbol_factor(rows[a], count_rows.get(sizes[a], c), exact),
-                      lambda a, c: uses(c))
+    factors = _Shared(_symbol_factors(model, count_rows.get, exact), lambda a, c: uses(c))
     for comp in _compositions(n, ny):
-        w = _composition_weight(p_y, comp, exact)
+        w = (_multinomial(n, comp) * math.prod(map(pow, pn, comp)) if exact
+             else _composition_weight(p_y, comp))
         if w != 0:
             yield w, _typeclass_law(model, comp, exact, factors.get, DEFAULT_CLASS_CAP)
         for a, c in enumerate(comp):
@@ -1578,16 +1581,13 @@ def _pair_curve_of_route(model: Model, n: int, route: str, exact: bool) -> tuple
         for w, law in _pair_laws(model, n, exact):
             total += w * np.array(law._excess_at_ranks(ranks, exact=False))
         return tuple(total.tolist())
-    # each law's overflow numerators N are over its den: with w / den = p / q,
-    # one integer row of p · N per distinct q, and one Fraction per q and rank
-    rows: dict[int, list[int]] = {}
+    # integer weights over d^n times overflow numerators over L^n, one integer per rank
+    total, den = [0] * len(ranks), 1
     for w, law in _pair_laws(model, n, exact):
-        scale = Fraction(w) / law._den
-        row = rows.setdefault(scale.denominator, [0] * len(ranks))
-        for k, v in enumerate(law._excess_at_ranks(ranks, exact=True)):
-            row[k] += scale.numerator * v
-    return tuple(sum((Fraction(row[k], q) for q, row in rows.items()), Fraction(0))
-                 for k in range(len(ranks)))
+        total = [t + w * v for t, v in zip(total, law._excess_at_ranks(ranks, True))]
+        den = law._den      # L^n, the same for every law
+    den *= math.lcm(*(p.denominator for p in model.require_p_y())) ** n
+    return tuple(Fraction(t, den) for t in total)
 
 
 def _pair_curve(model: Model, n: int, method: str, exact: bool) -> tuple:

@@ -6,6 +6,7 @@ import json
 import math
 import shutil
 import warnings
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -736,8 +737,8 @@ class TestHostileArgv:
 # the public library calls, each on a model and one draw of LIBRARY_ARGS;
 # y is built inside the call, from a length and a pattern of y-indices
 def _y(m, a):
-    return SideInfoString(m.y_alphabet, tuple(
-        int(c) % len(m.y_alphabet) for c in (a["pattern"] * a["length"])[:a["length"]]))
+    pattern = [int(c) % len(m.y_alphabet) for c in a["pattern"]]
+    return SideInfoString(m.y_alphabet, tuple(islice(cycle(pattern), a["length"])))
 
 
 def _y_of_n(m, a):

@@ -63,10 +63,17 @@ def _markov_small(with_initial: bool):
 
 def _pair_laws_of(model, n, route, exact):
     """The type-class sweep's laws, or for brute force the reference loop's
-    one law per y-string (the brute-force pair kernels build none)."""
-    if route == "typeclass":
-        return list(limits._pair_laws(model, n, exact))
-    return list(_per_y_string_pair_laws(model, n, exact))
+    one law per y-string (the brute-force pair kernels build none), with
+    their weights as probabilities: the sweep's exact weights are integers
+    over ``d^n``, ``d`` the lcm of the ``p_y`` denominators."""
+    if route == "bruteforce":
+        return list(_per_y_string_pair_laws(model, n, exact))
+    laws = list(limits._pair_laws(model, n, exact))
+    if not exact:
+        return laws
+    scale = math.lcm(*(p.denominator for p in model.require_p_y())) ** n
+    assert all(type(w) is int for w, _ in laws)
+    return [(Fraction(w, scale), law) for w, law in laws]
 
 
 def _fresh(law):
@@ -1704,7 +1711,10 @@ def _fresh_typeclass_pair_curve(model, n, exact):
     p_y = model.require_p_y()
     laws = []
     for comp in limits._compositions(n, len(model.y_alphabet)):
-        w = limits._composition_weight(p_y, comp, exact)
+        if exact:
+            w = limits._multinomial(n, comp) * math.prod(p**c for p, c in zip(p_y, comp))
+        else:
+            w = limits._composition_weight([float(p) for p in p_y], comp)
         if w != 0:
             laws.append((w, length_law_typeclass(model, comp, exact=exact)))
     return _reference_pair_curve(laws, (len(model.x_alphabet) ** n).bit_length(), exact)
@@ -1891,9 +1901,9 @@ class TestBuildOnce:
         calls = []
         build = limits._symbol_factor
 
-        def counting(row, count, exact):
+        def counting(row, count, nums, lcm):
             calls.append((row, count))
-            return build(row, count, exact)
+            return build(row, count, nums, lcm)
 
         monkeypatch.setattr(limits, "_symbol_factor", counting)
         _pair_curve_of_route.cache_clear()
@@ -2032,3 +2042,42 @@ class TestBuildOnce:
         epsilon_star_ref(fig1, y, 6, method="bruteforce", exact=True)
         gc.collect()
         assert not _live_laws()
+
+
+def _class_numerators(law):
+    return [law._class_data(j)[3] for j in range(law.num_classes)]
+
+
+class TestOneDenominator:
+    """Exact type-class laws share the brute-force laws' denominator."""
+
+    def test_typeclass_and_bruteforce_laws_share_numerators(self, corpus_models):
+        models = [m for _, m in sorted(corpus_models.items()) if isinstance(m, CondIidModel)]
+        for model in [*models, PRIME_2X2]:
+            ny = len(model.y_alphabet)
+            for n in range(1, 5):
+                for ys in product(range(ny), repeat=n):
+                    y = SideInfoString(model.y_alphabet, ys)
+                    tc = length_law_typeclass(model, y, exact=True)
+                    bf = length_law_bruteforce(model, y, exact=True)
+                    assert tc._den == bf._den
+                    assert _class_numerators(tc) == _class_numerators(bf)
+                    assert all(type(v) is int for v in _class_numerators(tc))
+                    assert tc.counts == bf.counts
+                    assert tc._total_num == bf._total_num
+
+    @pytest.mark.parametrize("name, n", [("fig1", 8), ("skewed34", 4), ("deterministic", 5)])
+    def test_exact_sweep_takes_numerators_twice(self, corpus_models, monkeypatch, name, n):
+        model, calls = corpus_models[name], []
+        numerators = limits._numerators
+
+        def recording(rows):
+            calls.append([tuple(row) for row in rows])
+            return numerators(rows)
+
+        monkeypatch.setattr(limits, "_numerators", recording)
+        _pair_curve_of_route.cache_clear()
+        limits._pair_curve(model, n, "typeclass", True)
+        _pair_curve_of_route.cache_clear()
+        # once for p_y, once for the conditional rows
+        assert sorted(calls) == sorted([[tuple(model.p_y)], list(map(tuple, model.p_x_given_y))])
